@@ -75,8 +75,8 @@ pub fn sim_events_per_sec(events: u64, pending: usize) -> f64 {
 }
 
 /// [`sim_events_per_sec`] with a pre-run engine configurator — how the
-/// telemetry gate times the identical workload with profiling in its
-/// plain / enabled-then-disabled / enabled states.
+/// instrument-cost rows time the identical workload with profiling or
+/// tracing enabled.
 fn sim_events_per_sec_with(events: u64, pending: usize, configure: impl FnOnce(&mut Sim)) -> f64 {
     let (fires, total) = workload_events(events, pending);
     let mut b = SimBuilder::new(MasterSeed::new(1));
@@ -477,40 +477,22 @@ fn scenario_throughput_with(
 
 // ---- Telemetry overhead -----------------------------------------------
 
-/// Paired measurement of what engine self-profiling costs one workload,
-/// in three configurations run back to back:
-///
-/// * **plain** — profiling never touched: the pre-telemetry code path
-///   plus the one routing branch per `run_until` call.
-/// * **disabled** — profiling enabled then disabled before the timed
-///   span. Must match `plain` to measurement noise: `disable_profiling`
-///   has to restore the exact fast path, leaving no residual state or
-///   indirection behind. This is the telemetry analogue of the fault
-///   hook's "configured but fault-free plan is free" contract, and the
-///   `<1%` gate `perf_baseline` asserts in-binary.
-/// * **enabled** — profiling on for the whole timed span (the outlined
-///   profiled loop, per-event recording, periodic depth samples). The
-///   honest cost of actually collecting an engine profile, recorded as
-///   context rather than gated.
+/// Paired measurement of what an engine instrument (self-profiling or
+/// causal tracing) costs one workload, run back to back: **plain** (no
+/// instrument) and **enabled** (the instrument on for the whole timed
+/// span). There is no "disabled" state to measure: a sim without armed
+/// instruments runs the `()` instance of the engine's one event loop,
+/// which holds no instrument code, so disabling is free by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct TelemetryMeasurement {
-    /// Events/sec with profiling never touched.
+    /// Events/sec with the instrument never enabled.
     pub plain_events_per_sec: f64,
-    /// Events/sec after `enable_profiling(); disable_profiling();`.
-    pub disabled_events_per_sec: f64,
-    /// Events/sec with profiling enabled throughout.
+    /// Events/sec with the instrument enabled throughout.
     pub enabled_events_per_sec: f64,
 }
 
 impl TelemetryMeasurement {
-    /// Throughput cost of the disabled (enable-then-disable) state vs
-    /// plain, percent (positive = slower). Zero by construction up to
-    /// noise — the asserted zero-cost-disabled contract.
-    pub fn disabled_overhead_pct(&self) -> f64 {
-        (self.plain_events_per_sec / self.disabled_events_per_sec - 1.0) * 100.0
-    }
-
-    /// Throughput cost of enabled profiling vs plain, percent.
+    /// Throughput cost of the enabled instrument vs plain, percent.
     pub fn enabled_overhead_pct(&self) -> f64 {
         (self.plain_events_per_sec / self.enabled_events_per_sec - 1.0) * 100.0
     }
@@ -519,84 +501,57 @@ impl TelemetryMeasurement {
     /// every recorded baseline metric uses — see `perf_baseline`).
     pub fn fold_best(&mut self, other: &TelemetryMeasurement) {
         self.plain_events_per_sec = self.plain_events_per_sec.max(other.plain_events_per_sec);
-        self.disabled_events_per_sec = self
-            .disabled_events_per_sec
-            .max(other.disabled_events_per_sec);
         self.enabled_events_per_sec = self
             .enabled_events_per_sec
             .max(other.enabled_events_per_sec);
     }
 }
 
-/// Telemetry cost on the timer microbench (the `event_loop` shape):
-/// one plain / disabled / enabled round, back to back.
+/// Instrument cost on the timer microbench (the `event_loop` shape):
+/// one plain / enabled round, back to back.
+fn instrument_overhead_event_loop(
+    events: u64,
+    pending: usize,
+    enable: fn(&mut Sim),
+) -> TelemetryMeasurement {
+    TelemetryMeasurement {
+        plain_events_per_sec: sim_events_per_sec_with(events, pending, |_| {}),
+        enabled_events_per_sec: sim_events_per_sec_with(events, pending, enable),
+    }
+}
+
+/// Instrument cost on the real aggregate scenario (the
+/// `aggregate_trunk` shape): one plain / enabled round, back to back.
+fn instrument_overhead_aggregate(
+    flows: usize,
+    sim_secs: f64,
+    enable: fn(&mut Sim),
+) -> TelemetryMeasurement {
+    let base = || ScenarioBuilder::aggregate(1, flows).with_trunk(10e9, 0.1);
+    TelemetryMeasurement {
+        plain_events_per_sec: scenario_throughput_with(base(), sim_secs, |_| {}).events_per_sec,
+        enabled_events_per_sec: scenario_throughput_with(base(), sim_secs, enable).events_per_sec,
+    }
+}
+
+/// Engine self-profiling cost on the timer microbench.
 pub fn telemetry_overhead_event_loop(events: u64, pending: usize) -> TelemetryMeasurement {
-    TelemetryMeasurement {
-        plain_events_per_sec: sim_events_per_sec_with(events, pending, |_| {}),
-        disabled_events_per_sec: sim_events_per_sec_with(events, pending, |sim| {
-            sim.enable_profiling();
-            sim.disable_profiling();
-        }),
-        enabled_events_per_sec: sim_events_per_sec_with(events, pending, |sim| {
-            sim.enable_profiling();
-        }),
-    }
+    instrument_overhead_event_loop(events, pending, Sim::enable_profiling)
 }
 
-/// Telemetry cost on the real aggregate scenario (the `aggregate_trunk`
-/// shape): one plain / disabled / enabled round, back to back.
+/// Engine self-profiling cost on the real aggregate scenario.
 pub fn telemetry_overhead_aggregate(flows: usize, sim_secs: f64) -> TelemetryMeasurement {
-    let base = || ScenarioBuilder::aggregate(1, flows).with_trunk(10e9, 0.1);
-    TelemetryMeasurement {
-        plain_events_per_sec: scenario_throughput_with(base(), sim_secs, |_| {}).events_per_sec,
-        disabled_events_per_sec: scenario_throughput_with(base(), sim_secs, |sim| {
-            sim.enable_profiling();
-            sim.disable_profiling();
-        })
-        .events_per_sec,
-        enabled_events_per_sec: scenario_throughput_with(base(), sim_secs, |sim| {
-            sim.enable_profiling();
-        })
-        .events_per_sec,
-    }
+    instrument_overhead_aggregate(flows, sim_secs, Sim::enable_profiling)
 }
 
-/// Causal-trace cost on the timer microbench (the `event_loop` shape):
-/// one plain / disabled / enabled round, back to back. Same three-state
-/// protocol as [`telemetry_overhead_event_loop`] — `disabled` is
-/// enable-then-disable and must match `plain` to noise (the `<1%` gate
-/// `perf_baseline` asserts for tracing too), `enabled` is the honest
-/// cost of the outlined traced loop with provenance threading.
+/// Causal-trace cost on the timer microbench.
 pub fn tracing_overhead_event_loop(events: u64, pending: usize) -> TelemetryMeasurement {
-    TelemetryMeasurement {
-        plain_events_per_sec: sim_events_per_sec_with(events, pending, |_| {}),
-        disabled_events_per_sec: sim_events_per_sec_with(events, pending, |sim| {
-            sim.enable_tracing();
-            sim.disable_tracing();
-        }),
-        enabled_events_per_sec: sim_events_per_sec_with(events, pending, |sim| {
-            sim.enable_tracing();
-        }),
-    }
+    instrument_overhead_event_loop(events, pending, Sim::enable_tracing)
 }
 
-/// Causal-trace cost on the real aggregate scenario (the
-/// `aggregate_trunk` shape): one plain / disabled / enabled round,
-/// back to back.
+/// Causal-trace cost on the real aggregate scenario.
 pub fn tracing_overhead_aggregate(flows: usize, sim_secs: f64) -> TelemetryMeasurement {
-    let base = || ScenarioBuilder::aggregate(1, flows).with_trunk(10e9, 0.1);
-    TelemetryMeasurement {
-        plain_events_per_sec: scenario_throughput_with(base(), sim_secs, |_| {}).events_per_sec,
-        disabled_events_per_sec: scenario_throughput_with(base(), sim_secs, |sim| {
-            sim.enable_tracing();
-            sim.disable_tracing();
-        })
-        .events_per_sec,
-        enabled_events_per_sec: scenario_throughput_with(base(), sim_secs, |sim| {
-            sim.enable_tracing();
-        })
-        .events_per_sec,
-    }
+    instrument_overhead_aggregate(flows, sim_secs, Sim::enable_tracing)
 }
 
 /// An engine profile of the aggregate-trunk workload: build the real
@@ -617,8 +572,8 @@ pub fn aggregate_trunk_profile(flows: usize, sim_secs: f64) -> linkpad_obs::Prof
 /// A sampled wall-time attribution of the aggregate-trunk workload:
 /// where each dispatch's nanoseconds go (store pop + batch collection
 /// vs `Context` build vs the node handler), per node label. Runs the
-/// same warmed scenario as [`aggregate_trunk_profile`] through the
-/// engine's `run_until_attributed` twin, sampling every
+/// same warmed scenario as [`aggregate_trunk_profile`] with an
+/// attribution sampler hooked onto the event loop, sampling every
 /// `sample_every`-th dispatch. Recorded as context in the baseline's
 /// `engine_profile` section — evidence for the dispatch bound, never a
 /// gated number (it is wall-clock and container-dependent).
@@ -1092,18 +1047,19 @@ mod tests {
     }
 
     #[test]
-    fn tracing_measurement_runs_all_three_configurations() {
-        // Tiny shape: correctness only, not timing — all three trace
-        // states must complete the workload at positive throughput.
-        let m = tracing_overhead_event_loop(2_000, 16);
-        assert!(m.plain_events_per_sec > 0.0);
-        assert!(m.disabled_events_per_sec > 0.0);
-        assert!(m.enabled_events_per_sec > 0.0);
-        assert!(m.disabled_overhead_pct().is_finite());
-        let m = tracing_overhead_aggregate(16, 0.2);
-        assert!(m.plain_events_per_sec > 0.0);
-        assert!(m.disabled_events_per_sec > 0.0);
-        assert!(m.enabled_events_per_sec > 0.0);
+    fn instrument_measurements_run_both_configurations() {
+        // Tiny shapes: correctness only, not timing — both states of
+        // both instruments must complete the workload.
+        for m in [
+            telemetry_overhead_event_loop(2_000, 16),
+            tracing_overhead_event_loop(2_000, 16),
+            telemetry_overhead_aggregate(16, 0.2),
+            tracing_overhead_aggregate(16, 0.2),
+        ] {
+            assert!(m.plain_events_per_sec > 0.0);
+            assert!(m.enabled_events_per_sec > 0.0);
+            assert!(m.enabled_overhead_pct().is_finite());
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub const INVENTORY_PATH: &str = "crates/lint/UNSAFE_INVENTORY.md";
 pub const RUN_PATH_FILES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",
+    "crates/sim/src/hooks.rs",
     "crates/workloads/src/shard.rs",
     "crates/workloads/src/scenario.rs",
 ];

@@ -9,10 +9,10 @@
 //! simulation clock, so two runs of the same `(spec, seed)` produce
 //! bit-identical profiles — asserted by the `reset_determinism` family.
 //!
-//! The engine owns an `Option<Box<EngineProfile>>`; a sim that never
-//! enables profiling takes one branch per run call and pays nothing per
-//! event (the profiled loop is outlined `#[cold]`, mirroring the
-//! watchdog). See DESIGN.md §Observability.
+//! The engine owns an `Option<Box<EngineProfile>>` and records into it
+//! as a hook on its event loop; a sim that never enables profiling
+//! takes one branch per run call and pays nothing per event. See
+//! DESIGN.md §Observability.
 
 use crate::metrics::Histogram;
 

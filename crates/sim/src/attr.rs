@@ -15,19 +15,21 @@
 //!
 //! [`Node::label`]: crate::node::Node::label
 //!
-//! This is deliberately the **one wall-clock file in `linkpad-sim`**:
-//! the engine's [`run_until_attributed`] twin calls only sampler
-//! methods, so `engine.rs` itself contains no `Instant` tokens and the
-//! `DET_WALLCLOCK` allowlist entry for this file is file+fragment
-//! scoped. Nothing here feeds back into simulation state — the sampler
-//! is write-only from the engine's perspective and the attributed run's
-//! simulated results are bit-identical to a plain run (the sampler
-//! cannot even be consulted mid-run). It is a measurement harness for
-//! `perf_baseline`, not a simulation feature.
+//! The sampler is a [`LoopHooks`] implementation: attach it to any run
+//! with [`Sim::run_until_with`] (or [`Sim::run_until_attributed`]),
+//! under a watchdog, alongside a profile or trace, or per shard
+//! (`ShardedAggregate::with_attribution` in `linkpad-workloads`). Its
+//! `Instant` reads are the engine crate's only wall-clock reads outside
+//! the watchdog, behind a file-scoped `DET_WALLCLOCK` allowlist entry.
+//! Nothing here feeds back into simulation state — hooks only observe,
+//! so an attributed run's simulated results are bit-identical to a
+//! plain run. It is a measurement harness, not a simulation feature.
 //!
 //! [`Context`]: crate::engine::Context
-//! [`run_until_attributed`]: crate::engine::Sim::run_until_attributed
+//! [`Sim::run_until_with`]: crate::engine::Sim::run_until_with
+//! [`Sim::run_until_attributed`]: crate::engine::Sim::run_until_attributed
 
+use crate::hooks::{Dispatch, LoopHooks};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -94,7 +96,7 @@ impl AttributionSampler {
     }
 
     /// Start of one dispatch iteration (called before the pop).
-    pub(crate) fn begin(&mut self) {
+    fn begin(&mut self) {
         self.sampling = self.seen.is_multiple_of(self.every);
         self.seen += 1;
         if self.sampling {
@@ -103,7 +105,7 @@ impl AttributionSampler {
     }
 
     /// Phase boundary: pop + same-instant batch collection finished.
-    pub(crate) fn lap_store(&mut self) {
+    fn lap_store(&mut self) {
         if !self.sampling {
             return;
         }
@@ -115,7 +117,7 @@ impl AttributionSampler {
     /// Phase boundary: split-borrow + [`Context`] build finished.
     ///
     /// [`Context`]: crate::engine::Context
-    pub(crate) fn lap_context(&mut self) {
+    fn lap_context(&mut self) {
         if !self.sampling {
             return;
         }
@@ -126,7 +128,7 @@ impl AttributionSampler {
 
     /// End of the dispatch: the node handler returned. Folds the staged
     /// phase durations into the row for `label`'s node type.
-    pub(crate) fn lap_node(&mut self, label: &str) {
+    fn lap_node(&mut self, label: &str) {
         if !self.sampling {
             return;
         }
@@ -164,6 +166,22 @@ impl AttributionSampler {
             sample_every: self.every,
             dispatches_seen: self.seen,
         }
+    }
+}
+
+/// The sampler's laps sit on the loop's phase boundaries.
+impl LoopHooks for AttributionSampler {
+    fn before_pop(&mut self) {
+        self.begin();
+    }
+    fn after_pop(&mut self) {
+        self.lap_store();
+    }
+    fn before_handler(&mut self) {
+        self.lap_context();
+    }
+    fn after_handler(&mut self, dispatch: &Dispatch<'_>) {
+        self.lap_node(dispatch.node().label());
     }
 }
 
@@ -215,6 +233,26 @@ impl AttributionReport {
     /// Total sampled wall nanoseconds across all node types and phases.
     pub fn total_ns(&self) -> u64 {
         self.rows.iter().map(AttributionRow::total_ns).sum()
+    }
+
+    /// Fold another report in (e.g. per-shard attributions into a run
+    /// total): rows with the same type key add, new keys insert in
+    /// order, and dispatch counts add. Both reports should share one
+    /// sampling rate for the merged shares to mean anything.
+    pub fn merge(&mut self, other: &AttributionReport) {
+        for row in &other.rows {
+            match self.rows.binary_search_by(|r| r.label.cmp(&row.label)) {
+                Ok(i) => {
+                    let r = &mut self.rows[i];
+                    r.samples += row.samples;
+                    r.store_ns += row.store_ns;
+                    r.context_ns += row.context_ns;
+                    r.dispatch_ns += row.dispatch_ns;
+                }
+                Err(i) => self.rows.insert(i, row.clone()),
+            }
+        }
+        self.dispatches_seen += other.dispatches_seen;
     }
 }
 
@@ -280,6 +318,30 @@ mod tests {
         // suffix is not numeric keep their own.
         assert_eq!(labels, ["gw1", "subnet-b", "tap@gw1", "trunk-demux"]);
         assert_eq!(report.rows[0].samples, 3);
+    }
+
+    #[test]
+    fn merged_reports_add_rows_by_type_and_keep_them_sorted() {
+        let report = |labels: &[&str]| {
+            let mut s = AttributionSampler::new(1);
+            for label in labels {
+                s.begin();
+                s.lap_store();
+                s.lap_context();
+                s.lap_node(label);
+            }
+            s.report()
+        };
+        let mut total = report(&["gw1-1", "trunk"]);
+        total.merge(&report(&["cohort-7", "gw1-2", "gw1-3"]));
+        let rows: Vec<(&str, u64)> = total
+            .rows
+            .iter()
+            .map(|r| (r.label.as_str(), r.samples))
+            .collect();
+        assert_eq!(rows, [("cohort", 1), ("gw1", 3), ("trunk", 1)]);
+        assert_eq!(total.dispatches_seen, 5);
+        assert_eq!(total.samples(), 5);
     }
 
     #[test]

@@ -12,15 +12,21 @@
 //! sorted batches. Consecutive deliveries to the same node at the same
 //! instant are dispatched as one [`Node::on_packets`] batch, amortizing
 //! the virtual call per packet to a virtual call per burst.
+//!
+//! There is one event loop, generic over the [`LoopHooks`] attached to
+//! it. A plain run is its `()` instance; the watchdog, the engine
+//! profile, the causal trace and wall-time attribution are hook
+//! implementations composed onto the same loop (see [`crate::hooks`]).
 
 use crate::equeue::{Diag, Event, EventKind, EventQueue};
+use crate::hooks::{Dispatch, Instruments, LoopHooks, StopAt, Watchdog};
 use crate::node::{Node, NodeId};
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::time::{SimDuration, SimTime};
 // The causal-trace recorder gets an alias: `linkpad_sim` has its own
 // (packet-level) `trace::TraceRecorder` node, and the two must not be
 // confused at a glance.
-use linkpad_obs::trace::{TraceEventKind, TraceRecorder as CausalTrace};
+use linkpad_obs::trace::TraceRecorder as CausalTrace;
 use linkpad_obs::{EngineProfile, ProfileReport, StoreCounters, TraceReport};
 use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
 
@@ -121,29 +127,20 @@ impl SimBuilder {
         // node is typical; the arena grows on demand beyond that.
         let cap = nodes.len() * 8;
         Ok(Sim {
-            nodes,
-            rngs,
-            queue: EventQueue::with_capacity(cap),
-            deliver_buf: Vec::with_capacity(16),
-            now: SimTime::ZERO,
-            seq: 0,
-            next_packet_id: 0,
-            started: false,
-            events_processed: 0,
-            watchdog: None,
-            watchdog_tripped: false,
-            profile: None,
-            trace: None,
+            core: Core {
+                nodes,
+                rngs,
+                queue: EventQueue::with_capacity(cap),
+                deliver_buf: Vec::with_capacity(16),
+                now: SimTime::ZERO,
+                seq: 0,
+                next_packet_id: 0,
+                started: false,
+                events_processed: 0,
+            },
+            instruments: Instruments::default(),
         })
     }
-}
-
-/// Run budget enforced inside the event loop (see [`Sim::set_watchdog`]).
-#[derive(Debug, Clone, Copy)]
-struct Watchdog {
-    max_events: Option<u64>,
-    max_wall: Option<std::time::Duration>,
-    deadline: Option<std::time::Instant>,
 }
 
 /// Statistics from a run segment.
@@ -157,6 +154,14 @@ pub struct RunStats {
 
 /// A single discrete-event simulation instance.
 pub struct Sim {
+    core: Core,
+    /// Watchdog, profile and trace: attached to every run while armed.
+    /// Kept apart from the loop state so a run can borrow both.
+    instruments: Instruments,
+}
+
+/// The event loop's state: everything a dispatch touches.
+struct Core {
     nodes: Vec<Box<dyn Node>>,
     rngs: Vec<Xoshiro256StarStar>,
     queue: EventQueue,
@@ -167,38 +172,27 @@ pub struct Sim {
     next_packet_id: u64,
     started: bool,
     events_processed: u64,
-    watchdog: Option<Watchdog>,
-    watchdog_tripped: bool,
-    /// Engine self-profile, recorded only while enabled. Boxed so the
-    /// disabled (overwhelmingly common) case costs one pointer of state
-    /// and the run loop one branch per run call — mirrors the watchdog.
-    profile: Option<Box<EngineProfile>>,
-    /// Causal trace recorder, recorded only while enabled — same
-    /// one-pointer/one-branch disabled contract as the profile. The
-    /// queue's provenance hook ([`EventQueue::trace_arm`]) is armed
-    /// exactly while this is `Some`.
-    trace: Option<Box<CausalTrace>>,
 }
 
 impl Sim {
     /// Current simulation clock.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.core.now
     }
 
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.core.events_processed
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.core.nodes.len()
     }
 
     /// Number of events currently pending in the event store.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.core.queue.len()
     }
 
     /// Rewind the simulation to its as-built state under a (possibly
@@ -214,35 +208,34 @@ impl Sim {
     /// is the scenario-reset fast path — sweeps re-run a topology
     /// hundreds of times with per-replication seeds without paying the
     /// build cost (node boxing, arena growth, buffer warm-up) each time.
+    /// Armed instruments stay armed and restart with the run: the
+    /// watchdog re-arms, and a profile or trace re-zeros, so a
+    /// reset-then-run report is bit-identical to a fresh-build one.
     pub fn reset(&mut self, seed: MasterSeed) {
-        self.queue.clear();
-        self.deliver_buf.clear();
-        for (i, rng) in self.rngs.iter_mut().enumerate() {
+        let core = &mut self.core;
+        core.queue.clear();
+        core.deliver_buf.clear();
+        for (i, rng) in core.rngs.iter_mut().enumerate() {
             *rng = seed.stream(i as u64);
         }
-        for node in &mut self.nodes {
+        for node in &mut core.nodes {
             node.reset();
         }
-        self.now = SimTime::ZERO;
-        self.seq = 0;
-        self.next_packet_id = 0;
-        self.started = false;
-        self.events_processed = 0;
-        // Re-arm the watchdog: the tripped flag is runtime state, the
-        // budget is configuration (the wall-clock deadline restarts).
-        self.watchdog_tripped = false;
-        if let Some(wd) = &mut self.watchdog {
-            wd.deadline = wd.max_wall.map(|d| std::time::Instant::now() + d);
+        core.now = SimTime::ZERO;
+        core.seq = 0;
+        core.next_packet_id = 0;
+        core.started = false;
+        core.events_processed = 0;
+        let inst = &mut self.instruments;
+        if let Some(wd) = &mut inst.watchdog {
+            wd.rearm();
         }
-        // An enabled profile re-zeros with the post-clear cumulative
-        // queue counters as its new base, so a reset-then-run profile
-        // is bit-identical to a fresh-build-then-run profile.
-        if let Some(p) = &mut self.profile {
-            p.reset(store_counters(self.queue.diag()));
+        // The profile's new base is the post-clear cumulative queue
+        // counters (the queue's op counters survive `clear`).
+        if let Some(p) = &mut inst.profile {
+            p.reset(store_counters(core.queue.diag()));
         }
-        // Same contract for an enabled trace (the queue's provenance
-        // hook was already re-zeroed by `clear()` above, staying armed).
-        if let Some(t) = &mut self.trace {
+        if let Some(t) = &mut inst.trace {
             t.reset();
         }
     }
@@ -252,78 +245,71 @@ impl Sim {
     /// series with per-rung peaks, and event-store op counters over the
     /// profiled span. Profiles are a pure function of `(spec, seed)` —
     /// bit-identical across reruns and resets. Enabling on an already
-    /// profiled sim restarts the profile from now. While enabled, runs
-    /// take an outlined profiled loop (cost asserted <1 % disabled,
-    /// and reported while enabled, by `perf_baseline`).
+    /// profiled sim restarts the profile from now.
     pub fn enable_profiling(&mut self) {
-        let base = store_counters(self.queue.diag());
-        match &mut self.profile {
+        let base = store_counters(self.core.queue.diag());
+        match &mut self.instruments.profile {
             Some(p) => p.reset(base),
-            None => self.profile = Some(Box::new(EngineProfile::new(base))),
+            None => self.instruments.profile = Some(Box::new(EngineProfile::new(base))),
         }
     }
 
-    /// Drop the engine profile (if any) and return runs to the plain
-    /// un-instrumented loop.
+    /// Drop the engine profile (if any).
     pub fn disable_profiling(&mut self) {
-        self.profile = None;
+        self.instruments.profile = None;
     }
 
     /// Is engine self-profiling currently enabled?
     pub fn profiling_enabled(&self) -> bool {
-        self.profile.is_some()
+        self.instruments.profile.is_some()
     }
 
     /// Snapshot the engine profile accumulated since
     /// [`Sim::enable_profiling`] (or the last [`Sim::reset`]), or
     /// `None` when profiling is disabled.
     pub fn profile_report(&self) -> Option<ProfileReport> {
-        self.profile
+        self.instruments
+            .profile
             .as_ref()
-            .map(|p| p.report(store_counters(self.queue.diag())))
+            .map(|p| p.report(store_counters(self.core.queue.diag())))
     }
 
     /// Enable causal tracing: every dispatch records `(seq, parent seq,
     /// sim time, node, kind, batch size)` into a bounded decimating
-    /// ring, with the **parent** threaded through the scheduler — the
-    /// queue logs, for each scheduled event, which event's handler
-    /// scheduled it. Traces are a pure function of `(spec, seed)`, like
+    /// ring, where the **parent** is the event whose handler scheduled
+    /// this one. Traces are a pure function of `(spec, seed)`, like
     /// profiles. Enabling on an already traced sim restarts the trace
-    /// from now. While enabled, runs take an outlined traced loop (cost
-    /// asserted <1 % *disabled*, and reported while enabled, by
-    /// `perf_baseline`).
+    /// from now; events scheduled before tracing was enabled are roots.
     pub fn enable_tracing(&mut self) {
-        match &mut self.trace {
+        match &mut self.instruments.trace {
             Some(t) => t.reset(),
             None => {
                 let labels = self
+                    .core
                     .nodes
                     .iter()
                     .map(|n| n.label().to_string())
                     .collect::<Vec<_>>();
-                self.trace = Some(Box::new(CausalTrace::new(labels)));
+                self.instruments.trace = Some(Box::new(CausalTrace::new(labels)));
             }
         }
-        self.queue.trace_arm();
     }
 
-    /// Drop the causal trace (if any), disarm the queue's provenance
-    /// hook, and return runs to the plain un-instrumented loop.
+    /// Drop the causal trace (if any).
     pub fn disable_tracing(&mut self) {
-        self.trace = None;
-        self.queue.trace_disarm();
+        self.instruments.trace = None;
     }
 
     /// Is causal tracing currently enabled?
     pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
+        self.instruments.trace.is_some()
     }
 
     /// Snapshot the causal trace accumulated since
     /// [`Sim::enable_tracing`] (or the last [`Sim::reset`]), or `None`
     /// when tracing is disabled.
     pub fn trace_report(&self) -> Option<TraceReport> {
-        self.trace.as_ref().map(|t| t.report())
+        self.instruments.trace.as_ref().map(|t| t.report())
     }
 
     /// Builder-style [`Sim::enable_tracing`], for construction chains.
@@ -336,33 +322,27 @@ impl Sim {
     /// Arm a run budget: the event loop ends a run early — leaving a
     /// partial but internally consistent state — once `max_events`
     /// total events have been dispatched or `max_wall` wall-clock time
-    /// has elapsed (measured from arming; checked every 1024 events to
-    /// keep `Instant::now` off the per-event path). A tripped run sets
-    /// [`Sim::watchdog_tripped`] and subsequent runs are no-ops until
-    /// the budget is re-armed or the sim is [`Sim::reset`]. This is the
-    /// harness's defense against runaway shard sims hanging a CI job:
-    /// the caller gets back everything simulated up to the trip point
-    /// and can mark the tail windows invalid instead of blocking
-    /// forever.
+    /// has elapsed (measured from arming; checked every 1024 loop
+    /// iterations to keep `Instant::now` off the per-event path). A
+    /// tripped run sets [`Sim::watchdog_tripped`] and subsequent runs
+    /// are no-ops until the budget is re-armed or the sim is
+    /// [`Sim::reset`]. This is the harness's defense against runaway
+    /// shard sims hanging a CI job: the caller gets back everything
+    /// simulated up to the trip point and can mark the tail windows
+    /// invalid instead of blocking forever.
     pub fn set_watchdog(&mut self, max_events: Option<u64>, max_wall: Option<std::time::Duration>) {
-        self.watchdog = Some(Watchdog {
-            max_events,
-            max_wall,
-            deadline: max_wall.map(|d| std::time::Instant::now() + d),
-        });
-        self.watchdog_tripped = false;
+        self.instruments.watchdog = Some(Watchdog::new(max_events, max_wall));
     }
 
     /// Remove any armed watchdog budget and clear the tripped flag.
     pub fn clear_watchdog(&mut self) {
-        self.watchdog = None;
-        self.watchdog_tripped = false;
+        self.instruments.watchdog = None;
     }
 
     /// Did a watchdog budget end a run early? (Sticky until the next
     /// [`Sim::reset`], [`Sim::set_watchdog`] or [`Sim::clear_watchdog`].)
     pub fn watchdog_tripped(&self) -> bool {
-        self.watchdog_tripped
+        self.instruments.watchdog.is_some_and(|w| w.tripped)
     }
 
     /// Run until the clock reaches `until` (events at exactly `until` are
@@ -370,326 +350,86 @@ impl Sim {
     /// armed watchdog budget ([`Sim::set_watchdog`]) may end the run
     /// early.
     pub fn run_until(&mut self, until: SimTime) -> RunStats {
-        // Unarmed, unprofiled sims — every benchmark and the
-        // overwhelmingly common case — take two predictable branches
-        // here and then the exact pre-watchdog function body.
-        // Everything watchdog- and profile-related lives in outlined
-        // variants so their control flow and code size never perturb
-        // this loop's codegen.
-        if self.watchdog.is_some() || self.watchdog_tripped {
-            return self.run_until_guarded(until);
+        // An uninstrumented sim — every benchmark and the overwhelmingly
+        // common case — runs the `()` instance of the loop, which holds
+        // no hook code at all; the instrumented instance is outlined so
+        // it never perturbs this function's codegen.
+        if self.instruments.armed() {
+            return self.run_until_instrumented(until);
         }
-        // Trace before profile: the traced loop also records into an
-        // enabled profile (via `record_profile`), the reverse does not.
-        if self.trace.is_some() {
-            return self.run_until_traced(until);
-        }
-        if self.profile.is_some() {
-            return self.run_until_profiled(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            events += self.dispatch(entry);
-        }
-        // Advance the clock to the bound even if the store drained early,
-        // so consecutive run_until calls observe monotone time.
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
+        self.core.run_loop(until, &mut ())
     }
 
-    /// [`Sim::run_until`] with an armed (or already tripped) watchdog:
-    /// dispatch until the bound, the store draining, or the budget
-    /// tripping. A tripped watchdog leaves the clock at the last event —
-    /// the simulated-up-to point callers truncate partial results at —
-    /// and makes subsequent runs no-ops until re-armed or reset.
     #[cold]
     #[inline(never)]
-    fn run_until_guarded(&mut self, until: SimTime) -> RunStats {
-        if self.watchdog_tripped {
-            return RunStats {
-                events: 0,
-                ended_at_nanos: self.now.as_nanos(),
-            };
-        }
-        let Some(wd) = self.watchdog else {
-            // run_until only dispatches here with an armed or already
-            // tripped watchdog, and tripped returned above — but if
-            // that ever changes, degrade to the unarmed loop (watchdog
-            // is None, so run_until takes its plain branch) rather
-            // than panicking on a run path.
-            return self.run_until(until);
-        };
-        self.ensure_started();
-        let mut events = 0u64;
-        let mut checks = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            // Tracing composes with the watchdog the same way profiling
-            // does: the guarded loop takes over the outer loop, the
-            // traced dispatch keeps recording.
-            let consumed = if self.trace.is_some() {
-                self.dispatch_traced(entry)
-            } else {
-                self.dispatch(entry)
-            };
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-            checks += 1;
-            let events_over = wd
-                .max_events
-                .is_some_and(|m| self.events_processed + events >= m);
-            let wall_over =
-                checks & 1023 == 0 && wd.deadline.is_some_and(|d| std::time::Instant::now() >= d);
-            if events_over || wall_over {
-                self.watchdog_tripped = true;
-                break;
-            }
-        }
-        if self.now < until && until != SimTime::MAX && !self.watchdog_tripped {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
+    fn run_until_instrumented(&mut self, until: SimTime) -> RunStats {
+        self.run_until_with(until, &mut ())
     }
 
-    /// [`Sim::run_until`] with engine self-profiling enabled (and no
-    /// watchdog — the guarded variant records into the profile itself
-    /// when both are armed): the plain loop plus per-event profile
-    /// recording, outlined exactly like the watchdog so the
-    /// un-instrumented loop's codegen is untouched.
-    #[cold]
-    #[inline(never)]
-    fn run_until_profiled(&mut self, until: SimTime) -> RunStats {
-        if self.profile.is_none() {
-            // Only reachable if the routing in run_until changes; fall
-            // back to the plain loop rather than panicking on a run
-            // path.
-            return self.run_until(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            let consumed = self.dispatch(entry);
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-        }
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
-    /// [`Sim::run_until`] with causal tracing enabled (and no watchdog —
-    /// the guarded variant dispatches through the traced path itself
-    /// when both are armed): the profiled loop's shape with the traced
-    /// dispatch, outlined so the plain loop's codegen is untouched.
-    /// Also records into an enabled profile, so tracing and profiling
-    /// compose.
-    #[cold]
-    #[inline(never)]
-    fn run_until_traced(&mut self, until: SimTime) -> RunStats {
-        if self.trace.is_none() {
-            // Only reachable if the routing in run_until changes; fall
-            // back to the plain loop rather than panicking on a run
-            // path.
-            return self.run_until(until);
-        }
-        self.ensure_started();
-        let mut events = 0u64;
-        while let Some(entry) = self.queue.pop_at_or_before(until) {
-            self.now = entry.time;
-            let is_timer = matches!(entry.kind, EventKind::Timer(_));
-            let consumed = self.dispatch_traced(entry);
-            events += consumed;
-            self.record_profile(is_timer, consumed);
-        }
-        if self.now < until && until != SimTime::MAX {
-            self.now = until;
-        }
-        self.events_processed += events;
-        RunStats {
-            events,
-            ended_at_nanos: self.now.as_nanos(),
-        }
-    }
-
-    /// Move pending scheduler birth records (child seq → parent seq)
-    /// from the queue's log into the trace recorder's provenance map.
-    /// Called at the top of every traced dispatch, so an event's birth
-    /// is always in the map before the event fires or is absorbed into
-    /// a batch.
-    fn drain_births(&mut self) {
-        let Some(t) = self.trace.as_deref_mut() else {
-            return;
-        };
-        if let Some(log) = self.queue.trace_births_mut() {
-            for (child, parent) in log.drain(..) {
-                t.birth(child, parent);
-            }
-        }
-    }
-
-    /// [`Sim::dispatch`] plus trace recording. The event semantics are
-    /// a deliberate line-for-line twin of the untraced dispatch — the
-    /// traced≡untraced determinism test pins the two together — with
-    /// provenance bookkeeping around the handler call: drain births,
-    /// mark this event as the current parent, retire batched events'
-    /// provenance as they are collected, record after the handler.
-    #[cold]
-    #[inline(never)]
-    fn dispatch_traced(&mut self, entry: Event) -> u64 {
-        self.drain_births();
-        self.queue.trace_set_current(entry.seq);
-        let target = entry.target;
-        debug_assert!(target < self.nodes.len(), "event for unknown node");
-        let (kind, consumed) = match entry.kind {
-            EventKind::Timer(tag) => {
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_timer(tag, &mut ctx);
-                (TraceEventKind::Timer, 1)
-            }
-            EventKind::Deliver(pkt) => {
-                let mut batch = std::mem::take(&mut self.deliver_buf);
-                batch.clear();
-                batch.push(pkt);
-                while let Some((tail_seq, next)) =
-                    self.queue.pop_deliver_if_keyed(entry.time, target)
-                {
-                    batch.push(next);
-                    // The batched event never fires on its own — retire
-                    // its provenance entry here (its children attribute
-                    // to the batch head, `entry.seq`).
-                    if let Some(t) = self.trace.as_deref_mut() {
-                        t.absorb(tail_seq);
-                    }
-                }
-                let consumed = batch.len() as u64;
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_packets(&mut batch, &mut ctx);
-                batch.clear();
-                self.deliver_buf = batch;
-                (TraceEventKind::Deliver, consumed)
-            }
-        };
-        if let Some(t) = self.trace.as_deref_mut() {
-            t.dispatched(
-                entry.seq,
-                self.now.as_nanos(),
-                target as u32,
-                kind,
-                consumed as u32,
-            );
-        }
-        consumed
+    /// [`Sim::run_until`] with `hooks` attached to every dispatch, ahead
+    /// of the sim's own armed instruments (watchdog, profile, trace),
+    /// which run on the same loop. Hooks only observe, so the run
+    /// dispatches exactly the events a plain run would — unless a hook
+    /// (or the watchdog) stops it early, leaving the clock at its last
+    /// event.
+    pub fn run_until_with<H: LoopHooks>(&mut self, until: SimTime, hooks: &mut H) -> RunStats {
+        self.core
+            .run_loop(until, &mut (hooks, &mut self.instruments))
     }
 
     /// [`Sim::run_until`] with per-node-type wall-time attribution: the
-    /// plain dispatch split into its three phases — event-store work
-    /// (pop + batch collection), [`Context`] build, and the node
-    /// handler — with each sampled dispatch's phase times credited to
-    /// the target node's label. A `perf_baseline` measurement harness
-    /// (ROADMAP open item 4, "where do the ~50 ns/event go"), not a
-    /// simulation feature: the sampler is write-only, so the simulated
-    /// results are bit-identical to a plain run. Ignores the watchdog
-    /// and profile (callers measure un-instrumented runs). All
-    /// wall-clock reads live in [`crate::attr`] — this function calls
-    /// only sampler methods.
-    #[cold]
-    #[inline(never)]
+    /// sampler splits each sampled dispatch into event-store work (pop +
+    /// batch collection), [`Context`] build and the node handler, and
+    /// credits the phase times to the target node's type. The sampler is
+    /// write-only, so the simulated results are bit-identical to a plain
+    /// run; an armed watchdog, profile or trace applies as on any run.
     pub fn run_until_attributed(
         &mut self,
         until: SimTime,
         sampler: &mut crate::attr::AttributionSampler,
     ) -> RunStats {
+        self.run_until_with(until, sampler)
+    }
+
+    /// Run for a span from the current clock.
+    pub fn run_for(&mut self, span: SimDuration) -> RunStats {
+        let until = self.core.now + span;
+        self.run_until(until)
+    }
+
+    /// Process the next dispatch — one timer firing, or one same-instant
+    /// delivery batch to one node — through the same loop and
+    /// instruments as [`Sim::run_until`]. Returns `false` when nothing
+    /// was dispatched: the event store is empty (or a tripped watchdog
+    /// holds the sim).
+    pub fn step(&mut self) -> bool {
+        let one = self.core.events_processed + 1;
+        self.run_until_with(SimTime::MAX, &mut StopAt(one)).events > 0
+    }
+}
+
+impl Core {
+    /// The one event loop. `()` hooks compile to the bare loop.
+    #[inline(always)]
+    fn run_loop<H: LoopHooks>(&mut self, until: SimTime, hooks: &mut H) -> RunStats {
         self.ensure_started();
         let mut events = 0u64;
-        loop {
-            sampler.begin();
+        let stopped = loop {
+            if hooks.should_stop(self.events_processed + events) {
+                break true;
+            }
+            hooks.before_pop();
             let Some(entry) = self.queue.pop_at_or_before(until) else {
-                break;
+                break false;
             };
             self.now = entry.time;
-            let target = entry.target;
-            debug_assert!(target < self.nodes.len(), "event for unknown node");
-            let consumed = match entry.kind {
-                EventKind::Timer(tag) => {
-                    sampler.lap_store();
-                    let (node, mut ctx) = split_at(
-                        &mut self.nodes,
-                        &mut self.rngs,
-                        &mut self.queue,
-                        self.now,
-                        &mut self.seq,
-                        &mut self.next_packet_id,
-                        target,
-                    );
-                    sampler.lap_context();
-                    node.on_timer(tag, &mut ctx);
-                    1
-                }
-                EventKind::Deliver(pkt) => {
-                    let mut batch = std::mem::take(&mut self.deliver_buf);
-                    batch.clear();
-                    batch.push(pkt);
-                    while let Some(next) = self.queue.pop_deliver_if(entry.time, target) {
-                        batch.push(next);
-                    }
-                    sampler.lap_store();
-                    let consumed = batch.len() as u64;
-                    let (node, mut ctx) = split_at(
-                        &mut self.nodes,
-                        &mut self.rngs,
-                        &mut self.queue,
-                        self.now,
-                        &mut self.seq,
-                        &mut self.next_packet_id,
-                        target,
-                    );
-                    sampler.lap_context();
-                    node.on_packets(&mut batch, &mut ctx);
-                    batch.clear();
-                    self.deliver_buf = batch;
-                    consumed
-                }
-            };
-            events += consumed;
-            sampler.lap_node(self.nodes[target].label());
-        }
-        if self.now < until && until != SimTime::MAX {
+            events += self.dispatch(entry, hooks);
+        };
+        // Advance the clock to the bound even if the store drained early,
+        // so consecutive run_until calls observe monotone time. A stopped
+        // run keeps the clock at its last event — the simulated-up-to
+        // point callers truncate partial results at.
+        if !stopped && self.now < until && until != SimTime::MAX {
             self.now = until;
         }
         self.events_processed += events;
@@ -699,141 +439,22 @@ impl Sim {
         }
     }
 
-    /// Fold one dispatched event into the engine profile, sampling
-    /// pending depth when due. A no-op when profiling is disabled (the
-    /// profiled and guarded loops are the only callers on hot paths,
-    /// and both are already outlined).
-    fn record_profile(&mut self, is_timer: bool, consumed: u64) {
-        if let Some(p) = &mut self.profile {
-            if p.record_dispatch(is_timer, consumed) {
-                let (_, _, _, near, rung, far) = self.queue.tier_state();
-                p.sample_depth(
-                    self.now.as_nanos(),
-                    self.queue.len() as u64,
-                    near as u64,
-                    rung as u64,
-                    far as u64,
-                    &self.queue.rung_lens(),
-                );
-            }
-        }
-    }
-
-    /// Run for a span from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) -> RunStats {
-        let until = self.now + span;
-        self.run_until(until)
-    }
-
-    /// Process a single event. Deliveries dispatch through
-    /// [`Node::on_packets`] as a one-element batch, so nodes that
-    /// implement only the batched hook behave identically under
-    /// `step()` and [`Sim::run_until`]. Returns `false` when the event
-    /// store is empty.
-    pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        match self.queue.pop() {
-            Some(entry) => {
-                self.now = entry.time;
-                let is_timer = matches!(entry.kind, EventKind::Timer(_));
-                let (seq, target) = (entry.seq, entry.target as u32);
-                if self.trace.is_some() {
-                    self.drain_births();
-                    self.queue.trace_set_current(seq);
-                }
-                self.dispatch_single(entry);
-                self.events_processed += 1;
-                if self.profile.is_some() {
-                    self.record_profile(is_timer, 1);
-                }
-                if let Some(t) = self.trace.as_deref_mut() {
-                    let kind = if is_timer {
-                        TraceEventKind::Timer
-                    } else {
-                        TraceEventKind::Deliver
-                    };
-                    t.dispatched(seq, self.now.as_nanos(), target, kind, 1);
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Dispatch one event without same-instant batching (deliveries
-    /// still go through `on_packets`, as a batch of one).
-    fn dispatch_single(&mut self, entry: Event) {
-        let target = entry.target;
-        debug_assert!(target < self.nodes.len(), "event for unknown node");
-        match entry.kind {
-            EventKind::Timer(tag) => {
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_timer(tag, &mut ctx);
-            }
-            EventKind::Deliver(pkt) => {
-                let mut batch = std::mem::take(&mut self.deliver_buf);
-                batch.clear();
-                batch.push(pkt);
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
-                node.on_packets(&mut batch, &mut ctx);
-                batch.clear();
-                self.deliver_buf = batch;
-            }
-        }
-    }
-
-    fn ensure_started(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.nodes.len() {
-            let (node, mut ctx) = split_at(
-                &mut self.nodes,
-                &mut self.rngs,
-                &mut self.queue,
-                self.now,
-                &mut self.seq,
-                &mut self.next_packet_id,
-                i,
-            );
-            node.on_start(&mut ctx);
-        }
-    }
-
     /// Dispatch one popped event, batching any immediately following
     /// deliveries for the same `(time, target)`. Returns the number of
-    /// events consumed.
-    fn dispatch(&mut self, entry: Event) -> u64 {
+    /// events consumed. Inlined into the loop: handing the popped event
+    /// to an out-of-line call costs a 64-byte copy per dispatch.
+    #[inline(always)]
+    fn dispatch<H: LoopHooks>(&mut self, entry: Event, hooks: &mut H) -> u64 {
         let target = entry.target;
         debug_assert!(target < self.nodes.len(), "event for unknown node");
-        match entry.kind {
+        let is_timer = matches!(entry.kind, EventKind::Timer(_));
+        let first_child;
+        let consumed = match entry.kind {
             EventKind::Timer(tag) => {
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
+                hooks.after_pop();
+                first_child = self.seq;
+                let (node, mut ctx) = self.split_at(target);
+                hooks.before_handler();
                 node.on_timer(tag, &mut ctx);
                 1
             }
@@ -845,50 +466,59 @@ impl Sim {
                 let mut batch = std::mem::take(&mut self.deliver_buf);
                 batch.clear();
                 batch.push(pkt);
-                while let Some(next) = self.queue.pop_deliver_if(entry.time, target) {
+                while let Some((seq, next)) = self.queue.pop_deliver_if(entry.time, target) {
+                    hooks.batched(seq);
                     batch.push(next);
                 }
+                hooks.after_pop();
                 let consumed = batch.len() as u64;
-                let (node, mut ctx) = split_at(
-                    &mut self.nodes,
-                    &mut self.rngs,
-                    &mut self.queue,
-                    self.now,
-                    &mut self.seq,
-                    &mut self.next_packet_id,
-                    target,
-                );
+                first_child = self.seq;
+                let (node, mut ctx) = self.split_at(target);
+                hooks.before_handler();
                 node.on_packets(&mut batch, &mut ctx);
                 batch.clear();
                 self.deliver_buf = batch;
                 consumed
             }
+        };
+        hooks.after_handler(&Dispatch {
+            seq: entry.seq,
+            time: entry.time,
+            target: NodeId(target),
+            is_timer,
+            consumed,
+            children: first_child..self.seq,
+            queue: &self.queue,
+            nodes: &self.nodes,
+        });
+        consumed
+    }
+
+    fn ensure_started(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for i in 0..self.nodes.len() {
+            let (node, mut ctx) = self.split_at(i);
+            node.on_start(&mut ctx);
         }
     }
-}
 
-/// Split borrows: the node being dispatched and a context over the rest
-/// of the engine state (queue, clock, counters, that node's RNG).
-#[allow(clippy::too_many_arguments)]
-fn split_at<'a>(
-    nodes: &'a mut [Box<dyn Node>],
-    rngs: &'a mut [Xoshiro256StarStar],
-    queue: &'a mut EventQueue,
-    now: SimTime,
-    seq: &'a mut u64,
-    next_packet_id: &'a mut u64,
-    index: usize,
-) -> (&'a mut Box<dyn Node>, Context<'a>) {
-    let node = &mut nodes[index];
-    let ctx = Context {
-        now,
-        self_id: NodeId(index),
-        rng: &mut rngs[index],
-        queue,
-        seq,
-        next_packet_id,
-    };
-    (node, ctx)
+    /// Split borrows: the node at `index` and a context over the rest of
+    /// the engine state (queue, clock, counters, that node's RNG).
+    fn split_at(&mut self, index: usize) -> (&mut Box<dyn Node>, Context<'_>) {
+        let node = &mut self.nodes[index];
+        let ctx = Context {
+            now: self.now,
+            self_id: NodeId(index),
+            rng: &mut self.rngs[index],
+            queue: &mut self.queue,
+            seq: &mut self.seq,
+            next_packet_id: &mut self.next_packet_id,
+        };
+        (node, ctx)
+    }
 }
 
 /// The engine facilities a node may use while handling an event.
@@ -1419,11 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn no_parent_sentinels_agree_across_crates() {
-        assert_eq!(crate::equeue::NO_PARENT_SEQ, linkpad_obs::NO_PARENT);
-    }
-
-    #[test]
     fn tracing_batches_attribute_to_the_head_and_count_every_event() {
         // Same topology as the batching test: 3 same-instant deliveries
         // plus a straggler — the batch must appear as one record of
@@ -1456,62 +1081,6 @@ mod tests {
             .records
             .iter()
             .all(|r| r.parent == linkpad_obs::NO_PARENT));
-    }
-
-    #[test]
-    fn tracing_and_profiling_compose() {
-        let mut b = SimBuilder::new(MasterSeed::new(33));
-        let (_, rec) = logger();
-        let dst = b.add_node(rec);
-        b.add_node(Box::new(Ticker {
-            dst,
-            period: 100,
-            count: 50,
-            emitted: 0,
-        }));
-        let mut sim = b.build().unwrap();
-        sim.enable_profiling();
-        sim.enable_tracing();
-        let stats = sim.run_until(SimTime::MAX);
-        let profile = sim.profile_report().expect("profile recorded");
-        assert_eq!(profile.events(), stats.events, "traced loop feeds profile");
-        let trace = sim.trace_report().expect("trace recorded");
-        assert_eq!(
-            trace
-                .records
-                .iter()
-                .map(|r| u64::from(r.batch))
-                .sum::<u64>(),
-            stats.events,
-            "trace covers every event"
-        );
-    }
-
-    #[test]
-    fn watchdog_and_tracing_compose() {
-        let mut b = SimBuilder::new(MasterSeed::new(34));
-        let (_, rec) = logger();
-        let dst = b.add_node(rec);
-        b.add_node(Box::new(Ticker {
-            dst,
-            period: 100,
-            count: 1000,
-            emitted: 0,
-        }));
-        let mut sim = b.build().unwrap();
-        sim.enable_tracing();
-        sim.set_watchdog(Some(50), None);
-        let stats = sim.run_until(SimTime::MAX);
-        assert!(sim.watchdog_tripped());
-        let trace = sim.trace_report().expect("trace recorded under watchdog");
-        assert_eq!(
-            trace
-                .records
-                .iter()
-                .map(|r| u64::from(r.batch))
-                .sum::<u64>(),
-            stats.events
-        );
     }
 
     #[test]
@@ -1578,8 +1147,8 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_and_profiling_compose() {
-        let mut b = SimBuilder::new(MasterSeed::new(22));
+    fn instruments_compose_on_any_run() {
+        let mut b = SimBuilder::new(MasterSeed::new(37));
         let (_, rec) = logger();
         let dst = b.add_node(rec);
         b.add_node(Box::new(Ticker {
@@ -1589,14 +1158,99 @@ mod tests {
             emitted: 0,
         }));
         let mut sim = b.build().unwrap();
+        // Watchdog, profile and trace together on a plain run...
         sim.enable_profiling();
+        sim.enable_tracing();
         sim.set_watchdog(Some(50), None);
         let stats = sim.run_until(SimTime::MAX);
         assert!(sim.watchdog_tripped());
-        let report = sim
-            .profile_report()
-            .expect("profile recorded under watchdog");
-        assert_eq!(report.events(), stats.events);
+        assert_eq!(stats.events, 50, "one event per dispatch, stopped at 50");
+        let profile = sim.profile_report().expect("profile recorded");
+        assert_eq!(profile.events(), stats.events);
+        let trace = sim.trace_report().expect("trace recorded");
+        let traced: u64 = trace.records.iter().map(|r| u64::from(r.batch)).sum();
+        assert_eq!(traced, stats.events, "trace covers every event");
+
+        // ...and with an attribution sampler on top: the same run, the
+        // same reports, bounded by the same watchdog.
+        sim.reset(MasterSeed::new(37));
+        let mut sampler = crate::attr::AttributionSampler::new(1);
+        assert_eq!(sim.run_until_attributed(SimTime::MAX, &mut sampler), stats);
+        assert!(
+            sim.watchdog_tripped(),
+            "the watchdog bounds attributed runs"
+        );
+        assert_eq!(sim.profile_report(), Some(profile));
+        assert_eq!(sim.trace_report(), Some(trace));
+        // One sample per dispatch, and no dangling probe: the watchdog
+        // stops the loop before the next pop.
+        let report = sampler.report();
+        assert_eq!(report.samples(), stats.events);
+        assert_eq!(report.dispatches_seen, stats.events);
+    }
+
+    #[test]
+    fn custom_hooks_observe_every_dispatch_and_can_stop_the_run() {
+        /// Counts what the loop shows it; optionally stops the run.
+        struct Audit {
+            stop_at: u64,
+            pops: u64,
+            events: u64,
+            children: u64,
+        }
+        impl LoopHooks for Audit {
+            fn should_stop(&mut self, events: u64) -> bool {
+                events >= self.stop_at
+            }
+            fn before_pop(&mut self) {
+                self.pops += 1;
+            }
+            fn after_handler(&mut self, d: &Dispatch<'_>) {
+                assert_eq!(d.node().label(), "node");
+                self.events += d.consumed;
+                self.children += d.children.end - d.children.start;
+            }
+        }
+        let audit = |stop_at| Audit {
+            stop_at,
+            pops: 0,
+            events: 0,
+            children: 0,
+        };
+        let build = || {
+            let mut b = SimBuilder::new(MasterSeed::new(38));
+            let (log, rec) = logger();
+            let dst = b.add_node(rec);
+            b.add_node(Box::new(Ticker {
+                dst,
+                period: 700,
+                count: 200,
+                emitted: 0,
+            }));
+            (log, b.build().unwrap())
+        };
+        let bound = SimTime::from_nanos(1_000_000);
+        let (plain_log, mut plain) = build();
+        let plain_stats = plain.run_until(bound);
+
+        let (hooked_log, mut hooked) = build();
+        let mut seen = audit(u64::MAX);
+        assert_eq!(hooked.run_until_with(bound, &mut seen), plain_stats);
+        assert_eq!(*hooked_log.borrow(), *plain_log.borrow());
+        assert_eq!(seen.events, plain_stats.events);
+        assert_eq!(seen.pops, plain_stats.events + 1, "plus the final probe");
+        // Every event but the on_start root was scheduled by a handler.
+        assert_eq!(seen.children, plain_stats.events - 1);
+
+        // A stopping hook leaves the clock at the last event, and the
+        // run resumes exactly where it stopped.
+        let (stopped_log, mut stopped) = build();
+        let stats = stopped.run_until_with(bound, &mut audit(10));
+        assert_eq!(stats.events, 10);
+        assert_eq!(stopped.now(), SimTime::from_nanos(3_500), "5th delivery");
+        stopped.run_until(bound);
+        assert_eq!(*stopped_log.borrow(), *plain_log.borrow());
+        assert_eq!(stopped.events_processed(), plain_stats.events);
     }
 
     #[test]

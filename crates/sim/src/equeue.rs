@@ -177,28 +177,7 @@ pub struct EventQueue {
     span_last: u64,
     len: usize,
     diag: Diag,
-    /// Provenance hook for causal tracing: `Some` only while the engine
-    /// records a trace, so the plain path pays one predictable
-    /// `is-none` branch per push and nothing else.
-    births: Option<Box<TraceBirths>>,
 }
-
-/// Scheduler-side provenance state for causal tracing: which event is
-/// currently being dispatched (`current`), and the log of
-/// `(child seq, parent seq)` pairs for every event scheduled since the
-/// engine last drained it into the trace recorder.
-#[derive(Debug)]
-pub(crate) struct TraceBirths {
-    /// Seq of the event whose handler is running, or
-    /// [`NO_PARENT_SEQ`] outside any dispatch (`on_start`, pre-run).
-    pub(crate) current: u64,
-    /// `(child seq, parent seq)` pairs pending drain by the engine.
-    pub(crate) log: Vec<(u64, u64)>,
-}
-
-/// The "no parent" sentinel threaded to the trace recorder — matches
-/// `linkpad_obs::trace::NO_PARENT` (asserted in the engine's tests).
-pub(crate) const NO_PARENT_SEQ: u64 = u64::MAX;
 
 /// Cheap internal op counters (a few `u64` increments on cold paths),
 /// exposed for perf diagnosis and regression hunting.
@@ -247,46 +226,7 @@ impl EventQueue {
             span_last: 0,
             len: 0,
             diag: Diag::default(),
-            births: None,
         }
-    }
-
-    /// Arm the provenance hook: every subsequent [`EventQueue::push`]
-    /// logs a `(child, parent)` pair until [`EventQueue::trace_disarm`].
-    /// Idempotent; arming resets the current-parent to "no parent".
-    pub(crate) fn trace_arm(&mut self) {
-        match &mut self.births {
-            Some(b) => {
-                b.current = NO_PARENT_SEQ;
-                b.log.clear();
-            }
-            None => {
-                self.births = Some(Box::new(TraceBirths {
-                    current: NO_PARENT_SEQ,
-                    log: Vec::new(),
-                }));
-            }
-        }
-    }
-
-    /// Disarm the provenance hook and drop its log.
-    pub(crate) fn trace_disarm(&mut self) {
-        self.births = None;
-    }
-
-    /// Set the parent attributed to events scheduled from now on — the
-    /// engine calls this with the seq of each event it dispatches while
-    /// tracing.
-    pub(crate) fn trace_set_current(&mut self, seq: u64) {
-        if let Some(b) = &mut self.births {
-            b.current = seq;
-        }
-    }
-
-    /// The pending birth log, for the engine to drain into the trace
-    /// recorder. `None` when tracing is disarmed.
-    pub(crate) fn trace_births_mut(&mut self) -> Option<&mut Vec<(u64, u64)>> {
-        self.births.as_mut().map(|b| &mut b.log)
     }
 
     /// Internal op counters since construction.
@@ -337,13 +277,6 @@ impl EventQueue {
         self.width = INITIAL_WIDTH;
         self.span_last = 0;
         self.len = 0;
-        // Tracing (when armed) starts the next run with no provenance
-        // carried over, exactly like a freshly armed queue — the hook
-        // itself stays armed across `reset(seed)` replays.
-        if let Some(b) = &mut self.births {
-            b.current = NO_PARENT_SEQ;
-            b.log.clear();
-        }
     }
 
     /// Number of pending events.
@@ -373,9 +306,6 @@ impl EventQueue {
             meta,
             payload,
         };
-        if let Some(b) = &mut self.births {
-            b.log.push((seq, b.current));
-        }
         self.len += 1;
         if key.time <= self.horizon {
             // Active window: O(log B) push into the small L1 heap.
@@ -445,29 +375,11 @@ impl EventQueue {
     }
 
     /// Pop the next event only if it is a `Deliver` at exactly `time`
-    /// targeting `target` — the engine's same-instant batching probe.
-    /// Never refills: batching across a window boundary is legal but not
-    /// worth the sweep.
-    pub fn pop_deliver_if(&mut self, time: SimTime, target: usize) -> Option<Packet> {
-        let key = *self.near.peek()?;
-        if key.time != time.as_nanos() || key.is_timer() || key.target() != target {
-            return None;
-        }
-        self.near.pop();
-        self.len -= 1;
-        Some(self.dealloc(key.payload as u32))
-    }
-
-    /// [`EventQueue::pop_deliver_if`], also returning the popped
-    /// event's sequence number. The traced dispatch path's batching
-    /// probe: the recorder needs each batched event's seq to retire its
-    /// provenance entry. Kept separate so the hot untraced probe's
-    /// signature (and codegen) is untouched.
-    pub(crate) fn pop_deliver_if_keyed(
-        &mut self,
-        time: SimTime,
-        target: usize,
-    ) -> Option<(u64, Packet)> {
+    /// targeting `target` — the engine's same-instant batching probe —
+    /// returning its sequence number and packet. Never refills:
+    /// batching across a window boundary is legal but not worth the
+    /// sweep.
+    pub fn pop_deliver_if(&mut self, time: SimTime, target: usize) -> Option<(u64, Packet)> {
         let key = *self.near.peek()?;
         if key.time != time.as_nanos() || key.is_timer() || key.target() != target {
             return None;
@@ -655,7 +567,10 @@ mod tests {
         let first = q.pop().unwrap();
         assert!(matches!(first.kind, EventKind::Deliver(p) if p.id == 0));
         // Same time + target + kind → batched.
-        assert_eq!(q.pop_deliver_if(first.time, 1).unwrap().id, 1);
+        assert_eq!(
+            q.pop_deliver_if(first.time, 1).map(|(seq, p)| (seq, p.id)),
+            Some((1, 1))
+        );
         // Next is a Deliver for a *different* target.
         assert!(q.pop_deliver_if(first.time, 1).is_none());
         assert_eq!(q.pop().unwrap().target, 2);
@@ -694,37 +609,6 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
         assert_eq!(order, vec![1, 0, 2]);
         assert!(q.slots.len() <= slab_cap, "packet slots reused, not grown");
-    }
-
-    #[test]
-    fn birth_log_records_provenance_and_survives_clear_armed() {
-        let mut q = EventQueue::new();
-        // Disarmed: no log at all.
-        timer_at(&mut q, 10, 0, 0, 0);
-        assert!(q.trace_births_mut().is_none());
-        q.trace_arm();
-        timer_at(&mut q, 20, 1, 0, 0); // scheduled outside any dispatch
-        q.trace_set_current(1);
-        timer_at(&mut q, 30, 2, 0, 0); // scheduled "by" event 1
-        assert_eq!(
-            q.trace_births_mut().unwrap().as_slice(),
-            &[(1, NO_PARENT_SEQ), (2, 1)]
-        );
-        q.trace_births_mut().unwrap().clear();
-        // clear() keeps the hook armed but zeroes its state.
-        q.trace_set_current(2);
-        timer_at(&mut q, 40, 3, 0, 0);
-        q.clear();
-        assert!(q.trace_births_mut().unwrap().is_empty());
-        timer_at(&mut q, 5, 0, 0, 0);
-        assert_eq!(
-            q.trace_births_mut().unwrap().as_slice(),
-            &[(0, NO_PARENT_SEQ)],
-            "post-clear parent is back to the root sentinel"
-        );
-        q.trace_disarm();
-        timer_at(&mut q, 6, 1, 0, 0);
-        assert!(q.trace_births_mut().is_none());
     }
 
     #[test]

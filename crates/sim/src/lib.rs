@@ -53,6 +53,7 @@ pub mod cohort;
 pub mod engine;
 pub mod equeue;
 pub mod fault;
+pub mod hooks;
 pub mod link;
 pub mod node;
 pub mod observer;
@@ -72,6 +73,7 @@ pub use cohort::{
 pub use engine::{Context, RunStats, Sim, SimBuilder};
 pub use equeue::EventQueue;
 pub use fault::{FaultGateHandle, FaultPlan, LossModel, LossyGate, OutageSchedule};
+pub use hooks::{Dispatch, LoopHooks};
 pub use link::Link;
 pub use node::{Node, NodeId};
 pub use observer::{ObserverHandle, WindowStats, WindowedObserver};

@@ -31,6 +31,13 @@
 //! the prefix every shard completed, so a timeout yields a shorter but
 //! valid result instead of none.
 //!
+//! **Instruments.** Profiling, tracing and wall-time attribution attach
+//! per shard ([`ShardedAggregate::with_profiling`],
+//! [`ShardedAggregate::with_tracing`],
+//! [`ShardedAggregate::with_attribution`]) and compose with the
+//! watchdog: they are hooks on the shard sim's one event loop, so an
+//! instrumented shard dispatches exactly the events a plain one does.
+//!
 //! **What the merge means.** Per-window arrival counts and byte totals
 //! **superpose exactly**: the merged series is bit-identical to what a
 //! single sim of the whole population records (arrival timestamps are
@@ -58,6 +65,7 @@ use linkpad_obs::{
     EventLog, HarnessEvent, Histogram, ProfileReport, RunManifest, ShardManifest, Snapshot,
     TraceReport, Truncation,
 };
+use linkpad_sim::attr::{AttributionReport, AttributionSampler};
 use linkpad_sim::observer::{merge_window_series, WindowStats};
 use linkpad_sim::parallel::{default_threads, parallel_map_init_catching};
 use linkpad_sim::time::SimDuration;
@@ -176,6 +184,10 @@ pub struct ShardReport {
     /// trace is an artifact of its own, exported via the Perfetto /
     /// collapsed-stack renderers).
     pub trace: Option<TraceReport>,
+    /// Sampled wall-time attribution of the shard's event loop per node
+    /// type, when the run enabled [`ShardedAggregate::with_attribution`].
+    /// Wall-clock, so unlike the profile it varies run to run.
+    pub attribution: Option<AttributionReport>,
 }
 
 /// Merged outcome of a sharded aggregate run.
@@ -229,6 +241,17 @@ impl ShardedRun {
         self.shards.iter().any(|s| s.interrupted)
     }
 
+    /// The shards' wall-time attributions merged into one per-node-type
+    /// breakdown of the run, or `None` when attribution was off.
+    pub fn attribution(&self) -> Option<AttributionReport> {
+        let mut reports = self.shards.iter().filter_map(|s| s.attribution.as_ref());
+        let mut total = reports.next()?.clone();
+        for report in reports {
+            total.merge(report);
+        }
+        Some(total)
+    }
+
     /// Merge the per-shard metric snapshots (counters superpose, gauges
     /// keep peaks) and add the post-merge per-window arrival-count
     /// distribution. The counter subset equals the unsharded run's
@@ -270,6 +293,9 @@ pub struct ShardedAggregate {
     /// Enable per-shard causal tracing
     /// ([`linkpad_sim::engine::Sim::enable_tracing`]).
     tracing: bool,
+    /// Attribute per-shard wall time, sampling every n-th dispatch
+    /// ([`linkpad_sim::attr::AttributionSampler`]).
+    attribution: Option<u64>,
 }
 
 impl ShardedAggregate {
@@ -317,6 +343,7 @@ impl ShardedAggregate {
             panic_budget: None,
             profiling: false,
             tracing: false,
+            attribution: None,
         })
     }
 
@@ -324,7 +351,7 @@ impl ShardedAggregate {
     /// [`ShardReport`] (and manifest) then carries a
     /// [`ProfileReport`] — batch-size distribution, pending-depth
     /// series, event-store op counters. Profiles are deterministic per
-    /// shard; the run pays the engine's outlined profiled loop.
+    /// shard.
     pub fn with_profiling(mut self) -> Self {
         self.profiling = true;
         self
@@ -334,10 +361,19 @@ impl ShardedAggregate {
     /// then carries a [`TraceReport`] — per-event records with exact
     /// scheduler provenance, renderable as a Perfetto timeline or
     /// collapsed causal stacks. Traces are deterministic per shard
-    /// (S=1 tracing reproduces the unsharded sim's trace bit-for-bit);
-    /// the run pays the engine's outlined traced loop.
+    /// (S=1 tracing reproduces the unsharded sim's trace bit-for-bit).
     pub fn with_tracing(mut self) -> Self {
         self.tracing = true;
+        self
+    }
+
+    /// Attribute every shard's event-loop wall time to store, context
+    /// and handler phases per node type, sampling every
+    /// `sample_every`-th dispatch: each [`ShardReport`] then carries an
+    /// [`AttributionReport`], and [`ShardedRun::attribution`] merges
+    /// them. Simulated results are unchanged.
+    pub fn with_attribution(mut self, sample_every: u64) -> Self {
+        self.attribution = Some(sample_every);
         self
     }
 
@@ -686,9 +722,15 @@ impl ShardedAggregate {
         // memory high-water report. A tripped watchdog makes the
         // remaining slices no-ops.
         const SLICES: usize = 8;
+        let slice = SimDuration::from_secs_f64(secs / SLICES as f64);
+        let mut sampler = self.attribution.map(AttributionSampler::new);
         let mut pending_peak = 0;
         for _ in 0..SLICES {
-            scenario.run_for_secs(secs / SLICES as f64);
+            let until = scenario.sim.now() + slice;
+            match &mut sampler {
+                Some(sampler) => scenario.sim.run_until_with(until, sampler),
+                None => scenario.sim.run_until(until),
+            };
             pending_peak = pending_peak.max(scenario.sim.pending_events());
         }
         let observer = scenario
@@ -728,6 +770,7 @@ impl ShardedAggregate {
             metrics,
             profile: scenario.sim.profile_report(),
             trace: scenario.sim.trace_report(),
+            attribution: sampler.map(|s| s.report()),
         })
     }
 }
@@ -1021,6 +1064,44 @@ mod tests {
         // The surviving prefix is bit-identical to the unbounded run:
         // truncation removed incomplete windows, never corrupted one.
         assert_eq!(run.windows[..], full.windows[..run.windows.len()]);
+    }
+
+    #[test]
+    fn attributed_shards_run_exactly_like_plain_shards_even_under_a_watchdog() {
+        let builder = small_builder(64, 12, 3);
+        let run = |attribute: bool, budget: Option<u64>| {
+            let mut sharded = ShardedAggregate::new(builder.clone()).unwrap();
+            if attribute {
+                sharded = sharded.with_attribution(8);
+            }
+            if budget.is_some() {
+                sharded = sharded.with_watchdog(budget, None);
+            }
+            sharded.run_for_secs_with_threads(1.5, 2).unwrap()
+        };
+        let plain = run(false, None);
+        assert!(plain.attribution().is_none());
+        let attributed = run(true, None);
+        assert_eq!(attributed.windows, plain.windows);
+        assert_eq!(attributed.events(), plain.events());
+        for shard in &attributed.shards {
+            let report = shard.attribution.as_ref().expect("attribution enabled");
+            assert!(report.samples() > 0, "shard {} sampled", shard.shard);
+        }
+        let total = attributed.attribution().expect("attribution enabled");
+        let per_shard: u64 = attributed
+            .shards
+            .iter()
+            .filter_map(|s| s.attribution.as_ref())
+            .map(|a| a.dispatches_seen)
+            .sum();
+        assert_eq!(total.dispatches_seen, per_shard);
+        // The watchdog bounds attributed shards exactly like plain ones.
+        let budget = Some(plain.events() / plain.shards.len() as u64 / 4);
+        let (bounded, bounded_attributed) = (run(false, budget), run(true, budget));
+        assert!(bounded_attributed.interrupted());
+        assert_eq!(bounded_attributed.windows, bounded.windows);
+        assert_eq!(bounded_attributed.events(), bounded.events());
     }
 
     #[test]
