@@ -113,7 +113,7 @@ impl PaddingSchedule {
 
     /// Constant-rate link padding: one packet every `1/rate_pps`
     /// seconds, exactly. Deterministic (zero RNG draws), so constant-
-    /// rate cohorts ride the exact comb path just like CIT.
+    /// rate cohorts emit at bit-exact nominal instants just like CIT.
     pub fn constant_rate(rate_pps: f64) -> Result<Self, StatsError> {
         if !rate_pps.is_finite() {
             return Err(StatsError::NonFinite {
@@ -469,7 +469,7 @@ impl From<AdaptivePadding> for LinkSchedule {
     }
 }
 
-/// Per-member adaptive machines for a stochastic cohort: member `m`
+/// Per-member adaptive machines for a flow cohort: member `m`
 /// owns its own Idle/Burst/Gap state, all driven off the cohort node's
 /// single RNG stream in the deterministic pop order of the cohort heap.
 #[derive(Debug)]

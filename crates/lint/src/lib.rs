@@ -43,6 +43,7 @@ pub const INVENTORY_PATH: &str = "crates/lint/UNSAFE_INVENTORY.md";
 /// run cannot afford to panic in (typed errors or documented infallible
 /// patterns only).
 pub const RUN_PATH_FILES: &[&str] = &[
+    "crates/sim/src/cohort.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",
     "crates/sim/src/hooks.rs",

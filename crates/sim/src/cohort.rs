@@ -1,59 +1,60 @@
-//! Flow cohorts: K CIT-padded flows superposed in one node.
+//! Flow cohorts: K padded flows superposed in one node.
 //!
 //! The aggregate scenario family models every padded flow as its own
 //! sender/receiver gateway pair — faithful, but ~10 boxed nodes and one
-//! armed timer per flow, which walls the family at ~10⁴ flows. The key
-//! structural fact of CIT padding unlocks the next two orders of
-//! magnitude: a CIT gateway's wire output is a **deterministic comb**.
-//! Flow k with start phase φₖ emits exactly one fixed-size packet at
-//! every nominal instant `φₖ + j·τ` (j ≥ 1), each transmission shifted
-//! by an independent per-tick disturbance δ — and nothing else about the
-//! flow (payload content, queue state) is visible on the wire. The
-//! superposition of K such flows is therefore itself a deterministic
-//! comb: the multiset union `⋃ₖ {φₖ + j·τ}`, one iid δ per emission.
+//! armed timer per flow, which walls the family at ~10⁴ flows. What a
+//! padding gateway puts on the wire is only its emission instants and
+//! wire sizes: flow k with start phase φₖ fires its j-th tick at
+//! `φₖ + T₁ + … + Tⱼ`, each transmission shifted by an independent
+//! per-tick disturbance δ that does not feed back into the clock, and
+//! nothing else about the flow (payload content, queue state) is
+//! visible. CIT is the σ_T = 0 member of that timer family (`Tᵢ = τ`, so
+//! the instants are the exact comb `φₖ + j·τ`); VIT laws and adaptive
+//! padding draw their intervals.
 //!
-//! [`FlowCohort`] simulates that union directly: one node holds the
-//! sorted per-cohort **phase vector** (collapsed to unique phases with
-//! multiplicities) and keeps exactly **one pending timer event** for the
-//! next emission instant, re-arming along the phase cycle. A cohort of
-//! K = 1024 flows costs the event store the same as one gateway; a
-//! million flows fit in ~10³ nodes. See `DESIGN.md` ("cohort
-//! superposition") for the exactness argument and the places the
-//! identity would break — VIT schedules (per-flow clock drift), the
-//! `Relative` timer discipline (δ feeds back into the period), and
-//! payload overload (queue dynamics coupling ticks) — all of which this
-//! node deliberately refuses to model.
+//! [`FlowCohort`] simulates the superposition of K such clocks in one
+//! node, driven by a [`MemberSchedule`] (an interval *law* shared iid
+//! across members, or per-member machines like adaptive padding). It
+//! keeps a small in-node binary heap of **runs** `(time, first_member,
+//! run_len)`: the contiguous members `first_member..first_member +
+//! run_len` all fire next at `time`. The engine sees **one pending timer
+//! event per cohort** — the heap minimum — so a K = 1024 cohort costs
+//! the event store the same as one gateway, and a million flows fit in
+//! ~10³ nodes. Each popped member emits one packet, drawing jitter δ,
+//! then wire size, then its next interval, in that order (the
+//! `SenderGateway` order). A popped run stays one entry while its
+//! members draw the first member's next interval; the members after the
+//! first mismatch go back as singletons. A synchronized CIT cohort is
+//! therefore one entry for its whole run, costing one heap pop per
+//! instant; desynchronized phases cost one `O(log K)` pop per emission.
+//! Measured on a 2-vCPU host against a dedicated fixed-period path for
+//! CIT, that cost stayed inside run-to-run noise (+3 % median wall time
+//! on the benchmark's uniform-phase `cohort_defenses` workload, −1 % on
+//! a synchronized 10⁵-flow run), so there is no such fast path.
+//!
+//! Determinism: runs are disjoint contiguous member ranges popped in
+//! `(time, first_member)` order, so members fire in `(time, member)`
+//! order and every draw comes off the cohort node's single RNG stream
+//! in that order; runs replay bit-identically under `reset(seed)`. With
+//! a `Deterministic` law, no jitter and no size law the cohort makes
+//! **zero RNG draws**, and its emission times are bit-exact nominal
+//! instants — the regime the exactness tests compare against real
+//! `SenderGateway`s. What one RNG stream does *not* preserve is the
+//! gateway fan-in's *stream interleaving*: K real gateways draw from K
+//! independent streams, so with any draw on the emission path the
+//! equivalence is distributional (window count/byte moments), not
+//! bit-exact — see `defense_equivalence.rs` and `DESIGN.md` ("cohort
+//! superposition"), which also lists what this node deliberately
+//! refuses to model: the `Relative` timer discipline (δ feeds back into
+//! the period) and reactive defences (the clock reacts to per-member
+//! payload).
 //!
 //! The per-tick disturbance is reproduced by [`CohortJitter`], mirroring
 //! `GatewayJitterModel` (that type lives upstream in `linkpad-core`,
 //! which depends on this crate): a zero-mean baseline normal plus an
 //! interrupt-blocking exponential triggered with the per-tick payload
 //! arrival probability `p = rate·τ`, behind the same 6σ causality
-//! offset. With jitter disabled the cohort makes **zero RNG draws** and
-//! its emission times are bit-exact nominal instants — the regime the
-//! exactness tests compare against real `SenderGateway`s.
-//!
-//! # Stochastic cohorts
-//!
-//! The comb above is exact only for deterministic schedules (CIT,
-//! constant-rate). Stochastic defences — VIT interval laws, adaptive
-//! padding — give each member its own random clock, so the cohort
-//! carries **per-member next-fire state** instead: a small in-node
-//! binary heap of `(next nominal fire time, member index)` pairs, one
-//! entry per member, driven by a [`MemberSchedule`] (an interval *law*
-//! shared iid across members, or per-member machines like adaptive
-//! padding). The engine still sees **one pending timer event per
-//! cohort** — the heap minimum — so a stochastic cohort costs the event
-//! store the same as a deterministic one and `ShardedAggregate` scales
-//! every defence to 10⁶ flows. Determinism: the heap pops in the total
-//! order `(time, member)`, and all draws (jitter δ, packet size, next
-//! interval — in that documented per-emission order) come off the
-//! cohort node's single RNG stream, so runs replay bit-identically
-//! under `reset(seed)`. What the heap does *not* preserve is the
-//! gateway fan-in's *stream interleaving*: K real gateways draw from K
-//! independent RNG streams, the cohort from one, so stochastic-regime
-//! equivalence is distributional (window count/byte moments), not
-//! bit-exact — see `defense_equivalence.rs` and DESIGN.md.
+//! offset.
 
 use crate::engine::Context;
 use crate::node::{Node, NodeId};
@@ -62,6 +63,7 @@ use crate::time::{SimDuration, SimTime};
 use linkpad_stats::dist::{ContinuousDist, Exponential};
 use linkpad_stats::normal::Normal;
 use linkpad_stats::rng::Xoshiro256StarStar;
+use linkpad_stats::StatsError;
 use rand_core::RngCore;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -76,10 +78,10 @@ pub const COHORT_FLOW: FlowId = FlowId(u32::MAX);
 
 const TICK: u64 = 0;
 
-/// Per-member interval source of a stochastic cohort: `member` is the
-/// within-cohort index (position in the sorted phase vector). Called
-/// once per emission in the deterministic heap pop order, plus once per
-/// member (in member order) at start to seed the heap.
+/// Per-member interval source of a cohort: `member` is the within-cohort
+/// index (position in the sorted phase vector). Called once per member
+/// (in member order) at start to seed the heap, then once per emission
+/// in the deterministic `(time, member)` pop order.
 pub trait MemberSchedule: std::fmt::Debug {
     /// Draw member `member`'s next inter-emission interval, seconds.
     /// Must be positive (the cohort floors to 1 ns defensively).
@@ -91,8 +93,9 @@ pub trait MemberSchedule: std::fmt::Debug {
 }
 
 /// A [`MemberSchedule`] where every member draws iid intervals from one
-/// shared law — the stochastic-cohort form of the VIT families (each
-/// member's clock is an independent renewal process of the same law).
+/// shared law — the cohort form of the timer families (each member's
+/// clock is an independent renewal process of the same law; a
+/// `Deterministic(τ)` law is CIT).
 #[derive(Debug)]
 pub struct LawSchedule {
     law: Box<dyn ContinuousDist>,
@@ -141,27 +144,35 @@ struct JitterSamplers {
 }
 
 impl JitterSamplers {
-    fn new(j: CohortJitter) -> Self {
-        assert!(
-            j.base_sigma.is_finite() && j.base_sigma >= 0.0,
-            "cohort jitter base_sigma must be finite and non-negative"
-        );
-        assert!(
-            j.blocking_mean.is_finite() && j.blocking_mean >= 0.0,
-            "cohort jitter blocking_mean must be finite and non-negative"
-        );
-        assert!(
-            j.arrival_prob.is_finite() && (0.0..=1.0).contains(&j.arrival_prob),
-            "cohort jitter arrival_prob must be in [0, 1]"
-        );
-        Self {
+    fn new(j: CohortJitter) -> Result<Self, StatsError> {
+        for (what, v) in [
+            ("cohort jitter base_sigma", j.base_sigma),
+            ("cohort jitter blocking_mean", j.blocking_mean),
+            ("cohort jitter arrival_prob", j.arrival_prob),
+        ] {
+            if !v.is_finite() {
+                return Err(StatsError::NonFinite { what, value: v });
+            }
+            if v < 0.0 {
+                return Err(StatsError::NonPositive { what, value: v });
+            }
+        }
+        if j.arrival_prob > 1.0 {
+            return Err(StatsError::InvalidProbability {
+                what: "cohort jitter arrival_prob",
+                value: j.arrival_prob,
+            });
+        }
+        Ok(Self {
             base: (j.base_sigma > 0.0)
-                .then(|| Normal::new(0.0, j.base_sigma).expect("validated sigma")),
+                .then(|| Normal::new(0.0, j.base_sigma))
+                .transpose()?,
             blocking: (j.blocking_mean > 0.0 && j.arrival_prob > 0.0)
-                .then(|| Exponential::new(j.blocking_mean).expect("validated mean")),
+                .then(|| Exponential::new(j.blocking_mean))
+                .transpose()?,
             arrival_prob: j.arrival_prob,
             pipeline_offset: 6.0 * j.base_sigma,
-        }
+        })
     }
 
     /// One member flow's send delay for this tick (non-negative).
@@ -205,26 +216,9 @@ impl CohortHandle {
     }
 }
 
-/// Per-member next-fire state of a stochastic cohort (heap mode).
-#[derive(Debug)]
-struct MemberState {
-    sched: Box<dyn MemberSchedule>,
-    /// Member `m`'s clock start offset (sorted ascending; the member
-    /// index is the position in this vector).
-    phases: Vec<SimDuration>,
-    /// `(next nominal fire time, member)` — `Reverse` turns the std
-    /// max-heap into a min-heap popping in `(time, member)` order.
-    heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-}
-
-/// A node emitting the superposed arrival process of K padded flows:
-/// an exact comb for deterministic schedules, a per-member next-fire
-/// heap for stochastic ones (see the module docs).
+/// A node emitting the superposed arrival process of K padded flows
+/// from one next-fire heap of member runs (see the module docs).
 pub struct FlowCohort {
-    /// Unique nominal phases (offset from each period start, `< τ`),
-    /// sorted ascending, with the number of member flows at each.
-    schedule: Vec<(SimDuration, u32)>,
-    tau: SimDuration,
     next: NodeId,
     flow: FlowId,
     packet_size: u32,
@@ -232,66 +226,49 @@ pub struct FlowCohort {
     /// packet is exactly `packet_size`, zero RNG draws).
     size_law: Option<Box<dyn ContinuousDist>>,
     jitter: Option<JitterSamplers>,
-    /// Per-member state when a [`MemberSchedule`] is installed
-    /// (stochastic mode); `None` runs the exact comb.
-    member: Option<MemberState>,
-    /// Index into `schedule` of the next emission.
-    idx: usize,
-    /// Nominal start of the current period cycle (`j·τ`; emissions of
-    /// cycle `j` fire at `j·τ + phase`).
-    cycle_base: SimTime,
+    sched: Box<dyn MemberSchedule>,
+    /// Member `m`'s clock start offset (sorted ascending; the member
+    /// index is the position in this vector).
+    phases: Vec<SimDuration>,
+    /// `(next nominal fire time, first member, run length)` —
+    /// `Reverse` turns the std max-heap into a min-heap popping in
+    /// `(time, first member)` order.
+    heap: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
     stats: Rc<RefCell<CohortStats>>,
     label: String,
 }
 
 impl FlowCohort {
-    /// A cohort of `phases.len()` flows with period `tau`, sending every
-    /// emission to `next`. `phases[k]` is flow k's clock start offset;
-    /// flow k emits at `phases[k] + j·τ` for `j ≥ 1`, matching a
-    /// `SenderGateway` built `with_start_phase(phases[k])`.
-    ///
-    /// # Panics
-    /// Panics if `tau` is zero, `phases` is empty, or any phase is
-    /// `≥ tau` (phases are per-period offsets; configuration constants).
+    /// A cohort of `phases.len()` flows sending every emission to
+    /// `next`, their clocks driven by `schedule`. Member `m` is the m-th
+    /// entry of the sorted phase vector; its first emission lands at
+    /// `phase_m + T₁(m)` where `T₁` is the member's first interval draw,
+    /// matching a `SenderGateway` built `with_start_phase(phase_m)`,
+    /// whose first tick fires at `start_phase + T₁`. An empty cohort
+    /// arms no timer.
     pub fn new(
         next: NodeId,
-        tau: SimDuration,
         phases: &[SimDuration],
         packet_size: u32,
+        schedule: Box<dyn MemberSchedule>,
     ) -> (CohortHandle, Self) {
-        assert!(tau > SimDuration::ZERO, "cohort period must be positive");
-        assert!(!phases.is_empty(), "cohort needs at least one flow");
-        assert!(
-            phases.iter().all(|&p| p < tau),
-            "cohort phases must lie within one period"
-        );
-        let mut sorted: Vec<SimDuration> = phases.to_vec();
-        sorted.sort_unstable();
-        let mut schedule: Vec<(SimDuration, u32)> = Vec::new();
-        for p in sorted {
-            match schedule.last_mut() {
-                Some((q, count)) if *q == p => *count += 1,
-                _ => schedule.push((p, 1)),
-            }
-        }
-        let flows = phases.len() as u32;
+        let mut phases = phases.to_vec();
+        phases.sort_unstable();
         let stats = Rc::new(RefCell::new(CohortStats::default()));
         (
             CohortHandle {
                 stats: Rc::clone(&stats),
-                flows,
+                flows: phases.len() as u32,
             },
             Self {
-                schedule,
-                tau,
                 next,
                 flow: COHORT_FLOW,
                 packet_size,
                 size_law: None,
                 jitter: None,
-                member: None,
-                idx: 0,
-                cycle_base: SimTime::ZERO,
+                sched: schedule,
+                heap: BinaryHeap::with_capacity(phases.len()),
+                phases,
                 stats,
                 label: "cohort".to_string(),
             },
@@ -305,37 +282,20 @@ impl FlowCohort {
     }
 
     /// Enable the per-emission disturbance model (default: none — exact
-    /// nominal combs, zero RNG draws).
-    pub fn with_jitter(mut self, jitter: CohortJitter) -> Self {
-        self.jitter = Some(JitterSamplers::new(jitter));
-        self
+    /// nominal instants, zero jitter draws).
+    ///
+    /// # Errors
+    /// [`StatsError::NonFinite`] for a NaN or infinite field,
+    /// [`StatsError::NonPositive`] for a negative one, and
+    /// [`StatsError::InvalidProbability`] for an `arrival_prob` above 1.
+    pub fn with_jitter(mut self, jitter: CohortJitter) -> Result<Self, StatsError> {
+        self.jitter = Some(JitterSamplers::new(jitter)?);
+        Ok(self)
     }
 
     /// Builder-style label.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
-        self
-    }
-
-    /// Install a per-member interval source, switching the cohort from
-    /// the exact comb to the stochastic heap (see the module docs).
-    /// Member `m` is the m-th entry of the sorted phase vector; its
-    /// first emission lands at `phase_m + T₁(m)` where `T₁` is the
-    /// member's first interval draw, matching a gateway's first tick at
-    /// `start_phase + T₁`.
-    pub fn with_member_schedule(mut self, sched: Box<dyn MemberSchedule>) -> Self {
-        let mut phases = Vec::new();
-        for &(p, count) in &self.schedule {
-            for _ in 0..count {
-                phases.push(p);
-            }
-        }
-        let heap = BinaryHeap::with_capacity(phases.len());
-        self.member = Some(MemberState {
-            sched,
-            phases,
-            heap,
-        });
         self
     }
 
@@ -347,63 +307,34 @@ impl FlowCohort {
         self
     }
 
-    /// Wire size of one emission (a draw under a size law, else the
-    /// fixed configured size).
+    /// Member `member`'s next interval, floored to a nonzero duration so
+    /// the re-armed timer always advances sim time (no same-instant
+    /// livelock).
     #[inline]
-    fn sample_size(&self, rng: &mut Xoshiro256StarStar) -> u32 {
-        match &self.size_law {
-            Some(law) => law.sample(rng).floor().max(1.0) as u32,
-            None => self.packet_size,
-        }
-    }
-
-    /// Nominal absolute time of the emission at `self.idx`.
-    #[inline]
-    fn next_nominal(&self) -> SimTime {
-        self.cycle_base + self.schedule[self.idx].0
-    }
-
-    /// Floor an interval draw to a nonzero duration so the re-armed
-    /// timer always advances sim time (no same-instant livelock).
-    #[inline]
-    fn interval_duration(secs: f64) -> SimDuration {
-        let d = SimDuration::from_secs_f64(secs);
+    fn next_interval(&mut self, member: u32, rng: &mut Xoshiro256StarStar) -> SimDuration {
+        let d = SimDuration::from_secs_f64(self.sched.next_interval_secs(member, rng));
         SimDuration::from_nanos(d.as_nanos().max(1))
     }
 
-    /// Stochastic-mode tick: pop every member due now (in `(time,
-    /// member)` order), emit one packet each — per-emission draw order
-    /// is jitter δ, wire size, next interval — and re-arm one timer at
-    /// the new heap minimum.
-    fn on_timer_member(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let Some(ms) = self.member.as_mut() else {
-            return;
+    /// Emit one member's packet: jitter δ, then wire size.
+    #[inline]
+    fn emit(&self, ctx: &mut Context<'_>) {
+        let delay = self.jitter.as_ref().map(|j| j.sample_send_delay(ctx.rng));
+        let size = match &self.size_law {
+            Some(law) => law.sample(ctx.rng).floor().max(1.0) as u32,
+            None => self.packet_size,
         };
-        let mut emitted = 0u64;
-        while let Some(&Reverse((t, m))) = ms.heap.peek() {
-            if t > now {
-                break;
-            }
-            ms.heap.pop();
-            let delay = self.jitter.as_ref().map(|j| j.sample_send_delay(ctx.rng));
-            let size = match &self.size_law {
-                Some(law) => law.sample(ctx.rng).floor().max(1.0) as u32,
-                None => self.packet_size,
-            };
-            let pkt = ctx.spawn_packet(self.flow, PacketKind::Dummy, size);
-            match delay {
-                Some(d) => ctx.send_after(SimDuration::from_secs_f64(d), self.next, pkt),
-                None => ctx.send_now(self.next, pkt),
-            }
-            let interval = ms.sched.next_interval_secs(m, ctx.rng);
-            ms.heap
-                .push(Reverse((t + Self::interval_duration(interval), m)));
-            emitted += 1;
+        let pkt = ctx.spawn_packet(self.flow, PacketKind::Dummy, size);
+        match delay {
+            Some(d) => ctx.send_after(SimDuration::from_secs_f64(d), self.next, pkt),
+            None => ctx.send_now(self.next, pkt),
         }
-        self.stats.borrow_mut().emitted += emitted;
-        if let Some(&Reverse((t, _))) = ms.heap.peek() {
-            ctx.schedule_timer(t.saturating_since(now), TICK);
+    }
+
+    /// Arm the one engine timer at the heap minimum (none when empty).
+    fn arm(&self, ctx: &mut Context<'_>) {
+        if let Some(&Reverse((t, _, _))) = self.heap.peek() {
+            ctx.schedule_timer(t.saturating_since(ctx.now()), TICK);
         }
     }
 }
@@ -414,70 +345,59 @@ impl Node for FlowCohort {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if let Some(ms) = self.member.as_mut() {
-            // Stochastic mode: seed every member's next-fire time in
-            // member order (one interval draw each), then arm one timer
-            // at the heap minimum.
-            ms.heap.clear();
-            for (m, &phase) in ms.phases.iter().enumerate() {
-                let m = m as u32;
-                let first = ms.sched.next_interval_secs(m, ctx.rng);
-                let t = SimTime::ZERO + phase + Self::interval_duration(first);
-                ms.heap.push(Reverse((t, m)));
+        // Seed every member's first fire time in member order (one
+        // interval draw each), merging consecutive equal times into runs.
+        self.heap.clear();
+        let mut run: Option<(SimTime, u32, u32)> = None;
+        for m in 0..self.phases.len() as u32 {
+            let t = SimTime::ZERO + self.phases[m as usize] + self.next_interval(m, ctx.rng);
+            match &mut run {
+                Some((at, _, len)) if *at == t => *len += 1,
+                _ => {
+                    if let Some(done) = run.replace((t, m, 1)) {
+                        self.heap.push(Reverse(done));
+                    }
+                }
             }
-            if let Some(&Reverse((t, _))) = ms.heap.peek() {
-                ctx.schedule_timer(t.saturating_since(ctx.now()), TICK);
-            }
-            return;
         }
-        // First emissions land at phase + τ, one period after each
-        // member's clock start — as a real gateway's first tick does.
-        self.idx = 0;
-        self.cycle_base = SimTime::ZERO + self.tau;
-        let first = self.next_nominal();
-        ctx.schedule_timer(first.saturating_since(ctx.now()), TICK);
+        if let Some(done) = run {
+            self.heap.push(Reverse(done));
+        }
+        self.arm(ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
         debug_assert_eq!(tag, TICK);
-        if self.member.is_some() {
-            self.on_timer_member(ctx);
-            return;
-        }
-        let (_, count) = self.schedule[self.idx];
-        self.stats.borrow_mut().emitted += count as u64;
-        for _ in 0..count {
-            // Per-emission draw order: wire size (variable-payload
-            // defences), then the member's jitter δ.
-            let size = self.sample_size(ctx.rng);
-            let pkt = ctx.spawn_packet(self.flow, PacketKind::Dummy, size);
-            match &self.jitter {
-                // One independent δ per member flow, as each gateway's
-                // tick would draw its own.
-                Some(j) => {
-                    let delay = j.sample_send_delay(ctx.rng);
-                    ctx.send_after(SimDuration::from_secs_f64(delay), self.next, pkt);
-                }
-                None => ctx.send_now(self.next, pkt),
+        let now = ctx.now();
+        let mut emitted = 0u64;
+        while let Some(&Reverse((t, first, len))) = self.heap.peek() {
+            if t > now {
+                break;
             }
+            self.heap.pop();
+            // The run keeps its first `kept` members while they draw the
+            // first member's interval; later members go back alone.
+            let (mut step, mut kept) = (SimDuration::ZERO, 0);
+            for m in first..first + len {
+                self.emit(ctx);
+                let d = self.next_interval(m, ctx.rng);
+                if kept == m - first && (kept == 0 || d == step) {
+                    step = d;
+                    kept += 1;
+                } else {
+                    self.heap.push(Reverse((t + d, m, 1)));
+                }
+            }
+            self.heap.push(Reverse((t + step, first, kept)));
+            emitted += u64::from(len);
         }
-        // Advance along the phase cycle; wrap into the next period.
-        self.idx += 1;
-        if self.idx == self.schedule.len() {
-            self.idx = 0;
-            self.cycle_base += self.tau;
-        }
-        let next = self.next_nominal();
-        ctx.schedule_timer(next.saturating_since(ctx.now()), TICK);
+        self.stats.borrow_mut().emitted += emitted;
+        self.arm(ctx);
     }
 
     fn reset(&mut self) {
-        self.idx = 0;
-        self.cycle_base = SimTime::ZERO;
-        if let Some(ms) = self.member.as_mut() {
-            ms.heap.clear();
-            ms.sched.reset();
-        }
+        self.heap.clear();
+        self.sched.reset();
         *self.stats.borrow_mut() = CohortStats::default();
     }
 
@@ -492,7 +412,9 @@ mod tests {
     use crate::engine::SimBuilder;
     use crate::observer::WindowedObserver;
     use crate::tap::Tap;
+    use linkpad_stats::dist::{Categorical, Deterministic};
     use linkpad_stats::rng::MasterSeed;
+    use std::cell::Cell;
 
     const TAU: SimDuration = SimDuration::from_nanos(10_000_000); // 10 ms
 
@@ -500,12 +422,21 @@ mod tests {
         SimDuration::from_millis_f64(x)
     }
 
+    /// The CIT member schedule at period τ.
+    fn cit() -> Box<dyn MemberSchedule> {
+        law(Deterministic::new(TAU.as_secs_f64()).unwrap())
+    }
+
+    fn law(d: impl ContinuousDist + 'static) -> Box<dyn MemberSchedule> {
+        Box::new(LawSchedule::new(Box::new(d)))
+    }
+
     #[test]
     fn comb_times_are_exact_nominal_instants() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
         let (tap, node) = Tap::new(None, None);
         let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, TAU, &[ms(0.0), ms(2.0), ms(5.0)], 500);
+        let (handle, cohort) = FlowCohort::new(tap_id, &[ms(0.0), ms(2.0), ms(5.0)], 500, cit());
         b.add_node(Box::new(cohort));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(0.0255));
@@ -520,17 +451,47 @@ mod tests {
         assert_eq!(handle.flows(), 3);
     }
 
+    /// Forwards to a cohort and records its largest heap size after
+    /// every handler call.
+    struct HeapWatch {
+        cohort: FlowCohort,
+        max_entries: Rc<Cell<usize>>,
+    }
+
+    impl Node for HeapWatch {
+        fn on_packet(&mut self, packet: crate::packet::Packet, ctx: &mut Context<'_>) {
+            self.cohort.on_packet(packet, ctx);
+        }
+
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.cohort.on_start(ctx);
+            self.max_entries
+                .set(self.max_entries.get().max(self.cohort.heap.len()));
+        }
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
+            self.cohort.on_timer(tag, ctx);
+            self.max_entries
+                .set(self.max_entries.get().max(self.cohort.heap.len()));
+        }
+    }
+
     #[test]
     fn synchronized_phases_collapse_into_bursts() {
         let mut b = SimBuilder::new(MasterSeed::new(2));
         let (tap, node) = Tap::new(None, None);
         let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, TAU, &[SimDuration::ZERO; 64], 500);
-        assert_eq!(cohort.schedule.len(), 1, "one unique phase");
-        b.add_node(Box::new(cohort));
+        let (handle, cohort) = FlowCohort::new(tap_id, &[SimDuration::ZERO; 64], 500, cit());
+        let max_entries = Rc::new(Cell::new(0));
+        b.add_node(Box::new(HeapWatch {
+            cohort,
+            max_entries: Rc::clone(&max_entries),
+        }));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(0.05));
-        // 5 periods × 64 flows, all at exact multiples of τ.
+        // 5 periods × 64 flows, all at exact multiples of τ, from one
+        // heap entry for the whole run.
+        assert_eq!(max_entries.get(), 1, "64 coincident members, one run");
         assert_eq!(handle.emitted(), 5 * 64);
         assert_eq!(tap.count(), 5 * 64);
         tap.with_timestamps(|ts| {
@@ -544,7 +505,7 @@ mod tests {
         let (obs, node) = WindowedObserver::new(ms(100.0), None);
         let obs_id = b.add_node(Box::new(node));
         let phases: Vec<SimDuration> = (0..40).map(|k| ms(0.25 * k as f64)).collect();
-        let (_, cohort) = FlowCohort::new(obs_id, TAU, &phases, 500);
+        let (_, cohort) = FlowCohort::new(obs_id, &phases, 500, cit());
         b.add_node(Box::new(cohort));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.0));
@@ -562,9 +523,9 @@ mod tests {
             let mut b = SimBuilder::new(MasterSeed::new(4));
             let (tap, node) = Tap::new(None, None);
             let tap_id = b.add_node(Box::new(node));
-            let (_, mut cohort) = FlowCohort::new(tap_id, TAU, &[ms(0.0), ms(4.0)], 500);
+            let (_, mut cohort) = FlowCohort::new(tap_id, &[ms(0.0), ms(4.0)], 500, cit());
             if let Some(j) = jitter {
-                cohort = cohort.with_jitter(j);
+                cohort = cohort.with_jitter(j).unwrap();
             }
             b.add_node(Box::new(cohort));
             let mut sim = b.build().unwrap();
@@ -594,12 +555,13 @@ mod tests {
         let mut b = SimBuilder::new(MasterSeed::new(5));
         let (tap, node) = Tap::new(None, None);
         let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, TAU, &[ms(1.0), ms(7.0)], 500);
-        b.add_node(Box::new(cohort.with_jitter(CohortJitter {
+        let (handle, cohort) = FlowCohort::new(tap_id, &[ms(1.0), ms(7.0)], 500, cit());
+        let jitter = CohortJitter {
             base_sigma: 6e-6,
             blocking_mean: 6e-6,
             arrival_prob: 0.4,
-        })));
+        };
+        b.add_node(Box::new(cohort.with_jitter(jitter).unwrap()));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(0.5));
         let first = tap.timestamps();
@@ -611,66 +573,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "phases must lie within one period")]
-    fn phase_beyond_period_panics() {
+    fn invalid_jitter_is_a_typed_error() {
         let mut b = SimBuilder::new(MasterSeed::new(6));
         let id = b.reserve();
-        let _ = FlowCohort::new(id, TAU, &[TAU], 500);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one flow")]
-    fn empty_cohort_panics() {
-        let mut b = SimBuilder::new(MasterSeed::new(7));
-        let id = b.reserve();
-        let _ = FlowCohort::new(id, TAU, &[], 500);
-    }
-
-    #[test]
-    fn deterministic_law_heap_matches_the_comb_bit_exactly() {
-        // A Deterministic(τ) member schedule drives the heap along the
-        // same nominal grid the comb walks, with zero RNG draws — the
-        // two modes must agree to the nanosecond.
-        let run = |member: bool| {
-            let mut b = SimBuilder::new(MasterSeed::new(11));
-            let (tap, node) = Tap::new(None, None);
-            let tap_id = b.add_node(Box::new(node));
-            let (_, mut cohort) =
-                FlowCohort::new(tap_id, TAU, &[ms(0.0), ms(2.0), ms(5.0), ms(5.0)], 500);
-            if member {
-                let law = Box::new(linkpad_stats::dist::Deterministic::new(0.010).unwrap());
-                cohort = cohort.with_member_schedule(Box::new(LawSchedule::new(law)));
-            }
-            b.add_node(Box::new(cohort));
-            let mut sim = b.build().unwrap();
-            sim.run_until(SimTime::from_secs_f64(0.2005));
-            tap.timestamps()
+        let jitter = |base_sigma, arrival_prob| {
+            FlowCohort::new(id, &[ms(1.0)], 500, cit())
+                .1
+                .with_jitter(CohortJitter {
+                    base_sigma,
+                    blocking_mean: 6e-6,
+                    arrival_prob,
+                })
+                .err()
         };
-        let comb = run(false);
-        let heap = run(true);
-        assert!(!comb.is_empty());
-        assert_eq!(comb, heap);
+        assert!(matches!(
+            jitter(f64::NAN, 0.1),
+            Some(StatsError::NonFinite { .. })
+        ));
+        assert!(matches!(
+            jitter(6e-6, 1.5),
+            Some(StatsError::InvalidProbability { .. })
+        ));
     }
 
     #[test]
     fn stochastic_heap_replays_bit_identically_after_reset() {
-        let mut b = SimBuilder::new(MasterSeed::new(12));
-        let (tap, node) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(node));
-        let phases: Vec<SimDuration> = (0..16).map(|k| ms(0.5 * k as f64)).collect();
-        let (handle, cohort) = FlowCohort::new(tap_id, TAU, &phases, 500);
-        let law = Box::new(Exponential::new(0.010).unwrap());
-        b.add_node(Box::new(
-            cohort.with_member_schedule(Box::new(LawSchedule::new(law))),
-        ));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        let first = tap.timestamps();
-        assert!(handle.emitted() > 0);
-        sim.reset(MasterSeed::new(12));
-        assert_eq!(handle.emitted(), 0);
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        assert_eq!(tap.timestamps(), first);
+        // Spread phases (singleton runs), and synchronized ones under a
+        // two-point law, whose runs form and split as members draw.
+        let spread: Vec<SimDuration> = (0..16).map(|k| ms(0.5 * k as f64)).collect();
+        let two_point = || Categorical::new(&[(0.008, 0.5), (0.012, 0.5)]).unwrap();
+        for (phases, sched) in [
+            (spread, law(Exponential::new(0.010).unwrap())),
+            (vec![SimDuration::ZERO; 16], law(two_point())),
+        ] {
+            let mut b = SimBuilder::new(MasterSeed::new(12));
+            let (tap, node) = Tap::new(None, None);
+            let tap_id = b.add_node(Box::new(node));
+            let (handle, cohort) = FlowCohort::new(tap_id, &phases, 500, sched);
+            b.add_node(Box::new(cohort));
+            let mut sim = b.build().unwrap();
+            sim.run_until(SimTime::from_secs_f64(0.5));
+            let first = tap.timestamps();
+            assert!(handle.emitted() > 0);
+            sim.reset(MasterSeed::new(12));
+            assert_eq!(handle.emitted(), 0);
+            sim.run_until(SimTime::from_secs_f64(0.5));
+            assert_eq!(tap.timestamps(), first);
+        }
     }
 
     #[test]
@@ -681,11 +630,9 @@ mod tests {
         let (tap, node) = Tap::new(None, None);
         let tap_id = b.add_node(Box::new(node));
         let phases: Vec<SimDuration> = (0..32).map(|k| ms(0.25 * k as f64)).collect();
-        let (_, cohort) = FlowCohort::new(tap_id, TAU, &phases, 500);
-        let law = Box::new(Exponential::new(0.010).unwrap());
-        b.add_node(Box::new(
-            cohort.with_member_schedule(Box::new(LawSchedule::new(law))),
-        ));
+        let (_, cohort) =
+            FlowCohort::new(tap_id, &phases, 500, law(Exponential::new(0.010).unwrap()));
+        b.add_node(Box::new(cohort));
         let mut sim = b.build().unwrap();
         let secs = 20.0;
         sim.run_until(SimTime::from_secs_f64(secs));
@@ -702,7 +649,7 @@ mod tests {
         let mut b = SimBuilder::new(MasterSeed::new(14));
         let (obs, node) = WindowedObserver::new(ms(100.0), None);
         let obs_id = b.add_node(Box::new(node));
-        let (_, cohort) = FlowCohort::new(obs_id, TAU, &[ms(0.0), ms(3.0)], 500);
+        let (_, cohort) = FlowCohort::new(obs_id, &[ms(0.0), ms(3.0)], 500, cit());
         let law = Box::new(linkpad_stats::dist::Uniform::new(300.0, 901.0).unwrap());
         b.add_node(Box::new(cohort.with_packet_size_law(law)));
         let mut sim = b.build().unwrap();

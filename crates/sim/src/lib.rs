@@ -28,10 +28,11 @@
 //!   drops packets deterministically — i.i.d. or bursty loss laws plus
 //!   scheduled outages — so countermeasure/adversary trade-offs can be
 //!   measured under imperfect links and partial observation.
-//! * **Flow cohorts** ([`cohort::FlowCohort`]) superpose K CIT-padded
-//!   flows' combined arrival process in one node — a per-cohort phase
-//!   vector and a single pending timer instead of K gateways — which is
-//!   what takes aggregate scenarios from ~10⁴ to 10⁶ concurrent flows.
+//! * **Flow cohorts** ([`cohort::FlowCohort`]) superpose K padded
+//!   flows' combined arrival process in one node — an in-node next-fire
+//!   heap of member runs and a single pending timer instead of K
+//!   gateways — which is what takes aggregate scenarios from ~10⁴ to
+//!   10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
 //!   inter-arrival and packet-size laws from `linkpad-stats`.
 //! * **Parallel sweeps** ([`parallel::parallel_map`]) fan independent

@@ -32,10 +32,7 @@
 use crate::scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError};
 use crate::switching::SwitchingSource;
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
-use linkpad_core::schedule::{AdaptiveCohortSchedule, LinkSchedule};
-use linkpad_sim::cohort::{
-    CohortHandle, CohortJitter, FlowCohort, LawSchedule, MemberSchedule, COHORT_FLOW,
-};
+use linkpad_sim::cohort::{CohortHandle, CohortJitter, FlowCohort, COHORT_FLOW};
 use linkpad_sim::engine::{Context, SimBuilder};
 use linkpad_sim::fault::{FaultPlan, LossyGate};
 use linkpad_sim::node::{Node, NodeId};
@@ -140,9 +137,10 @@ pub struct AggregateSpec {
     /// When set, flows other than the instrumented target are simulated
     /// as [`FlowCohort`]s of up to this many flows each — one node and
     /// one pending timer per cohort instead of per flow — which is what
-    /// takes the family from ~10⁴ to 10⁶ flows. Requires the CIT
-    /// schedule (the superposition is exact only for CIT; see
-    /// `linkpad_sim::cohort`). The cohorts' wire traffic carries
+    /// takes the family from ~10⁴ to 10⁶ flows. Every schedule with
+    /// cohort support runs there (see
+    /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
+    /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
     /// [`COHORT_FLOW`] and is absorbed at the trunk demux; QoS
     /// instrumentation exists only for the target flow.
     pub cohort_size: Option<usize>,
@@ -586,11 +584,6 @@ pub(crate) fn build_aggregate(
                 blocking_mean: d.jitter.blocking_mean,
                 arrival_prob: (builder.payload().rate() * tau).clamp(0.0, 1.0),
             };
-            // Deterministic schedules (CIT, constant-rate) run the exact
-            // comb at the schedule's own emission period; stochastic
-            // schedules run the per-member heap, with phases spread over
-            // the same period in both modes.
-            let deterministic = builder.schedule().is_deterministic();
             let mut group: Vec<SimDuration> = Vec::with_capacity(k);
             let mut group_id = None;
             let mut flush = |group: &mut Vec<SimDuration>,
@@ -600,23 +593,13 @@ pub(crate) fn build_aggregate(
                 let Some(g) = group_id.take() else {
                     return Ok(());
                 };
-                let (h, cohort) = FlowCohort::new(
-                    trunk_ingress,
-                    SimDuration::from_secs_f64(period),
-                    group,
-                    d.packet_size,
-                );
-                let mut cohort = cohort.with_jitter(jitter).with_label(format!("cohort-{g}"));
-                if !deterministic {
-                    let sched: Box<dyn MemberSchedule> =
-                        match builder.schedule().to_schedule(tau)? {
-                            LinkSchedule::Law(law) => Box::new(LawSchedule::new(law.into_law())),
-                            LinkSchedule::Adaptive(_) => {
-                                Box::new(AdaptiveCohortSchedule::new(group.len() as u32, tau)?)
-                            }
-                        };
-                    cohort = cohort.with_member_schedule(sched);
-                }
+                let sched = builder
+                    .schedule()
+                    .member_schedule(tau, group.len() as u32)?;
+                let (h, cohort) = FlowCohort::new(trunk_ingress, group, d.packet_size, sched);
+                let mut cohort = cohort
+                    .with_jitter(jitter)?
+                    .with_label(format!("cohort-{g}"));
                 if let Some(law) = builder.payload_model().size_law(d.packet_size)? {
                     cohort = cohort.with_packet_size_law(law);
                 }
@@ -863,14 +846,21 @@ mod tests {
             SimDuration::from_secs_f64(1.0),
             SimDuration::from_secs_f64(0.25),
         );
-        let b = ScenarioBuilder::aggregate(21, 4)
+        let base = ScenarioBuilder::aggregate(21, 4)
             .with_payload_rate(10.0)
-            .with_trunk_observer(0.25)
-            .with_faults(FaultPlan::new(3).with_observer_gaps(gaps));
-        let mut s = b.build().unwrap();
+            .with_trunk_observer(0.25);
+        let nodes = base.build().unwrap().sim.node_count();
+        let gap_plan = FaultPlan::new(3).with_observer_gaps(gaps);
+        // Plans without a trunk axis build the no-plan topology: no
+        // gate, not one extra node.
+        for plan in [FaultPlan::new(1), gap_plan] {
+            let s = base.clone().with_faults(plan).build().unwrap();
+            assert!(s.aggregate.as_ref().unwrap().fault_gate.is_none());
+            assert_eq!(s.sim.node_count(), nodes);
+        }
+        let mut s = base.with_faults(gap_plan).build().unwrap();
         s.run_for_secs(4.0);
         let agg = s.aggregate.as_ref().unwrap();
-        assert!(agg.fault_gate.is_none(), "gap-only plan wires no gate");
         let obs = agg.trunk_observer.clone().unwrap();
         let covs = obs.coverages();
         // 0.25 s windows, down the first 0.25 s of every 1 s: every

@@ -4,7 +4,10 @@
 //! boxed trait objects and are not `Clone`, so configuration travels as
 //! plain-data *specs* that are materialized into live objects per run.
 
-use linkpad_core::schedule::{AdaptivePadding, LinkSchedule, PaddingSchedule};
+use linkpad_core::schedule::{
+    AdaptiveCohortSchedule, AdaptivePadding, LinkSchedule, PaddingSchedule,
+};
+use linkpad_sim::cohort::{LawSchedule, MemberSchedule};
 use linkpad_stats::dist::{Categorical, ContinuousDist, Deterministic, Exponential, Uniform};
 use linkpad_stats::StatsError;
 
@@ -140,19 +143,28 @@ impl ScheduleSpec {
         }
     }
 
-    /// Whether emission instants are a deterministic function of the
-    /// configuration (no RNG draws on the timer path) — the regimes
-    /// where cohort superposition is bit-exact.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, ScheduleSpec::Cit | ScheduleSpec::ConstantRate { .. })
+    /// Materialize against base period `tau` (seconds) into the clock
+    /// source of a `members`-flow [`FlowCohort`](linkpad_sim::cohort::FlowCohort):
+    /// the shared interval law for the timer families (CIT and
+    /// constant-rate are `Deterministic` laws), one machine per member
+    /// for adaptive padding. Check [`ScheduleSpec::cohort_support`]
+    /// first: a reactive machine materializes as a non-reactive one.
+    pub fn member_schedule(
+        &self,
+        tau: f64,
+        members: u32,
+    ) -> Result<Box<dyn MemberSchedule>, StatsError> {
+        Ok(match self.to_schedule(tau)? {
+            LinkSchedule::Law(law) => Box::new(LawSchedule::new(law.into_law())),
+            LinkSchedule::Adaptive(_) => Box::new(AdaptiveCohortSchedule::new(members, tau)?),
+        })
     }
 
     /// Whether cohort aggregation supports this defence. Every law
-    /// family runs in a cohort (deterministic combs for CIT and
-    /// constant-rate, the per-member heap otherwise), as does
-    /// non-reactive adaptive padding; *reactive* adaptive padding
-    /// couples the padding clock to per-member client traffic, which
-    /// the cohort's shared Bernoulli absorption model cannot represent.
+    /// family runs in a cohort, as does non-reactive adaptive padding;
+    /// *reactive* adaptive padding couples the padding clock to
+    /// per-member client traffic, which the cohort's shared Bernoulli
+    /// absorption model cannot represent.
     pub fn cohort_support(&self) -> Result<(), &'static str> {
         match self {
             ScheduleSpec::AdaptivePadding { reactive: true } => Err(
@@ -331,7 +343,7 @@ mod tests {
     use linkpad_stats::rng::MasterSeed;
 
     #[test]
-    fn cbr_interval_is_deterministic() {
+    fn cbr_interval_is_constant() {
         let law = PayloadSpec::Cbr { rate: 10.0 }.interval_law().unwrap();
         let mut rng = MasterSeed::new(1).stream(0);
         for _ in 0..5 {
@@ -405,7 +417,6 @@ mod tests {
         assert_eq!(sched.sigma_t(), 0.0);
         assert!((sched.mean_interval_secs() - 0.008).abs() < 1e-12);
         assert!((s.mean_interval(0.010) - 0.008).abs() < 1e-12);
-        assert!(s.is_deterministic());
         assert!(s.cohort_support().is_ok());
         assert!(ScheduleSpec::ConstantRate { rate: 0.0 }
             .to_schedule(0.010)
@@ -419,7 +430,6 @@ mod tests {
         assert!(sched.sigma_t() > 0.0);
         let mean = sched.mean_interval_secs();
         assert!((s.mean_interval(0.010) - mean).abs() < 1e-12);
-        assert!(!s.is_deterministic());
         assert!(s.cohort_support().is_ok());
         // Reactive machines have no stochastic-cohort support.
         assert!(ScheduleSpec::AdaptivePadding { reactive: true }

@@ -6,7 +6,7 @@
 //! no RNG draws on its tick path (the `Deterministic` interval law is
 //! sample-free and the blocking term needs payload arrivals), so its
 //! emissions are bit-exact nominal instants `phase + j·τ` — and so are
-//! an unjittered cohort's. Any discrepancy in the phase collapse, cycle
+//! an unjittered cohort's. Any discrepancy in the run merging, interval
 //! arithmetic, or first-tick convention shows up as a nanosecond
 //! mismatch here.
 //!
@@ -18,7 +18,7 @@
 use linkpad_core::gateway::SenderGateway;
 use linkpad_core::jitter::GatewayJitterModel;
 use linkpad_core::schedule::PaddingSchedule;
-use linkpad_sim::cohort::{CohortJitter, FlowCohort};
+use linkpad_sim::cohort::{CohortJitter, FlowCohort, LawSchedule, MemberSchedule};
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::FlowId;
@@ -27,6 +27,12 @@ use linkpad_sim::time::{SimDuration, SimTime};
 use linkpad_stats::rng::MasterSeed;
 
 const TAU: f64 = 0.010;
+
+/// The CIT member schedule a cohort runs at period τ.
+fn cit() -> Box<dyn MemberSchedule> {
+    let law = PaddingSchedule::cit(TAU).expect("cit").into_law();
+    Box::new(LawSchedule::new(law))
+}
 
 /// K real sender gateways at the given phases, no payload sources,
 /// feeding one capture-only tap. Returns arrival timestamps in nanos.
@@ -60,9 +66,9 @@ fn cohort_arrivals(phases_ns: &[u64], jitter: Option<CohortJitter>, secs: f64) -
         .iter()
         .map(|&p| SimDuration::from_nanos(p))
         .collect();
-    let (_, mut cohort) = FlowCohort::new(tap_id, SimDuration::from_secs_f64(TAU), &phases, 500);
+    let (_, mut cohort) = FlowCohort::new(tap_id, &phases, 500, cit());
     if let Some(j) = jitter {
-        cohort = cohort.with_jitter(j);
+        cohort = cohort.with_jitter(j).expect("valid jitter");
     }
     b.add_node(Box::new(cohort));
     let mut sim = b.build().expect("cohort builds");
@@ -148,7 +154,7 @@ fn observer_view_of_cohort_matches_gateway_fanin() {
         let obs_id = b.add_node(Box::new(node));
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();
-            let (_, cohort) = FlowCohort::new(obs_id, SimDuration::from_secs_f64(TAU), &sd, 500);
+            let (_, cohort) = FlowCohort::new(obs_id, &sd, 500, cit());
             b.add_node(Box::new(cohort));
         } else {
             for (k, &phase) in phases.iter().enumerate() {

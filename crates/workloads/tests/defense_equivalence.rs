@@ -22,8 +22,7 @@
 
 use linkpad_core::gateway::SenderGateway;
 use linkpad_core::jitter::GatewayJitterModel;
-use linkpad_core::schedule::{AdaptiveCohortSchedule, LinkSchedule};
-use linkpad_sim::cohort::{FlowCohort, LawSchedule, MemberSchedule};
+use linkpad_sim::cohort::FlowCohort;
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::{ObserverHandle, WindowedObserver};
 use linkpad_sim::packet::FlowId;
@@ -80,18 +79,10 @@ fn observer_run(
             .iter()
             .map(|&p| SimDuration::from_nanos(p))
             .collect();
-        let period = spec.mean_interval(TAU);
-        let (_, cohort) = FlowCohort::new(obs_id, SimDuration::from_secs_f64(period), &sd, PKT);
-        let mut cohort = cohort;
-        if !spec.is_deterministic() {
-            let sched: Box<dyn MemberSchedule> = match spec.to_schedule(TAU).expect("schedule") {
-                LinkSchedule::Law(law) => Box::new(LawSchedule::new(law.into_law())),
-                LinkSchedule::Adaptive(_) => Box::new(
-                    AdaptiveCohortSchedule::new(phases_ns.len() as u32, TAU).expect("machines"),
-                ),
-            };
-            cohort = cohort.with_member_schedule(sched);
-        }
+        let sched = spec
+            .member_schedule(TAU, phases_ns.len() as u32)
+            .expect("schedule");
+        let (_, mut cohort) = FlowCohort::new(obs_id, &sd, PKT, sched);
         if let Some(law) = payload.size_law(PKT).expect("size law") {
             cohort = cohort.with_packet_size_law(law);
         }
@@ -209,9 +200,9 @@ fn stochastic_defenses_cohort_matches_gateways_in_distribution() {
         );
         // Variances carry wider estimator noise; same order of
         // magnitude is the honest contract at this sample size. The
-        // timing-deterministic variable-payload families have zero
-        // count variance on both sides — assert that exactly.
-        if spec.is_deterministic() {
+        // timing-deterministic (σ_T = 0) variable-payload families have
+        // zero count variance on both sides — assert that exactly.
+        if spec.sigma_t(TAU) == 0.0 {
             assert_eq!(gv, 0.0, "{name}: gateway counts are a comb");
             assert_eq!(cv, 0.0, "{name}: cohort counts are a comb");
         } else {

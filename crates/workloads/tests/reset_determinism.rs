@@ -84,8 +84,8 @@ fn families(seed: u64) -> Vec<(&'static str, ScenarioBuilder)> {
                 .with_phases(linkpad_workloads::aggregate::PhaseSpec::Uniform { seed: 7 }),
         ),
         (
-            // Constant-rate link padding in stochastic-cohort mode:
-            // the deterministic comb at the schedule's own period
+            // Constant-rate link padding in cohort mode: a
+            // `Deterministic` interval law at the schedule's own period
             // (8 ms, not τ), desynchronized phases.
             "aggregate-constant-rate-cohorts",
             ScenarioBuilder::aggregate(seed, 9)
