@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn library_source_classification() {
         assert!(is_library_source("crates/sim/src/engine.rs"));
-        assert!(is_library_source("crates/bench/src/bin/perf_baseline.rs"));
+        assert!(is_library_source("crates/bench/src/bin/queue_probe.rs"));
         assert!(is_library_source("src/lib.rs"));
         assert!(!is_library_source(
             "crates/workloads/tests/reset_determinism.rs"

@@ -1,6 +1,12 @@
-//! Minimal JSON rendering helpers shared by snapshots, events, and
-//! manifests. Writing only — the workspace's one JSON *parser* lives in
-//! `linkpad-bench::compare`, at the other end of the pipe.
+//! Minimal JSON for snapshots, events, manifests and traces: the
+//! writers ([`escape`], [`num`]) and the workspace's one parser
+//! ([`Json`]), which reads back everything the writers produce.
+//!
+//! The workspace has no JSON dependency (offline builds), so the parser
+//! is a small recursive-descent reader covering objects, arrays,
+//! strings, numbers, booleans and null. Tests round-trip every exported
+//! artifact through it as the cheap local proof the export is
+//! well-formed.
 
 /// Escape a string for use inside a JSON string literal (without the
 /// surrounding quotes).
@@ -34,6 +40,229 @@ pub fn num(v: f64) -> String {
     }
 }
 
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A number (all JSON numbers are read as `f64`).
+    Num(f64),
+    /// A string.
+    Str(String),
+    /// A boolean.
+    Bool(bool),
+    /// `null`.
+    Null,
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, in source order.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// Parse a JSON document.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", p.pos));
+        }
+        Ok(v)
+    }
+
+    /// Look up a key of an object.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b" \t\r\n".contains(b))
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at byte {}, found {:?}",
+                b as char,
+                self.pos,
+                self.peek().map(|c| c as char)
+            ))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|c| c.is_ascii_digit() || b"-+.eE".contains(&c))
+        {
+            self.pos += 1;
+        }
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .map(Json::Num)
+            .ok_or_else(|| format!("bad number at byte {start}"))
+    }
+
+    /// A string literal. Bytes are collected raw and decoded once at the
+    /// closing quote, so multi-byte UTF-8 passes through intact.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = Vec::new();
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return String::from_utf8(out).map_err(|e| e.to_string());
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    // The escapes `escape` writes, plus `\/`.
+                    match self.peek() {
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b'r') => out.push(b'\r'),
+                        Some(b't') => out.push(b'\t'),
+                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(c),
+                        Some(b'u') => {
+                            let c = self.unicode_escape()?;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        other => return Err(format!("unsupported escape {other:?}")),
+                    }
+                    self.pos += 1;
+                }
+                Some(c) => {
+                    out.push(c);
+                    self.pos += 1;
+                }
+                None => return Err("unterminated string".into()),
+            }
+        }
+    }
+
+    /// The four hex digits after `\u`, leaving `pos` on the last one.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos + 1;
+        let c = self
+            .bytes
+            .get(at..at + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|d| std::str::from_utf8(d).ok())
+            .and_then(|d| u32::from_str_radix(d, 16).ok())
+            .and_then(char::from_u32)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.pos += 4;
+        Ok(c)
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            fields.push((key, self.value()?));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                other => return Err(format!("expected , or }} found {other:?}")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                other => return Err(format!("expected , or ] found {other:?}")),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,5 +279,54 @@ mod tests {
         assert_eq!(num(1.5), "1.5");
         assert_eq!(num(f64::NAN), "null");
         assert_eq!(num(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn parser_reads_nested_documents() {
+        let j = Json::parse(
+            r#"{
+              "schema": "v2",
+              "shapes": [
+                { "pending": 4096, "events_per_sec": 1.8e7 },
+                { "pending": 262144, "ok": true, "note": null }
+              ],
+              "wall_secs": 0.033
+            }"#,
+        )
+        .unwrap();
+        assert_eq!(j.get("schema"), Some(&Json::Str("v2".into())));
+        assert_eq!(j.get("wall_secs").unwrap().as_f64(), Some(0.033));
+        let Some(Json::Arr(items)) = j.get("shapes") else {
+            panic!("shapes is an array")
+        };
+        assert_eq!(items.len(), 2);
+        assert_eq!(
+            items[0].get("events_per_sec").unwrap().as_f64(),
+            Some(1.8e7)
+        );
+        assert_eq!(items[1].get("pending").unwrap().as_f64(), Some(262144.0));
+        assert_eq!(items[1].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(items[1].get("note"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn parser_rejects_garbage() {
+        assert!(Json::parse("{").is_err());
+        assert!(Json::parse("{\"a\": }").is_err());
+        assert!(Json::parse("[1, 2,]").is_err());
+        assert!(Json::parse("{} trailing").is_err());
+        assert!(Json::parse("nul").is_err());
+        assert!(Json::parse("\"\\u12\"").is_err());
+        assert!(Json::parse("\"\\ud800\"").is_err());
+    }
+
+    #[test]
+    fn parser_reads_back_every_escape_the_writer_emits() {
+        let s = "quote\" slash\\ nl\n cr\r tab\t ctl\u{1}\u{1f} utf8 σ_T→∞";
+        let doc = format!("{{\"s\": \"{}\"}}", escape(s));
+        assert_eq!(
+            Json::parse(&doc).unwrap().get("s"),
+            Some(&Json::Str(s.into()))
+        );
     }
 }

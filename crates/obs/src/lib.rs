@@ -26,8 +26,9 @@
 //!
 //! The zero-cost contract: a simulation that never installs a profile
 //! or sink pays one predictable branch per run call and nothing per
-//! event — asserted <1 % in `perf_baseline` alongside the fault-hook
-//! gate. See DESIGN.md §Observability.
+//! event. That holds by construction: an uninstrumented sim runs the
+//! `()`-hook instance of the engine's one event loop, which contains no
+//! instrument code. See DESIGN.md §Observability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -62,6 +62,10 @@ where
 }
 
 /// [`parallel_map_init`] with an explicit worker count (≥ 1).
+///
+/// Runs on [`parallel_map_init_catching`]: every item runs, then the
+/// first panicking item in input order is re-raised as a panic carrying
+/// that item's index and message.
 pub fn parallel_map_init_with_threads<T, U, S, I, F>(
     items: Vec<T>,
     threads: usize,
@@ -74,75 +78,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> U + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        let mut state = init();
-        return items.into_iter().map(|item| f(&mut state, item)).collect();
-    }
-
-    // One cell per item. Each work cell is taken exactly once and each
-    // result cell written exactly once, both guarded by the claim index,
-    // so every lock is uncontended; items here are whole simulations
-    // (µs–minutes each), which dwarfs a cold lock acquisition.
-    let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let work = &work;
-            let results = &results;
-            let next = &next;
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                // Lazy: a worker that never claims work never pays for
-                // state construction.
-                let mut state: Option<S> = None;
-                loop {
-                    // Guided claim: a fraction of the remaining work,
-                    // computed from a (possibly stale) snapshot — the
-                    // fetch_add is the only authority on ownership, and
-                    // the range is clamped to the input, so staleness
-                    // only perturbs the chunk size.
-                    let claimed = next.load(Ordering::Relaxed);
-                    if claimed >= n {
-                        break;
-                    }
-                    let chunk = ((n - claimed) / (threads * OVERSUBSCRIBE)).max(1);
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    let end = (start + chunk).min(n);
-                    let state = state.get_or_insert_with(init);
-                    for i in start..end {
-                        let item = work[i]
-                            .lock()
-                            .expect("work mutex never poisoned before take")
-                            .take()
-                            .expect("item claimed exactly once");
-                        let out = f(state, item);
-                        *results[i].lock().expect("result mutex poisoned") = Some(out);
-                    }
-                }
-            });
-        }
-    });
-
-    let mut out = Vec::with_capacity(n);
-    for cell in results {
-        out.push(
-            cell.into_inner()
-                .expect("result mutex poisoned")
-                .expect("every item produced a result"),
-        );
-    }
-    out
+    parallel_map_init_catching(items, threads, init, f)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
 }
 
 /// One item's worker panicked: the structured per-item error
@@ -229,9 +168,12 @@ where
             .collect();
     }
 
-    // Same cell/claim structure as `parallel_map_init_with_threads`;
-    // locks are never held across `f`, so a caught panic cannot poison
-    // a work or result mutex.
+    // One cell per item. Each work cell is taken exactly once and each
+    // result cell written exactly once, both guarded by the claim index,
+    // so every lock is uncontended; items here are whole simulations
+    // (µs–minutes each), which dwarfs a cold lock acquisition. Locks are
+    // never held across `f`, so a caught panic cannot poison a work or
+    // result mutex.
     let work: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<Result<U, ItemPanic>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
@@ -245,8 +187,15 @@ where
             let init = &init;
             let f = &f;
             scope.spawn(move || {
+                // Lazy: a worker that never claims work never pays for
+                // state construction.
                 let mut state: Option<S> = None;
                 loop {
+                    // Guided claim: a fraction of the remaining work,
+                    // computed from a (possibly stale) snapshot — the
+                    // fetch_add is the only authority on ownership, and
+                    // the range is clamped to the input, so staleness
+                    // only perturbs the chunk size.
                     let claimed = next.load(Ordering::Relaxed);
                     if claimed >= n {
                         break;
@@ -474,6 +423,28 @@ mod tests {
                     assert_eq!(*r, Ok(i as u64 * 2), "sibling {i} (threads={threads})");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn plain_map_reraises_the_first_panicking_item_with_its_message() {
+        // Two items panic; the caller sees the one first in input order,
+        // carrying its index and message, whichever worker hit it first.
+        for threads in [1usize, 4] {
+            let caught = catch_unwind(|| {
+                parallel_map_with_threads((0..64u64).collect(), threads, |x| {
+                    if x == 9 || x == 40 {
+                        panic!("injected fault on item {x}");
+                    }
+                    x
+                })
+            });
+            let payload = caught.expect_err("the map must panic");
+            let message = panic_message(payload);
+            assert_eq!(
+                message, "item 9 panicked: injected fault on item 9",
+                "threads={threads}"
+            );
         }
     }
 

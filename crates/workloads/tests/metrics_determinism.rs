@@ -20,6 +20,7 @@
 //!   sharded run's trace equals the unsharded sim's, and a traced run's
 //!   simulated results are byte-identical to an untraced run's.
 
+use linkpad_obs::json::Json;
 use linkpad_obs::{EventLog, HarnessEvent};
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::{window_metrics, ShardedAggregate};
@@ -271,6 +272,7 @@ fn truncated_runs_announce_themselves_in_manifest_and_event_log() {
     let budget = full.events() / full.shards.len() as u64 / 4;
     let bounded = ShardedAggregate::new(builder)
         .expect("valid")
+        .with_profiling()
         .with_watchdog(Some(budget), None);
     let mut log = EventLog::new();
     let run = bounded.run_for_secs_logged(2.0, 1, &mut log).expect("runs");
@@ -285,6 +287,23 @@ fn truncated_runs_announce_themselves_in_manifest_and_event_log() {
     let json = manifest.to_json();
     assert!(json.contains("\"interrupted\": true"));
     assert!(json.contains("\"schema\": \"linkpad-run-manifest-v1\""));
+
+    // Both artifacts are well-formed JSON, per-shard profiles included,
+    // and the parsed manifest says what the typed one does.
+    let doc = Json::parse(&json).expect("manifest parses");
+    assert_eq!(doc.get("interrupted"), Some(&Json::Bool(true)));
+    let complete = doc
+        .get("truncation")
+        .and_then(|t| t.get("complete_windows"))
+        .and_then(Json::as_f64);
+    assert_eq!(complete, Some(run.windows.len() as f64));
+    let Some(Json::Arr(shards)) = doc.get("shards") else {
+        panic!("shards is an array")
+    };
+    assert!(shards.iter().all(|s| s.get("profile").is_some()));
+    for line in log.to_jsonl().lines() {
+        Json::parse(line).unwrap_or_else(|e| panic!("event line {line:?}: {e}"));
+    }
 
     // The event log records the truncation prominently.
     let kinds: Vec<&str> = log.iter().map(|(_, e)| e.kind()).collect();

@@ -37,8 +37,8 @@
 //! ```
 //!
 //! See `DESIGN.md` (workspace root) for the system inventory and the
-//! per-figure experiment index, and `BENCH_1.json` for the recorded
-//! performance baseline.
+//! per-figure experiment index, and the linkbench benchmark
+//! (`linkbench/`, declared in `BENCHMARK.json`) for performance.
 
 #![forbid(unsafe_code)]
 
