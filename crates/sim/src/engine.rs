@@ -66,7 +66,7 @@ impl std::error::Error for BuildError {}
 /// Builds a [`Sim`]: allocate node ids, wire nodes together, build.
 ///
 /// Two construction styles are supported:
-/// * downstream-first: `let sink = b.add_node(...); let link = b.add_node(Link::to(sink, ...));`
+/// * downstream-first: `let sink = b.add_node(...); let router = b.add_node(Box::new(Router::new(sink, ...)));`
 /// * reserve-then-install, for wiring cycles or forward references:
 ///   `let id = b.reserve(); ...; b.install(id, node);`
 pub struct SimBuilder {

@@ -12,11 +12,11 @@
 //!   [`packet::Packet`]s; the engine ([`engine::Sim`]) dispatches packet
 //!   deliveries and timer fires in global timestamp order with FIFO
 //!   tie-breaking.
-//! * **Links** ([`link::Link`]) model serialization (finite bandwidth) and
-//!   propagation delay.
 //! * **Routers** ([`router::Router`]) are FIFO output-queued store-and-
-//!   forwards; queueing behind cross traffic is exactly the paper's
-//!   `δ_net` disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results.
+//!   forwards with finite egress bandwidth and propagation delay;
+//!   queueing behind cross traffic is exactly the paper's `δ_net`
+//!   disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results. Each
+//!   arrival computes its departure, so a hop costs one event.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses.
 //! * **Windowed observers** ([`observer::WindowedObserver`]) are the
@@ -55,7 +55,6 @@ pub mod engine;
 pub mod equeue;
 pub mod fault;
 pub mod hooks;
-pub mod link;
 pub mod node;
 pub mod observer;
 pub mod packet;
@@ -75,7 +74,6 @@ pub use engine::{Context, RunStats, Sim, SimBuilder};
 pub use equeue::EventQueue;
 pub use fault::{FaultGateHandle, FaultPlan, LossModel, LossyGate, OutageSchedule};
 pub use hooks::{Dispatch, LoopHooks};
-pub use link::Link;
 pub use node::{Node, NodeId};
 pub use observer::{ObserverHandle, WindowStats, WindowedObserver};
 pub use packet::{FlowId, Packet, PacketKind};

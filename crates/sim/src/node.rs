@@ -14,7 +14,7 @@ impl NodeId {
     }
 }
 
-/// A network element: gateway, router, link, tap, source or sink.
+/// A network element: gateway, router, tap, source or sink.
 ///
 /// Nodes are single-threaded state machines driven by the engine. They
 /// react to packet deliveries and to their own timers; they never block

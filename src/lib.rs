@@ -45,7 +45,7 @@
 /// Statistics substrate (special functions, distributions, KDE, RNG).
 pub use linkpad_stats as stats;
 
-/// Discrete-event network simulator (links, routers, taps).
+/// Discrete-event network simulator (routers, taps, observers).
 pub use linkpad_sim as sim;
 
 /// The padding countermeasure (schedules, gateways, jitter model).
