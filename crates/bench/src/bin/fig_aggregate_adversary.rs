@@ -28,7 +28,7 @@
 //!
 //! Observability flags (see DESIGN.md §Observability):
 //! * `--report <path>` — write the machine-readable run manifest of the
-//!   largest-N flow-count run (schema `linkpad-run-manifest-v1`). Also
+//!   largest-N flow-count run (schema `linkpad-run-manifest-v2`). Also
 //!   enables engine profiling for part 1.
 //! * `--events <path>` — write the harness lifecycle event log of the
 //!   part-1 runs as JSONL (schema header + run/shard records).
@@ -150,7 +150,7 @@ fn main() {
     est_table.save_csv("fig_aggregate_flow_count").unwrap();
     println!("✓ flow-count estimate within ±10% for N ∈ {{10, 100, 1000}}");
     if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
-        manifest.write(path).expect("write run manifest");
+        std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
     if let Some(path) = &events_path {

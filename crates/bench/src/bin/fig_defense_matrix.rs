@@ -351,7 +351,7 @@ fn main() {
     gap_table.save_csv("fig_defense_matrix_gaps").unwrap();
 
     if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
-        manifest.write(path).expect("write run manifest");
+        std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
     if let Some(path) = &events_path {

@@ -26,9 +26,10 @@
 //!
 //! Observability flags (see DESIGN.md §Observability):
 //! * `--report <path>` — write the machine-readable run manifest of the
-//!   largest-N run (schema `linkpad-run-manifest-v1`: totals, per-shard
-//!   breakdown with engine profiles, merged metric snapshot, explicit
-//!   `interrupted`/truncation record). Also enables engine profiling.
+//!   largest-N run (schema `linkpad-run-manifest-v2`: totals, window
+//!   byte total and count distribution, per-shard breakdown with engine
+//!   profiles, explicit `interrupted`/truncation record). Also enables
+//!   engine profiling.
 //! * `--events <path>` — write the harness lifecycle event log (run
 //!   start/finish, shard completion/retry, watchdog truncations,
 //!   observer gaps) for every sharded run in this binary, as JSONL.
@@ -256,7 +257,7 @@ fn main() {
         }
     }
     if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
-        manifest.write(path).expect("write run manifest");
+        std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
     if let Some(path) = &events_path {

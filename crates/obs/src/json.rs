@@ -1,4 +1,4 @@
-//! Minimal JSON for snapshots, events, manifests and traces: the
+//! Minimal JSON for profiles, events, manifests and traces: the
 //! writers ([`escape`], [`num`]) and the workspace's one parser
 //! ([`Json`]), which reads back everything the writers produce.
 //!

@@ -14,8 +14,6 @@
 //! takes one branch per run call and pays nothing per event. See
 //! DESIGN.md §Observability.
 
-use crate::metrics::Histogram;
-
 /// How many dispatches between pending-depth samples. Power of two so
 /// the due-check is a mask; 1024 matches the watchdog's wall-check
 /// stride.
@@ -25,6 +23,115 @@ const SAMPLE_EVERY: u64 = 1024;
 /// sample and doubles its stride) — bounds profile memory at ~128 KiB
 /// regardless of run length while keeping full-run coverage.
 const SERIES_CAP: usize = 4096;
+
+/// A log₂-bucketed histogram of `u64` samples: the batch-size
+/// distribution of a [`ProfileReport`], and the per-window count
+/// distribution of a sharded run's manifest.
+///
+/// Bucket 0 counts zeros; bucket `k ≥ 1` counts values in
+/// `[2^(k-1), 2^k)`. Exact count/sum/min/max ride alongside, so the
+/// mean is exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Histogram {
+    count: u64,
+    sum: u64,
+    /// `u64::MAX` while empty.
+    min: u64,
+    max: u64,
+    buckets: [u64; 65],
+}
+
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
+        Self {
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: [0; 65],
+        }
+    }
+
+    fn bucket_of(v: u64) -> usize {
+        if v == 0 {
+            0
+        } else {
+            64 - v.leading_zeros() as usize
+        }
+    }
+
+    /// Fold one sample in.
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.buckets[Self::bucket_of(v)] += 1;
+    }
+
+    /// Samples folded in.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Exact sum of all samples (saturating).
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Smallest sample (0 when empty).
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest sample (0 when empty).
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Exact mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Render as a JSON object with the exact moments and the sparse
+    /// non-empty buckets (keyed by bucket upper bound).
+    pub fn to_json(&self) -> String {
+        let buckets: Vec<String> = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(k, &n)| {
+                let ub = if k == 0 { 0u128 } else { 1u128 << k };
+                format!("\"{ub}\":{n}")
+            })
+            .collect();
+        format!(
+            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":{{{}}}}}",
+            self.count,
+            self.sum,
+            self.min(),
+            self.max,
+            buckets.join(",")
+        )
+    }
+}
 
 /// One pending-depth sample, keyed to the simulation clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,6 +400,25 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn histogram_buckets_by_log2() {
+        let mut h = Histogram::new();
+        for v in [0u64, 1, 1, 2, 3, 4, 7, 8, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 9);
+        assert_eq!(h.sum(), 1050);
+        assert_eq!(h.min(), 0);
+        assert_eq!(h.max(), 1024);
+        // zeros → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 4..7 → 3; 8 → 4.
+        assert_eq!(h.buckets[0], 1);
+        assert_eq!(h.buckets[1], 2);
+        assert_eq!(h.buckets[2], 2);
+        assert_eq!(h.buckets[3], 2);
+        assert_eq!(h.buckets[4], 1);
+        assert_eq!(h.buckets[11], 1);
+    }
 
     #[test]
     fn dispatch_recording_splits_timers_and_batches() {

@@ -23,9 +23,6 @@ use crate::hooks::{Dispatch, Instruments, LoopHooks, StopAt, Watchdog};
 use crate::node::{Node, NodeId};
 use crate::packet::{FlowId, Packet, PacketKind};
 use crate::time::{SimDuration, SimTime};
-// The causal-trace recorder gets an alias: `linkpad_sim` has its own
-// (packet-level) `trace::TraceRecorder` node, and the two must not be
-// confused at a glance.
 use linkpad_obs::trace::TraceRecorder as CausalTrace;
 use linkpad_obs::{EngineProfile, ProfileReport, StoreCounters, TraceReport};
 use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};

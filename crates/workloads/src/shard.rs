@@ -60,11 +60,8 @@
 
 use crate::aggregate::{AggregateSpec, PhaseSpec};
 use crate::scenario::{BuiltScenario, ScenarioBuilder, ScenarioError};
-use linkpad_obs::metrics::{MetricValue, Registry};
-use linkpad_obs::{
-    EventLog, HarnessEvent, Histogram, ProfileReport, RunManifest, ShardManifest, Snapshot,
-    TraceReport, Truncation,
-};
+use linkpad_obs::json::{escape, num};
+use linkpad_obs::{EventLog, HarnessEvent, Histogram, ProfileReport, TraceReport};
 use linkpad_sim::attr::{AttributionReport, AttributionSampler};
 use linkpad_sim::observer::{merge_window_series, WindowStats};
 use linkpad_sim::parallel::{default_threads, parallel_map_init_catching};
@@ -86,39 +83,6 @@ fn panic_cause(payload: Box<dyn Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// The metric snapshot of one trunk view: the **exactly superposable**
-/// counters (arrivals, per-window counts and bytes summed) plus peak
-/// gauges. Shard snapshots built by this function merge —
-/// counter-for-counter, bit-for-bit — to the snapshot of the
-/// equivalent unsharded run, which is the telemetry analogue of the
-/// window-series merge contract (asserted by
-/// `tests/metrics_determinism.rs`).
-///
-/// Deliberately excluded from the counter set: PIAT sample totals
-/// (each shard's first arrival has no predecessor, so N shards carry
-/// exactly N−1 fewer inter-arrival samples than the unsharded run —
-/// pooled, not superposable; see the module docs) and per-window
-/// *distributions* (added post-merge by
-/// [`ShardedRun::merged_metrics`]). Every counter in a snapshot must
-/// superpose exactly; quantities that only pool ride in gauges or in
-/// the report structs instead.
-pub fn window_metrics(windows: &[WindowStats], arrivals: u64, pending_peak: usize) -> Snapshot {
-    let mut reg = Registry::new();
-    let arr = reg.counter("trunk.arrivals");
-    let count = reg.counter("trunk.window_count");
-    let bytes = reg.counter("trunk.window_bytes");
-    let wins = reg.gauge("trunk.windows");
-    let pend = reg.gauge("pending.peak");
-    reg.add(arr, arrivals);
-    for w in windows {
-        reg.add(count, w.count);
-        reg.add(bytes, w.bytes);
-    }
-    reg.gauge_max(wins, windows.len() as u64);
-    reg.gauge_max(pend, pending_peak as u64);
-    reg.snapshot()
 }
 
 /// Shape fingerprint of a shard's topology: shards with equal shapes are
@@ -171,10 +135,6 @@ pub struct ShardReport {
     /// tripped — the truncation point a partial result was cut at.
     /// `None` for a complete run.
     pub truncated_at_nanos: Option<u64>,
-    /// The shard's metric snapshot ([`window_metrics`] over its trunk
-    /// view): merges across shards to the unsharded run's counters
-    /// bit-for-bit.
-    pub metrics: Snapshot,
     /// Engine self-profile, when the run enabled
     /// [`ShardedAggregate::with_profiling`].
     pub profile: Option<ProfileReport>,
@@ -188,6 +148,29 @@ pub struct ShardReport {
     /// type, when the run enabled [`ShardedAggregate::with_attribution`].
     /// Wall-clock, so unlike the profile it varies run to run.
     pub attribution: Option<AttributionReport>,
+}
+
+impl ShardReport {
+    /// This shard's entry in the run manifest.
+    fn to_json(&self) -> String {
+        let profile = match &self.profile {
+            Some(p) => format!(",\"profile\":{}", p.to_json()),
+            None => String::new(),
+        };
+        format!(
+            "{{\"shard\":{},\"flow_start\":{},\"flow_count\":{},\"events\":{},\
+             \"arrivals\":{},\"windows\":{},\"pending_peak\":{},\"interrupted\":{}{}}}",
+            self.shard,
+            self.flow_range.0,
+            self.flow_range.1,
+            self.events,
+            self.arrivals,
+            self.windows.len(),
+            self.pending_peak,
+            self.interrupted,
+            profile,
+        )
+    }
 }
 
 /// Merged outcome of a sharded aggregate run.
@@ -250,27 +233,6 @@ impl ShardedRun {
             total.merge(report);
         }
         Some(total)
-    }
-
-    /// Merge the per-shard metric snapshots (counters superpose, gauges
-    /// keep peaks) and add the post-merge per-window arrival-count
-    /// distribution. The counter subset equals the unsharded run's
-    /// bit-for-bit; the histogram is computed from the *merged* window
-    /// series because per-shard distributions do not superpose.
-    pub fn merged_metrics(&self) -> Snapshot {
-        let mut merged = Snapshot::empty();
-        for s in &self.shards {
-            merged.merge(&s.metrics);
-        }
-        let mut hist = Histogram::new();
-        for w in &self.windows {
-            hist.record(w.count);
-        }
-        merged.insert(
-            "trunk.window_count_hist",
-            MetricValue::Histogram(Box::new(hist)),
-        );
-        merged
     }
 }
 
@@ -623,50 +585,52 @@ impl ShardedAggregate {
         })
     }
 
-    /// Build the machine-readable manifest of a finished run: seed,
-    /// spec digest, totals, per-shard breakdown (with profiles when
-    /// enabled), the merged metric snapshot, and — when a watchdog cut
-    /// the run short — an explicit truncation record, so a partial
-    /// result can never be mistaken for a complete one.
-    pub fn manifest(&self, bin: &str, run: &ShardedRun) -> RunManifest {
-        let digest = linkpad_obs::fnv1a(format!("{:?}", self.builder).as_bytes());
-        let truncation = run
-            .shards
-            .iter()
-            .find(|s| s.interrupted)
-            .map(|s| Truncation {
-                complete_windows: run.windows.len(),
-                first_tripped_shard: s.shard,
-                sim_nanos: s.truncated_at_nanos.unwrap_or(0),
-            });
-        RunManifest {
-            bin: bin.to_string(),
-            seed: self.builder.seed(),
-            spec_digest: format!("fnv1a:{digest:016x}"),
-            interrupted: run.interrupted(),
-            truncation,
-            wall_secs: run.wall_secs,
-            events: run.events(),
-            arrivals: run.arrivals(),
-            windows: run.windows.len(),
-            peak_pending: run.pending_peak(),
-            shards: run
-                .shards
-                .iter()
-                .map(|s| ShardManifest {
-                    shard: s.shard,
-                    flow_start: s.flow_range.0,
-                    flow_count: s.flow_range.1,
-                    events: s.events,
-                    arrivals: s.arrivals,
-                    windows: s.windows.len(),
-                    pending_peak: s.pending_peak,
-                    interrupted: s.interrupted,
-                    profile: s.profile.clone(),
-                })
-                .collect(),
-            metrics: run.merged_metrics(),
+    /// Render the machine-readable manifest of a finished run
+    /// (`linkpad-run-manifest-v2` JSON) straight from the run record:
+    /// seed, spec digest, totals, the merged window series' byte total
+    /// and count distribution, the per-shard breakdown (with profiles
+    /// when enabled), and — when a watchdog cut the run short —
+    /// `"interrupted": true` plus the truncation point, so a partial
+    /// result can never be mistaken for a complete one. Two runs of one
+    /// `(spec, seed)` render equal manifests apart from `wall_secs`.
+    pub fn manifest(&self, bin: &str, run: &ShardedRun) -> String {
+        // The digest names the spec alone (the seed has its own key), so
+        // runs of one spec at different seeds share it.
+        let spec = format!("{:?}", self.builder.clone().with_seed(0));
+        let truncation = match run.shards.iter().find(|s| s.interrupted) {
+            Some(s) => format!(
+                "{{\"complete_windows\":{},\"first_tripped_shard\":{},\"sim_nanos\":{}}}",
+                run.windows.len(),
+                s.shard,
+                s.truncated_at_nanos.unwrap_or(0)
+            ),
+            None => "null".to_string(),
+        };
+        let mut window_counts = Histogram::new();
+        for w in &run.windows {
+            window_counts.record(w.count);
         }
+        let shards: Vec<String> = run.shards.iter().map(ShardReport::to_json).collect();
+        format!(
+            "{{\n  \"schema\": \"linkpad-run-manifest-v2\",\n  \"bin\": \"{}\",\n  \"seed\": {},\n  \
+             \"spec_digest\": \"fnv1a:{:016x}\",\n  \"interrupted\": {},\n  \"truncation\": {},\n  \
+             \"wall_secs\": {},\n  \"events\": {},\n  \"arrivals\": {},\n  \
+             \"windows\": {},\n  \"peak_pending\": {},\n  \"window_bytes\": {},\n  \
+             \"window_counts\": {},\n  \"shards\": [{}]\n}}\n",
+            escape(bin),
+            self.builder.seed(),
+            linkpad_obs::fnv1a(spec.as_bytes()),
+            run.interrupted(),
+            truncation,
+            num(run.wall_secs),
+            run.events(),
+            run.arrivals(),
+            run.windows.len(),
+            run.pending_peak(),
+            run.windows.iter().map(|w| w.bytes).sum::<u64>(),
+            window_counts.to_json(),
+            shards.join(","),
+        )
     }
 
     /// One worker step: build (or reset-reuse) shard `s`'s sub-sim, run
@@ -756,18 +720,15 @@ impl ShardedAggregate {
                 windows.truncate(complete);
             }
         }
-        let arrivals = observer.arrivals();
-        let metrics = window_metrics(&windows, arrivals, pending_peak);
         Ok(ShardReport {
             shard: s,
             flow_range: self.ranges[s],
             windows,
-            arrivals,
+            arrivals: observer.arrivals(),
             events: scenario.sim.events_processed(),
             pending_peak,
             interrupted,
             truncated_at_nanos: interrupted.then(|| scenario.sim.now().as_nanos()),
-            metrics,
             profile: scenario.sim.profile_report(),
             trace: scenario.sim.trace_report(),
             attribution: sampler.map(|s| s.report()),

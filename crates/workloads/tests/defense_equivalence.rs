@@ -13,7 +13,7 @@
 //! 2. **reset(seed) ≡ rebuild** — the sweep fast path replays the full
 //!    observer window series bit-for-bit for every defense.
 //! 3. **S=1 sharded ≡ unsharded** — the sharded harness at one shard
-//!    is the plain sim, windows and counters included.
+//!    is the plain sim, windows and arrival totals included.
 //! 4. **traced ≡ untraced** — causal tracing never perturbs results.
 //!
 //! Plus the negative paths: defenses without stochastic-cohort support
@@ -318,9 +318,9 @@ fn tracing_never_perturbs_results_for_any_defense() {
         assert!(plain.shards[0].trace.is_none());
         assert_eq!(run_t.windows, plain.windows, "{name}: windows perturbed");
         assert_eq!(
-            run_t.merged_metrics(),
-            plain.merged_metrics(),
-            "{name}: counters perturbed"
+            (run_t.arrivals(), run_t.pending_peak()),
+            (plain.arrivals(), plain.pending_peak()),
+            "{name}: totals perturbed"
         );
         assert_eq!(run_t.events(), plain.events(), "{name}: events perturbed");
     }

@@ -1,29 +1,32 @@
-//! Telemetry determinism: metric snapshots and engine profiles are a
-//! pure function of `(spec, seed)`.
+//! Telemetry determinism: run records, engine profiles and causal
+//! traces are a pure function of `(spec, seed)`, and the run manifest
+//! says what the record does.
 //!
-//! Three contracts, all compared at full bit precision (snapshots and
-//! profiles carry only integers):
+//! The contracts, all compared at full bit precision (the compared
+//! values are integers):
 //!
-//! * **reset ≡ fresh** — the snapshot (and engine profile) of a
-//!   `reset(seed)`-then-run scenario is bit-identical to a fresh
-//!   `build()` at the same seed.
-//! * **sharded ≡ unsharded** — the merged counter subset of an N-shard
-//!   run equals the unsharded single sim's, for every N, because the
-//!   counters are exactly the superposable trunk quantities
-//!   (`window_metrics` keeps distributions out of the per-shard
-//!   snapshots).
-//! * **manifests tell the truth** — a watchdog-truncated run's manifest
-//!   carries `interrupted: true` plus the truncation point, and the
-//!   harness event log records the truncation and any retries.
-//! * **traces replay and never perturb** — the causal trace is bit-
-//!   identical under `reset(seed)` vs a fresh build, a one-shard
-//!   sharded run's trace equals the unsharded sim's, and a traced run's
-//!   simulated results are byte-identical to an untraced run's.
+//! * **reset ≡ fresh** — the trunk record (per-window counts and bytes,
+//!   arrivals, pending events, events dispatched) and the engine
+//!   profile of a `reset(seed)`-then-run scenario are bit-identical to
+//!   a fresh `build()` at the same seed.
+//! * **sharded ≡ unsharded** — the merged per-window counts and bytes
+//!   and the summed arrivals of an N-shard run equal the unsharded
+//!   single sim's, for every N: they are exactly the superposable trunk
+//!   quantities.
+//! * **instruments never perturb** — profiled, traced and logged runs
+//!   record exactly what plain runs do.
+//! * **manifests tell the truth** — the rendered manifest parses, its
+//!   totals are the run record's, and a watchdog-truncated run's
+//!   manifest carries `"interrupted": true` plus the truncation point;
+//!   the harness event log records the truncation and any retries.
+//! * **traces replay** — the causal trace is bit-identical under
+//!   `reset(seed)` vs a fresh build, and a one-shard sharded run's trace
+//!   equals the unsharded sim's.
 
 use linkpad_obs::json::Json;
 use linkpad_obs::{EventLog, HarnessEvent};
-use linkpad_workloads::scenario::ScenarioBuilder;
-use linkpad_workloads::shard::{window_metrics, ShardedAggregate};
+use linkpad_workloads::scenario::{BuiltScenario, ScenarioBuilder};
+use linkpad_workloads::shard::{ShardedAggregate, ShardedRun};
 use linkpad_workloads::spec::PayloadModel;
 
 fn observer_builder(seed: u64, flows: usize, shards: usize) -> ScenarioBuilder {
@@ -34,51 +37,94 @@ fn observer_builder(seed: u64, flows: usize, shards: usize) -> ScenarioBuilder {
         .with_shards(shards)
 }
 
-/// Run an unsharded scenario and snapshot its trunk view.
-fn single_metrics(builder: &ScenarioBuilder, secs: f64) -> linkpad_obs::Snapshot {
-    let mut s = builder.clone().build().expect("builds");
-    s.run_for_secs(secs);
-    let obs = s
-        .aggregate
-        .as_ref()
-        .expect("aggregate family")
-        .trunk_observer
-        .clone()
-        .expect("observer configured");
-    window_metrics(&obs.window_series(), obs.arrivals(), s.sim.pending_events())
+/// The numbers a run's telemetry summarises.
+#[derive(Debug, PartialEq)]
+struct Record {
+    counts: Vec<u64>,
+    bytes: Vec<u64>,
+    arrivals: u64,
+    pending: usize,
+    events: u64,
 }
 
-#[test]
-fn reset_and_fresh_builds_produce_bit_identical_snapshots_and_profiles() {
-    let builder = observer_builder(91, 10, 1);
-    let mut fresh = builder.clone().build().expect("builds");
-    fresh.sim.enable_profiling();
-    fresh.run_for_secs(1.5);
-    let obs = |s: &linkpad_workloads::scenario::BuiltScenario| {
-        let o = s
+impl Record {
+    /// The merged trunk view of a sharded run; `pending` is the peak.
+    fn of_run(run: &ShardedRun) -> Self {
+        Self {
+            counts: run.windows.iter().map(|w| w.count).collect(),
+            bytes: run.windows.iter().map(|w| w.bytes).collect(),
+            arrivals: run.arrivals(),
+            pending: run.pending_peak(),
+            events: run.events(),
+        }
+    }
+
+    /// The trunk view of an unsharded scenario; `pending` is the level
+    /// at the end of the run.
+    fn of_sim(s: &BuiltScenario) -> Self {
+        let obs = s
             .aggregate
             .as_ref()
             .expect("aggregate family")
             .trunk_observer
             .clone()
             .expect("observer configured");
-        window_metrics(&o.window_series(), o.arrivals(), s.sim.pending_events())
-    };
-    let fresh_metrics = obs(&fresh);
+        let windows = obs.window_series();
+        Self {
+            counts: windows.iter().map(|w| w.count).collect(),
+            bytes: windows.iter().map(|w| w.bytes).collect(),
+            arrivals: obs.arrivals(),
+            pending: s.sim.pending_events(),
+            events: s.sim.events_processed(),
+        }
+    }
+
+    /// The exactly superposable part: what every shard count must
+    /// reproduce.
+    fn superposable(&self) -> (&[u64], &[u64], u64) {
+        (&self.counts, &self.bytes, self.arrivals)
+    }
+}
+
+/// Run an unsharded scenario and read its trunk record.
+fn single_record(builder: &ScenarioBuilder, secs: f64) -> Record {
+    let mut s = builder.clone().build().expect("builds");
+    s.run_for_secs(secs);
+    Record::of_sim(&s)
+}
+
+/// A numeric manifest field.
+fn field(doc: &Json, key: &str) -> f64 {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("manifest field {key} is a number"))
+}
+
+#[test]
+fn reset_and_fresh_builds_produce_bit_identical_records_and_profiles() {
+    let builder = observer_builder(91, 10, 1);
+    let mut fresh = builder.clone().build().expect("builds");
+    fresh.sim.enable_profiling();
+    fresh.run_for_secs(1.5);
+    let fresh_record = Record::of_sim(&fresh);
     let fresh_profile = fresh.sim.profile_report().expect("profiling enabled");
-    assert!(fresh_metrics.counter("trunk.arrivals").unwrap() > 0);
+    assert!(fresh_record.arrivals > 0);
 
     // Pollute the scenario with a different-seed run, then reset back:
-    // both the metric snapshot and the engine profile must replay
-    // bit-for-bit. (The trunk *counters* may coincide across seeds —
-    // CIT padding making the output rate seed-independent is the
+    // both the trunk record and the engine profile must replay
+    // bit-for-bit. (The trunk counts may coincide across seeds — CIT
+    // padding making the output rate seed-independent is the
     // countermeasure working — so the teeth of this test are the
     // replay equalities, not a cross-seed inequality.)
     fresh.reset(12345);
     fresh.run_for_secs(1.5);
     fresh.reset(91);
     fresh.run_for_secs(1.5);
-    assert_eq!(obs(&fresh), fresh_metrics, "reset must replay the snapshot");
+    assert_eq!(
+        Record::of_sim(&fresh),
+        fresh_record,
+        "reset must replay the record"
+    );
     assert_eq!(
         fresh.sim.profile_report().expect("still enabled"),
         fresh_profile,
@@ -87,27 +133,18 @@ fn reset_and_fresh_builds_produce_bit_identical_snapshots_and_profiles() {
 }
 
 #[test]
-fn sharded_merged_counters_equal_the_unsharded_run_bit_for_bit() {
+fn sharded_merged_windows_equal_the_unsharded_run_bit_for_bit() {
     let secs = 2.05; // end mid-window
-    let single = single_metrics(&observer_builder(92, 13, 1), secs);
-    let single_counters = single.counters();
-    assert!(!single_counters.is_empty());
+    let single = single_record(&observer_builder(92, 13, 1), secs);
+    assert!(!single.counts.is_empty());
     for shards in [1usize, 2, 3, 5] {
         let sharded = ShardedAggregate::new(observer_builder(92, 13, shards)).expect("valid");
         let run = sharded.run_for_secs(secs).expect("runs");
-        let merged = run.merged_metrics();
         assert_eq!(
-            merged.counters(),
-            single_counters,
-            "{shards} shards: merged counters must superpose exactly"
+            Record::of_run(&run).superposable(),
+            single.superposable(),
+            "{shards} shards: merged counts, bytes and arrivals must superpose exactly"
         );
-        // The per-shard snapshots really are the source: their pairwise
-        // merge equals the run-level merge's counter subset.
-        let mut by_hand = linkpad_obs::Snapshot::empty();
-        for s in &run.shards {
-            by_hand.merge(&s.metrics);
-        }
-        assert_eq!(by_hand.counters(), single_counters, "{shards} shards");
     }
 }
 
@@ -119,13 +156,13 @@ fn variable_payload_sharded_merge_byte_counts_are_bit_identical() {
     };
 
     // Deterministic variable payloads (MTU padding): every emission is
-    // 1500 B on the wire, so the merged byte counter must superpose
-    // exactly for every shard count — the bytes channel inherits the
-    // count channel's superposition contract bit-for-bit.
+    // 1500 B on the wire, so the merged bytes must superpose exactly
+    // for every shard count — the bytes channel inherits the count
+    // channel's superposition contract bit-for-bit.
     let mtu = PayloadModel::MtuPadded { mtu: 1500 };
-    let single = single_metrics(&builder(1, mtu), secs);
-    let want_bytes = single.counter("trunk.window_bytes").expect("bytes counter");
-    let want_count = single.counter("trunk.window_count").expect("count counter");
+    let single = single_record(&builder(1, mtu), secs);
+    let want_count: u64 = single.counts.iter().sum();
+    let want_bytes: u64 = single.bytes.iter().sum();
     assert_eq!(
         want_bytes,
         want_count * 1500,
@@ -138,9 +175,9 @@ fn variable_payload_sharded_merge_byte_counts_are_bit_identical() {
             .run_for_secs(secs)
             .expect("runs");
         assert_eq!(
-            run.merged_metrics().counters(),
-            single.counters(),
-            "{shards} shards: merged byte counters must superpose exactly"
+            Record::of_run(&run).superposable(),
+            single.superposable(),
+            "{shards} shards: merged bytes must superpose exactly"
         );
     }
 
@@ -176,7 +213,7 @@ fn variable_payload_sharded_merge_byte_counts_are_bit_identical() {
         .run_for_secs_with_threads(secs, 4)
         .expect("runs");
     assert_eq!(a.windows, b.windows, "sampled-payload thread invariance");
-    assert_eq!(a.merged_metrics(), b.merged_metrics());
+    assert_eq!(Record::of_run(&a), Record::of_run(&b));
 }
 
 #[test]
@@ -199,7 +236,7 @@ fn profiled_sharded_runs_are_deterministic_and_carry_reports() {
         .run_for_secs_with_threads(1.5, 2)
         .expect("runs");
     assert_eq!(a.windows, plain.windows);
-    assert_eq!(a.merged_metrics(), plain.merged_metrics());
+    assert_eq!(Record::of_run(&a), Record::of_run(&plain));
 }
 
 #[test]
@@ -214,7 +251,7 @@ fn reset_and_fresh_builds_produce_bit_identical_traces() {
 
     // Pollute with a different-seed run, then reset back: the trace —
     // records, provenance links, decimation stride — must replay
-    // bit-for-bit, exactly like the metric snapshot and the profile.
+    // bit-for-bit, exactly like the trunk record and the profile.
     s.reset(24680);
     s.run_for_secs(1.5);
     s.reset(97);
@@ -249,16 +286,16 @@ fn one_shard_traces_equal_the_unsharded_sim_and_never_perturb_results() {
         "one-shard trace is the single sim's trace"
     );
 
-    // Tracing must not perturb the simulated results: windows, merged
-    // metrics, and event totals match an untraced run byte-for-byte.
+    // Tracing must not perturb the simulated results: windows, the
+    // record's totals and event counts match an untraced run
+    // byte-for-byte.
     let plain = ShardedAggregate::new(builder)
         .expect("valid")
         .run_for_secs(secs)
         .expect("runs");
     assert!(plain.shards[0].trace.is_none());
     assert_eq!(run.windows, plain.windows);
-    assert_eq!(run.merged_metrics(), plain.merged_metrics());
-    assert_eq!(run.events(), plain.events());
+    assert_eq!(Record::of_run(&run), Record::of_run(&plain));
 }
 
 #[test]
@@ -278,25 +315,22 @@ fn truncated_runs_announce_themselves_in_manifest_and_event_log() {
     let run = bounded.run_for_secs_logged(2.0, 1, &mut log).expect("runs");
     assert!(run.interrupted());
 
-    // The manifest carries the explicit interrupted flag and cut point.
-    let manifest = bounded.manifest("metrics_determinism", &run);
-    assert!(manifest.interrupted);
-    let t = manifest.truncation.expect("truncation recorded");
-    assert_eq!(t.complete_windows, run.windows.len());
-    assert!(t.sim_nanos > 0, "trip point is a real sim time");
-    let json = manifest.to_json();
-    assert!(json.contains("\"interrupted\": true"));
-    assert!(json.contains("\"schema\": \"linkpad-run-manifest-v1\""));
-
-    // Both artifacts are well-formed JSON, per-shard profiles included,
-    // and the parsed manifest says what the typed one does.
-    let doc = Json::parse(&json).expect("manifest parses");
+    // The manifest carries the explicit interrupted flag and cut point,
+    // and both artifacts are well-formed JSON, per-shard profiles
+    // included.
+    let doc = Json::parse(&bounded.manifest("metrics_determinism", &run)).expect("parses");
+    assert_eq!(
+        doc.get("schema"),
+        Some(&Json::Str("linkpad-run-manifest-v2".into()))
+    );
     assert_eq!(doc.get("interrupted"), Some(&Json::Bool(true)));
-    let complete = doc
-        .get("truncation")
-        .and_then(|t| t.get("complete_windows"))
-        .and_then(Json::as_f64);
-    assert_eq!(complete, Some(run.windows.len() as f64));
+    let truncation = doc.get("truncation").expect("truncation recorded");
+    assert_eq!(
+        field(truncation, "complete_windows"),
+        run.windows.len() as f64
+    );
+    let sim_nanos = field(truncation, "sim_nanos");
+    assert!(sim_nanos > 0.0, "trip point is a real sim time");
     let Some(Json::Arr(shards)) = doc.get("shards") else {
         panic!("shards is an array")
     };
@@ -323,7 +357,7 @@ fn truncated_runs_announce_themselves_in_manifest_and_event_log() {
         .collect();
     assert_eq!(truncations.len(), 1);
     assert_eq!(truncations[0].0, run.windows.len());
-    assert_eq!(truncations[0].1, t.sim_nanos);
+    assert_eq!(truncations[0].1 as f64, sim_nanos);
 }
 
 #[test]
@@ -337,7 +371,7 @@ fn retried_shards_appear_in_the_event_log_and_logged_runs_match_unlogged() {
         .run_for_secs_logged(1.5, 2, &mut log)
         .expect("retry succeeds");
     assert_eq!(run.windows, baseline.windows, "logging changes nothing");
-    assert_eq!(run.merged_metrics(), baseline.merged_metrics());
+    assert_eq!(Record::of_run(&run), Record::of_run(&baseline));
     let kinds: Vec<&str> = log.iter().map(|(_, e)| e.kind()).collect();
     assert!(kinds.contains(&"shard_panicked"));
     assert!(kinds.contains(&"shard_retried"));
@@ -350,21 +384,71 @@ fn retried_shards_appear_in_the_event_log_and_logged_runs_match_unlogged() {
 fn complete_run_manifest_has_no_truncation_and_real_totals() {
     let sharded = ShardedAggregate::new(observer_builder(96, 8, 2)).expect("valid");
     let run = sharded.run_for_secs(1.5).expect("runs");
-    let manifest = sharded.manifest("metrics_determinism", &run);
-    assert!(!manifest.interrupted);
-    assert!(manifest.truncation.is_none());
-    assert_eq!(manifest.events, run.events());
-    assert_eq!(manifest.arrivals, run.arrivals());
-    assert_eq!(manifest.windows, run.windows.len());
-    assert_eq!(manifest.shards.len(), 2);
-    assert!(manifest.spec_digest.starts_with("fnv1a:"));
+    let text = sharded.manifest("metrics_determinism", &run);
+    let doc = Json::parse(&text).expect("parses");
     assert_eq!(
-        manifest.metrics.counter("trunk.arrivals"),
-        Some(run.arrivals())
+        doc.get("schema"),
+        Some(&Json::Str("linkpad-run-manifest-v2".into()))
     );
+    assert_eq!(doc.get("interrupted"), Some(&Json::Bool(false)));
+    assert_eq!(doc.get("truncation"), Some(&Json::Null));
+    assert_eq!(field(&doc, "seed"), 96.0);
+    assert_eq!(field(&doc, "events"), run.events() as f64);
+    assert_eq!(field(&doc, "arrivals"), run.arrivals() as f64);
+    assert_eq!(field(&doc, "windows"), run.windows.len() as f64);
+    assert_eq!(field(&doc, "peak_pending"), run.pending_peak() as f64);
+    let bytes: u64 = run.windows.iter().map(|w| w.bytes).sum();
+    assert_eq!(field(&doc, "window_bytes"), bytes as f64);
+    let counts = doc.get("window_counts").expect("count distribution");
+    let count_sum: u64 = run.windows.iter().map(|w| w.count).sum();
+    assert_eq!(field(counts, "sum"), count_sum as f64);
+    assert_eq!(field(counts, "count"), run.windows.len() as f64);
+    let Some(Json::Str(digest)) = doc.get("spec_digest") else {
+        panic!("spec_digest is a string")
+    };
+    assert!(digest.starts_with("fnv1a:"));
+
+    // One entry per shard, each the shard report's numbers.
+    let Some(Json::Arr(shards)) = doc.get("shards") else {
+        panic!("shards is an array")
+    };
+    assert_eq!(shards.len(), run.shards.len());
+    for (entry, report) in shards.iter().zip(&run.shards) {
+        assert_eq!(field(entry, "shard"), report.shard as f64);
+        assert_eq!(field(entry, "flow_start"), report.flow_range.0 as f64);
+        assert_eq!(field(entry, "flow_count"), report.flow_range.1 as f64);
+        assert_eq!(field(entry, "events"), report.events as f64);
+        assert_eq!(field(entry, "arrivals"), report.arrivals as f64);
+        assert_eq!(field(entry, "windows"), report.windows.len() as f64);
+        assert_eq!(field(entry, "pending_peak"), report.pending_peak as f64);
+        assert_eq!(entry.get("interrupted"), Some(&Json::Bool(false)));
+        assert_eq!(entry.get("profile").is_some(), report.profile.is_some());
+    }
+
     // Manifests are deterministic apart from wall time.
+    let without_wall = |text: &str| match Json::parse(text).expect("parses") {
+        Json::Obj(fields) => fields
+            .into_iter()
+            .filter(|(k, _)| k != "wall_secs")
+            .collect::<Vec<_>>(),
+        other => panic!("manifest is an object, got {other:?}"),
+    };
     let run2 = sharded.run_for_secs(1.5).expect("runs");
-    let mut m2 = sharded.manifest("metrics_determinism", &run2);
-    m2.wall_secs = manifest.wall_secs;
-    assert_eq!(m2, manifest);
+    assert_eq!(
+        without_wall(&sharded.manifest("metrics_determinism", &run2)),
+        without_wall(&text)
+    );
+}
+
+#[test]
+fn spec_digest_names_the_spec_not_the_seed() {
+    let digest = |seed: u64, flows: usize| {
+        let sharded = ShardedAggregate::new(observer_builder(seed, flows, 2)).expect("valid");
+        let run = sharded.run_for_secs(0.3).expect("runs");
+        let doc = Json::parse(&sharded.manifest("metrics_determinism", &run)).expect("parses");
+        assert_eq!(field(&doc, "seed"), seed as f64);
+        doc.get("spec_digest").cloned().expect("digest recorded")
+    };
+    assert_eq!(digest(1, 8), digest(2, 8), "one spec, two seeds");
+    assert_ne!(digest(1, 8), digest(1, 9), "8 vs 9 flows");
 }
