@@ -47,7 +47,9 @@ pub const RUN_PATH_FILES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",
     "crates/sim/src/hooks.rs",
+    "crates/sim/src/observer.rs",
     "crates/sim/src/router.rs",
+    "crates/sim/src/tap.rs",
     "crates/workloads/src/shard.rs",
     "crates/workloads/src/scenario.rs",
 ];

@@ -30,8 +30,14 @@
 //! [`Sim::run_until_attributed`]: crate::engine::Sim::run_until_attributed
 
 use crate::hooks::{Dispatch, LoopHooks};
+use linkpad_stats::rng::Xoshiro256StarStar;
+use rand_core::RngCore;
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// Seed of every sampler's stride generator. Fixed, so one dispatch
+/// sequence is always sampled at the same dispatches.
+const STRIDE_SEED: u64 = 0xA77B_5A3F_1E7D_2C4B;
 
 /// Per-label phase accumulator.
 #[derive(Debug, Clone, Copy, Default)]
@@ -57,19 +63,28 @@ fn type_key(label: &str) -> &str {
     }
 }
 
-/// Samples every N-th dispatch and attributes its wall time to
+/// Samples one dispatch in N on average and attributes its wall time to
 /// store / context / dispatch phases, keyed by the target node's type
 /// (its label minus any numeric instance suffix — see [`type_key`]).
 ///
 /// Sampling keeps the measurement from perturbing what it measures:
 /// un-sampled events pay one counter increment and one branch per lap
-/// call, no `Instant::now`.
+/// call, no `Instant::now`. The gap between samples is drawn uniformly
+/// from `[1, 2N − 1]` by a generator the sampler owns: a fixed stride
+/// locks onto any dispatch cycle whose period divides it (a two-step
+/// source → router cycle under a stride of 64 would charge every sample
+/// to one of the two), while a jittered one samples each dispatch with
+/// probability `1/N`, so `samples × N` estimates each row without bias.
 #[derive(Debug)]
 pub struct AttributionSampler {
-    /// Sample every `every`-th dispatch (>= 1).
+    /// Mean stride between sampled dispatches (>= 1).
     every: u64,
     /// Dispatches seen (sampled or not).
     seen: u64,
+    /// Index (in `seen` order) of the next dispatch to sample.
+    next_sample: u64,
+    /// Draws the gaps between samples.
+    stride: Xoshiro256StarStar,
     /// Is the current dispatch being sampled?
     sampling: bool,
     /// Timestamp of the last phase boundary within the sampled dispatch.
@@ -81,12 +96,14 @@ pub struct AttributionSampler {
 }
 
 impl AttributionSampler {
-    /// A sampler measuring every `every`-th dispatch (`0` is treated
-    /// as `1` — measure everything).
+    /// A sampler measuring one dispatch in `every` on average, starting
+    /// with the first (`0` is treated as `1` — measure everything).
     pub fn new(every: u64) -> Self {
         Self {
             every: every.max(1),
             seen: 0,
+            next_sample: 0,
+            stride: Xoshiro256StarStar::from_u64(STRIDE_SEED),
             sampling: false,
             mark: Instant::now(),
             pending_store_ns: 0,
@@ -97,11 +114,19 @@ impl AttributionSampler {
 
     /// Start of one dispatch iteration (called before the pop).
     fn begin(&mut self) {
-        self.sampling = self.seen.is_multiple_of(self.every);
+        self.sampling = self.seen == self.next_sample;
         self.seen += 1;
         if self.sampling {
+            self.next_sample += self.gap();
             self.mark = Instant::now();
         }
+    }
+
+    /// The next gap between samples: uniform on `[1, 2·every − 1]`, mean
+    /// `every` (always 1 when `every` is 1).
+    fn gap(&mut self) -> u64 {
+        let span = self.every.saturating_mul(2) - 1;
+        1 + ((u128::from(self.stride.next_u64()) * u128::from(span)) >> 64) as u64
     }
 
     /// Phase boundary: pop + same-instant batch collection finished.
@@ -218,7 +243,9 @@ impl AttributionRow {
 pub struct AttributionReport {
     /// Per-node-type phase totals, sorted by type key.
     pub rows: Vec<AttributionRow>,
-    /// The sampler measured every `sample_every`-th dispatch.
+    /// The sampler's mean stride: it measured one dispatch in
+    /// `sample_every`, so `samples × sample_every` estimates a row's
+    /// dispatches.
     pub sample_every: u64,
     /// Total dispatches the sampler saw (sampled or not).
     pub dispatches_seen: u64,
@@ -260,40 +287,83 @@ impl AttributionReport {
 mod tests {
     use super::*;
 
+    /// One dispatch to a node labelled `label`, through every lap.
+    fn dispatch(s: &mut AttributionSampler, label: &str) {
+        s.begin();
+        s.lap_store();
+        s.lap_context();
+        s.lap_node(label);
+    }
+
     #[test]
-    fn samples_every_nth_and_attributes_by_label() {
+    fn samples_at_the_mean_stride_and_attributes_by_label() {
         let mut s = AttributionSampler::new(2);
-        for i in 0..10u64 {
-            s.begin();
-            s.lap_store();
-            s.lap_context();
-            s.lap_node(if i.is_multiple_of(2) { "even" } else { "odd" });
+        for i in 0..10_000u64 {
+            dispatch(&mut s, if i.is_multiple_of(2) { "even" } else { "odd" });
         }
         let report = s.report();
-        assert_eq!(report.dispatches_seen, 10);
+        assert_eq!(report.dispatches_seen, 10_000);
         assert_eq!(report.sample_every, 2);
-        // Dispatches 0,2,4,6,8 are sampled — all land on "even".
-        assert_eq!(report.samples(), 5);
-        assert_eq!(report.rows.len(), 1);
-        assert_eq!(report.rows[0].label, "even");
-        assert_eq!(report.rows[0].samples, 5);
+        // One dispatch in two on average, split between both labels.
+        let samples = report.samples();
+        assert!((4_750..=5_250).contains(&samples), "{samples} samples");
+        let labels: Vec<&str> = report.rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["even", "odd"]);
+        for row in &report.rows {
+            assert!(
+                row.samples > samples * 2 / 5,
+                "{}: {}",
+                row.label,
+                row.samples
+            );
+        }
     }
 
     #[test]
     fn unsampled_dispatches_record_nothing() {
         let mut s = AttributionSampler::new(1_000_000);
-        s.begin(); // sampled (index 0)
-        s.lap_store();
-        s.lap_context();
-        s.lap_node("a");
-        s.begin(); // not sampled
-        s.lap_store();
-        s.lap_context();
-        s.lap_node("b");
+        // The first dispatch is sampled; the next gap averages 10⁶.
+        dispatch(&mut s, "a");
+        dispatch(&mut s, "b");
         let report = s.report();
         assert_eq!(report.samples(), 1);
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].label, "a");
+    }
+
+    #[test]
+    fn a_periodic_dispatch_cycle_is_sampled_evenly() {
+        // A strict four-type cycle: a fixed stride of 64 would charge
+        // every sample to one type.
+        let types = ["a", "b", "c", "d"];
+        let mut s = AttributionSampler::new(64);
+        for i in 0..256_000 {
+            dispatch(&mut s, types[i % 4]);
+        }
+        let report = s.report();
+        let total = report.samples() as f64;
+        assert!((total / 4_000.0 - 1.0).abs() < 0.05, "{total} samples");
+        assert_eq!(report.rows.len(), 4);
+        for row in &report.rows {
+            let share = row.samples as f64 / total;
+            assert!((share - 0.25).abs() < 0.03, "{}: {share}", row.label);
+        }
+    }
+
+    #[test]
+    fn one_dispatch_sequence_samples_the_same_dispatches() {
+        // One label per dispatch, so the rows name the sampled indices.
+        let sampled = || {
+            let mut s = AttributionSampler::new(64);
+            for i in 0..10_000 {
+                dispatch(&mut s, &format!("d{i}"));
+            }
+            let rows = s.report().rows;
+            rows.into_iter().map(|r| r.label).collect::<Vec<_>>()
+        };
+        let first = sampled();
+        assert!(first.len() > 100, "{} samples", first.len());
+        assert_eq!(first, sampled());
     }
 
     #[test]
@@ -307,10 +377,7 @@ mod tests {
             "trunk-demux",
             "tap@gw1",
         ] {
-            s.begin();
-            s.lap_store();
-            s.lap_context();
-            s.lap_node(label);
+            dispatch(&mut s, label);
         }
         let report = s.report();
         let labels: Vec<&str> = report.rows.iter().map(|r| r.label.as_str()).collect();
@@ -325,10 +392,7 @@ mod tests {
         let report = |labels: &[&str]| {
             let mut s = AttributionSampler::new(1);
             for label in labels {
-                s.begin();
-                s.lap_store();
-                s.lap_context();
-                s.lap_node(label);
+                dispatch(&mut s, label);
             }
             s.report()
         };
@@ -348,10 +412,7 @@ mod tests {
     fn zero_every_degrades_to_sample_everything() {
         let mut s = AttributionSampler::new(0);
         for _ in 0..3 {
-            s.begin();
-            s.lap_store();
-            s.lap_context();
-            s.lap_node("n");
+            dispatch(&mut s, "n");
         }
         assert_eq!(s.report().samples(), 3);
     }

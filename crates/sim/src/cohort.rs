@@ -72,8 +72,8 @@ use std::rc::Rc;
 
 /// Conventional wire flow id for cohort-generated traffic. Cohort
 /// members are indistinguishable on the wire (constant size, encrypted),
-/// so they share one id; scenario demuxes absorb it instead of fanning
-/// out per-flow branches.
+/// so they share one id; aggregate scenarios end it at the trunk
+/// instrument that records it instead of fanning out per-flow branches.
 pub const COHORT_FLOW: FlowId = FlowId(u32::MAX);
 
 const TICK: u64 = 0;

@@ -1134,7 +1134,10 @@ mod tests {
             400 + 1,
             "400 dispatches + final probe"
         );
-        assert!(report.samples() >= 100, "every 4th of 400 dispatches");
+        // One in four on average: 100 expected, about 5 standard
+        // deviations of slack either way.
+        let samples = report.samples();
+        assert!((75..=125).contains(&samples), "{samples} samples");
         // Both node labels appear (default label for both test nodes).
         assert!(!report.rows.is_empty());
         assert_eq!(

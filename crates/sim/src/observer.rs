@@ -22,14 +22,16 @@
 //!
 //! **Information barrier:** the observer sees exactly what a passive
 //! wire tap sees — arrival timestamps and on-the-wire sizes. It never
-//! reads packet kinds or flow ids (packets are "perfectly encrypted" in
+//! records packet kinds or flow ids (packets are "perfectly encrypted" in
 //! the threat model), so everything the [`ObserverHandle`] exposes is
-//! legitimately available to the adversary.
+//! legitimately available to the adversary. The one flow id it reads is
+//! its exit flow ([`WindowedObserver::with_exit_flow`]), and only after
+//! recording, to decide whether the packet goes on.
 
 use crate::engine::Context;
 use crate::fault::OutageSchedule;
 use crate::node::{Node, NodeId};
-use crate::packet::Packet;
+use crate::packet::{FlowId, Packet};
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::moments::RunningMoments;
 use std::cell::RefCell;
@@ -150,25 +152,27 @@ impl ObserverState {
 
     #[inline]
     fn record(&mut self, now: SimTime, size_bytes: u32, window_nanos: u64) {
-        if self.gaps.is_some() {
-            self.record_gapped(now, size_bytes, window_nanos);
+        if let Some(gaps) = self.gaps {
+            self.record_gapped(gaps, now, size_bytes, window_nanos);
         } else {
             self.record_watched(now, size_bytes, window_nanos);
         }
     }
 
-    /// The gapped fold: drop arrivals the observer is blind to, then
-    /// delegate to the watched fold. Outlined so the gap-free
-    /// per-arrival path ([`ObserverState::record_watched`]) keeps the
-    /// exact pre-fault-injection body.
+    /// The gapped fold: drop arrivals the observer is blind to under
+    /// `gaps`, then delegate to the watched fold. Outlined so the
+    /// gap-free per-arrival path ([`ObserverState::record_watched`])
+    /// keeps the exact pre-fault-injection body.
     #[cold]
     #[inline(never)]
-    fn record_gapped(&mut self, now: SimTime, size_bytes: u32, window_nanos: u64) {
-        if self
-            .gaps
-            .expect("gapped fold requires a schedule")
-            .is_down(now)
-        {
+    fn record_gapped(
+        &mut self,
+        gaps: OutageSchedule,
+        now: SimTime,
+        size_bytes: u32,
+        window_nanos: u64,
+    ) {
+        if gaps.is_down(now) {
             // Blind: the arrival is never seen. The PIAT chain
             // restarts after the gap — an inter-arrival spanning
             // unobserved arrivals would be a fabricated sample.
@@ -304,13 +308,16 @@ impl ObserverHandle {
 
 /// The observer node: records window statistics for **every** packet
 /// crossing it (an aggregate link has no flow filter) and forwards the
-/// packet unchanged with zero delay, like a passive splitter.
+/// packet unchanged with zero delay, like a passive splitter — except
+/// packets of its exit flow, which end here once recorded.
 #[derive(Debug)]
 pub struct WindowedObserver {
     state: Rc<RefCell<ObserverState>>,
     window_nanos: u64,
     /// Downstream node (`None` = capture-only endpoint).
     next: Option<NodeId>,
+    /// Packets of this flow are recorded but not forwarded.
+    exit: Option<FlowId>,
     label: String,
 }
 
@@ -341,6 +348,7 @@ impl WindowedObserver {
                 state,
                 window_nanos: window.as_nanos(),
                 next,
+                exit: None,
                 label: "observer".to_string(),
             },
         )
@@ -363,6 +371,14 @@ impl WindowedObserver {
         self.state.borrow_mut().gaps = Some(gaps);
         self
     }
+
+    /// Builder-style exit flow: packets of `flow` are recorded like any
+    /// other (or missed, inside a gap) and then end here instead of
+    /// reaching `next` — for traffic no node downstream reads.
+    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
+        self.exit = Some(flow);
+        self
+    }
 }
 
 impl Node for WindowedObserver {
@@ -370,8 +386,9 @@ impl Node for WindowedObserver {
         self.state
             .borrow_mut()
             .record(ctx.now(), packet.size_bytes, self.window_nanos);
-        if let Some(next) = self.next {
-            ctx.send_now(next, packet);
+        match self.next {
+            Some(next) if self.exit != Some(packet.flow) => ctx.send_now(next, packet),
+            _ => {}
         }
     }
 
@@ -386,7 +403,9 @@ impl Node for WindowedObserver {
         }
         if let Some(next) = self.next {
             for packet in packets.drain(..) {
-                ctx.send_now(next, packet);
+                if self.exit != Some(packet.flow) {
+                    ctx.send_now(next, packet);
+                }
             }
         } else {
             packets.clear();

@@ -14,10 +14,15 @@
 //! advances `busy_until` by the packet's transmit time and sends the
 //! packet on to arrive at `busy_until + propagation`. Packets waiting for
 //! the wire sit in the event store, not in a node-local queue.
+//!
+//! A router may also end one *exit flow* at its egress
+//! ([`Router::with_exit_flow`]): such a packet occupies the wire like any
+//! other and is then dropped instead of sent on. The lab ends cross
+//! traffic this way, since nothing downstream of its hop reads it.
 
 use crate::engine::Context;
 use crate::node::{Node, NodeId};
-use crate::packet::Packet;
+use crate::packet::{FlowId, Packet};
 use crate::time::{SimDuration, SimTime};
 
 /// A store-and-forward router with one egress.
@@ -28,6 +33,8 @@ pub struct Router {
     propagation: SimDuration,
     /// When the egress finishes the last packet accepted so far.
     busy_until: SimTime,
+    /// Packets of this flow end at the egress instead of reaching `next`.
+    exit: Option<FlowId>,
     label: String,
 }
 
@@ -47,8 +54,17 @@ impl Router {
             bits_per_sec,
             propagation,
             busy_until: SimTime::ZERO,
+            exit: None,
             label: "router".to_string(),
         }
+    }
+
+    /// Builder-style exit flow: packets of `flow` still occupy the
+    /// egress for their transmit time, and are then dropped instead of
+    /// sent to the next hop.
+    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
+        self.exit = Some(flow);
+        self
     }
 
     /// Builder-style label.
@@ -63,6 +79,9 @@ impl Node for Router {
         let now = ctx.now();
         let tx = SimDuration::from_secs_f64(packet.tx_time_secs(self.bits_per_sec));
         self.busy_until = self.busy_until.max(now) + tx;
+        if self.exit == Some(packet.flow) {
+            return;
+        }
         ctx.send_after(
             (self.busy_until + self.propagation) - now,
             self.next,
@@ -90,10 +109,11 @@ mod tests {
     use std::collections::VecDeque;
     use std::rc::Rc;
 
-    /// Sends one padded packet of `size` bytes into `dst` at each listed
-    /// instant.
+    /// Sends one packet of `flow` and `size` bytes into `dst` at each
+    /// listed instant.
     struct Sender {
         dst: NodeId,
+        flow: FlowId,
         size: u32,
         at_ns: Vec<u64>,
     }
@@ -101,7 +121,7 @@ mod tests {
         fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
         fn on_start(&mut self, ctx: &mut Context<'_>) {
             for &t in &self.at_ns {
-                let pkt = ctx.spawn_packet(FlowId::PADDED, PacketKind::Payload, self.size);
+                let pkt = ctx.spawn_packet(self.flow, PacketKind::Payload, self.size);
                 ctx.send_after(SimDuration::from_nanos(t), self.dst, pkt);
             }
         }
@@ -129,6 +149,7 @@ mod tests {
         let r = b.add_node(Box::new(router));
         b.add_node(Box::new(Sender {
             dst: r,
+            flow: FlowId::PADDED,
             size: 500,
             at_ns: vec![0; 3],
         }));
@@ -148,6 +169,7 @@ mod tests {
         let r = b.add_node(Box::new(Router::new(sink_id, 100e6, prop)));
         b.add_node(Box::new(Sender {
             dst: r,
+            flow: FlowId::PADDED,
             size: 1000,
             at_ns: vec![0; 2],
         }));
@@ -165,6 +187,7 @@ mod tests {
         let r = b.add_node(Box::new(Router::new(sink_id, 1e9, SimDuration::ZERO)));
         b.add_node(Box::new(Sender {
             dst: r,
+            flow: FlowId::PADDED,
             size: 125,
             at_ns: vec![1_000_000, 2_000_000],
         }));
@@ -182,6 +205,7 @@ mod tests {
         let r = b.add_node(Box::new(Router::new(sink_id, 100e6, SimDuration::ZERO)));
         b.add_node(Box::new(Sender {
             dst: r,
+            flow: FlowId::PADDED,
             size: 500,
             at_ns: vec![0; 3],
         }));
@@ -191,6 +215,31 @@ mod tests {
         sim.reset(MasterSeed::new(4));
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(arrival_ns(&handle), vec![40_000, 80_000, 120_000]);
+    }
+
+    #[test]
+    fn exit_flow_holds_the_wire_then_ends() {
+        let mut b = SimBuilder::new(MasterSeed::new(5));
+        let (handle, sink) = Sink::new();
+        let sink_id = b.add_node(Box::new(sink));
+        let router = Router::new(sink_id, 100e6, SimDuration::ZERO).with_exit_flow(FlowId::CROSS);
+        let r = b.add_node(Box::new(router));
+        for flow in [FlowId::CROSS, FlowId::PADDED] {
+            b.add_node(Box::new(Sender {
+                dst: r,
+                flow,
+                size: 500,
+                at_ns: vec![0],
+            }));
+        }
+        let mut sim = b.build().unwrap();
+        sim.run_until(SimTime::from_secs_f64(1.0));
+        // The padded packet waits out the cross packet's 40 µs on the
+        // wire, and only it reaches the sink.
+        assert_eq!(arrival_ns(&handle), vec![80_000]);
+        assert_eq!(handle.arrival_times_for_flow(FlowId::CROSS), vec![]);
+        // Two sends into the router, one delivery out of it.
+        assert_eq!(sim.events_processed(), 3);
     }
 
     #[test]

@@ -101,13 +101,6 @@ impl Sink {
 
 impl Node for Sink {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        // Every handle is gone, so nothing can ever read the log: skip it
-        // rather than grow it by one entry per packet. The lab's
-        // cross-traffic sink is built this way, and its log would
-        // otherwise hold every cross packet of the run.
-        if Rc::strong_count(&self.state) == 1 {
-            return;
-        }
         let mut st = self.state.borrow_mut();
         st.bytes += packet.size_bytes as u64;
         st.latency
@@ -166,31 +159,5 @@ mod tests {
         // First packet enqueued at 0, arrives at 2ms.
         assert!((lat.min() - 2e-3).abs() < 1e-12);
         assert!((lat.max() - 5e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn a_sink_without_handles_keeps_no_log() {
-        let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (held, sink) = Sink::new();
-        let held_id = b.add_node(Box::new(sink));
-        let (dropped, orphan) = Sink::new();
-        let extra = dropped.clone();
-        // A weak reference does not count as a handle.
-        let orphan_state = Rc::downgrade(&orphan.state);
-        let orphan_id = b.add_node(Box::new(orphan));
-        b.add_node(Box::new(Pusher { dst: held_id }));
-        b.add_node(Box::new(Pusher { dst: orphan_id }));
-        drop((dropped, extra));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-
-        assert_eq!(held.count(), 2);
-        assert_eq!(held.bytes(), 1000);
-        assert_eq!(held.latency_moments().count(), 2);
-        let orphan_state = orphan_state.upgrade().expect("the sim owns the sink");
-        let st = orphan_state.borrow();
-        assert!(st.arrivals.is_empty());
-        assert_eq!(st.bytes, 0);
-        assert_eq!(st.latency.count(), 0);
     }
 }

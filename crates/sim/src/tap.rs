@@ -140,6 +140,8 @@ pub struct Tap {
     filter: Option<FlowId>,
     /// Downstream node (`None` = capture-only endpoint).
     next: Option<NodeId>,
+    /// Packets of this flow end here instead of reaching `next`.
+    exit: Option<FlowId>,
     label: String,
 }
 
@@ -156,6 +158,7 @@ impl Tap {
                 state,
                 filter,
                 next,
+                exit: None,
                 label: "tap".to_string(),
             },
         )
@@ -181,6 +184,14 @@ impl Tap {
         self.state.borrow_mut().timestamps.reserve(captures);
         self
     }
+
+    /// Builder-style exit flow: packets of `flow` are recorded as the
+    /// filter says and then end here instead of reaching `next` — for
+    /// traffic no node downstream reads.
+    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
+        self.exit = Some(flow);
+        self
+    }
 }
 
 impl Node for Tap {
@@ -194,8 +205,9 @@ impl Node for Tap {
                 PacketKind::Cross => st.cross += 1,
             }
         }
-        if let Some(next) = self.next {
-            ctx.send_now(next, packet);
+        match self.next {
+            Some(next) if self.exit != Some(packet.flow) => ctx.send_now(next, packet),
+            _ => {}
         }
     }
 
@@ -216,7 +228,9 @@ impl Node for Tap {
         }
         if let Some(next) = self.next {
             for packet in packets.drain(..) {
-                ctx.send_now(next, packet);
+                if self.exit != Some(packet.flow) {
+                    ctx.send_now(next, packet);
+                }
             }
         } else {
             packets.clear();

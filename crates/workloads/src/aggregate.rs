@@ -18,7 +18,8 @@
 //! (no flow filter) records the aggregate arrival process — the
 //! adversary's view of the shared link — and a [`TrunkDemux`] fans the
 //! flows back out so the adversary pipeline (and QoS accounting) can
-//! also observe any single flow post-trunk. Flow 0 is the fully
+//! also observe any single flow post-trunk (cohort traffic, which has no
+//! receiver, ends at the trunk instrument instead). Flow 0 is the fully
 //! instrumented *target* flow: it keeps the lab scenario's sender-egress
 //! and receiver-ingress taps, so [`TapPosition`](crate::scenario::TapPosition)
 //! semantics carry over unchanged.
@@ -141,8 +142,8 @@ pub struct AggregateSpec {
     /// cohort support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
-    /// [`COHORT_FLOW`] and is absorbed at the trunk demux; QoS
-    /// instrumentation exists only for the target flow.
+    /// [`COHORT_FLOW`] and ends at the trunk instrument once recorded;
+    /// QoS instrumentation exists only for the target flow.
     pub cohort_size: Option<usize>,
     /// Padding-clock phase layout across the flow population.
     pub phases: PhaseSpec,
@@ -183,42 +184,31 @@ impl AggregateSpec {
 
 /// Per-flow fan-out after the trunk: routes `FlowId(i)` to `nexts[i]`.
 ///
-/// The generalization of [`crate::demux::FlowDemux`] from two-way
-/// (padded/other) to N-way; aggregate scenarios use it to peel every
-/// padded flow off the shared trunk toward its own receiver gateway.
+/// The generalization of [`crate::demux::FlowDemux`] from one padded
+/// flow to N; aggregate scenarios use it to peel every padded flow off
+/// the shared trunk toward its own receiver gateway.
 ///
-/// Every flow on the trunk **must** have a branch: an unknown `FlowId`
-/// is a topology wiring bug (a source feeding the trunk that the
-/// builder never gave a receiver), and silently dropping its packets
+/// Every flow that reaches the demux **must** have a branch: an unknown
+/// `FlowId` is a topology wiring bug (a source feeding the trunk that
+/// the builder never gave a receiver), and silently dropping its packets
 /// would skew QoS and overhead accounting without a trace. The demux
 /// therefore panics on unknown flows, in the same fail-loudly-at-the-
-/// source spirit as `SimBuilder::install`.
+/// source spirit as `SimBuilder::install`. Cohort traffic
+/// ([`COHORT_FLOW`]) has no receiver: it ends at the trunk instrument
+/// that records it, and reaching the demux is the same wiring bug.
 ///
-/// Two extensions serve the cohort/shard family: a **base** offset so a
-/// shard carrying global flows `[base, base+n)` indexes its branch table
-/// locally, and an **absorb** flow id terminated in place — cohort
-/// traffic has been observed by the trunk instrument and has no
-/// receiver, and absorbing it here (counted) saves one event per packet
-/// at million-flow scale.
+/// A **base** offset lets a shard carrying global flows `[base, base+n)`
+/// index its branch table locally.
 #[derive(Debug)]
 pub struct TrunkDemux {
     nexts: Vec<NodeId>,
     base: usize,
-    absorb: Option<FlowId>,
-    forwarded: u64,
-    absorbed: u64,
 }
 
 impl TrunkDemux {
     /// A demux routing flow `i` to `nexts[i]`.
     pub fn new(nexts: Vec<NodeId>) -> Self {
-        Self {
-            nexts,
-            base: 0,
-            absorb: None,
-            forwarded: 0,
-            absorbed: 0,
-        }
+        Self { nexts, base: 0 }
     }
 
     /// Route global flow `base + i` to `nexts[i]` (shard plumbing).
@@ -226,33 +216,13 @@ impl TrunkDemux {
         self.base = base;
         self
     }
+}
 
-    /// Terminate packets of this flow id in place (counted), instead of
-    /// requiring a branch — the cohort-traffic sink.
-    pub fn with_absorb(mut self, flow: FlowId) -> Self {
-        self.absorb = Some(flow);
-        self
-    }
-
-    /// Packets forwarded to a per-flow branch.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Packets terminated by the absorb rule.
-    pub fn absorbed(&self) -> u64 {
-        self.absorbed
-    }
-
-    /// The branch for a packet, or `None` for absorbed traffic.
-    #[inline]
-    fn branch(&self, packet: &Packet) -> Option<NodeId> {
-        if self.absorb == Some(packet.flow) {
-            return None;
-        }
+impl Node for TrunkDemux {
+    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         let local = (packet.flow.0 as usize).checked_sub(self.base);
         match local.and_then(|i| self.nexts.get(i)) {
-            Some(&next) => Some(next),
+            Some(&next) => ctx.send_now(next, packet),
             None => panic!(
                 "trunk demux: no branch for flow {} ({} branches wired at base {}) — \
                  every flow on the trunk must have a receiver",
@@ -262,37 +232,9 @@ impl TrunkDemux {
             ),
         }
     }
-}
 
-impl Node for TrunkDemux {
-    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        match self.branch(&packet) {
-            Some(next) => {
-                self.forwarded += 1;
-                ctx.send_now(next, packet);
-            }
-            None => self.absorbed += 1,
-        }
-    }
-
-    fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
-        // Burst path: at cohort scale a whole period's emissions arrive
-        // as one same-instant batch, and almost all of it absorbs.
-        for packet in packets.drain(..) {
-            match self.branch(&packet) {
-                Some(next) => {
-                    self.forwarded += 1;
-                    ctx.send_now(next, packet);
-                }
-                None => self.absorbed += 1,
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.forwarded = 0;
-        self.absorbed = 0;
-    }
+    /// Stateless: the branch table is wiring.
+    fn reset(&mut self) {}
 
     fn label(&self) -> &str {
         "trunk-demux"
@@ -395,7 +337,7 @@ pub(crate) fn build_aggregate(
     };
 
     // Receiver side, non-target flows: a terminating gateway each in the
-    // per-flow mode; absorbed at the demux in cohort mode.
+    // per-flow mode; in cohort mode they end at the trunk instrument.
     let mut receivers = Vec::new();
     if has_target {
         receivers.push(receiver.clone());
@@ -416,12 +358,10 @@ pub(crate) fn build_aggregate(
     // model in `Tap`'s docs — with the pre-size capped at 10⁶ captures
     // so cohort-scale populations don't pre-commit gigabytes) or, for
     // long/huge runs, the streaming windowed observer in O(windows)
-    // memory.
-    let mut demux = TrunkDemux::new(demux_nexts).with_base(start);
-    if spec.cohort_size.is_some() {
-        demux = demux.with_absorb(COHORT_FLOW);
-    }
-    let demux_id = b.add_node(Box::new(demux));
+    // memory. Cohort traffic has no receiver, so in cohort mode it ends
+    // at the instrument once recorded.
+    let demux_id = b.add_node(Box::new(TrunkDemux::new(demux_nexts).with_base(start)));
+    let cohort_exit = spec.cohort_size.map(|_| COHORT_FLOW);
     let (trunk_tap, trunk_observer, instrument_id) = match spec.observer_window {
         Some(window) => {
             let (obs, mut node) =
@@ -431,11 +371,17 @@ pub(crate) fn build_aggregate(
             if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
                 node = node.with_gaps(gaps);
             }
+            if let Some(flow) = cohort_exit {
+                node = node.with_exit_flow(flow);
+            }
             let id = b.add_node(Box::new(node.with_label("observer@trunk")));
             (None, Some(obs), id)
         }
         None => {
-            let (tap, node) = Tap::new(None, Some(demux_id));
+            let (tap, mut node) = Tap::new(None, Some(demux_id));
+            if let Some(flow) = cohort_exit {
+                node = node.with_exit_flow(flow);
+            }
             let id = b.add_node(Box::new(
                 node.with_capacity((count * 64).min(1_000_000))
                     .with_label("tap@trunk"),

@@ -1,61 +1,38 @@
 //! Flow demultiplexer: after a shared egress link, padded traffic
-//! continues toward GW2 while cross traffic peels off toward its own
-//! subnet (Fig. 3: the ESR-5000's outgoing link fans out to Subnet B's
-//! gateway and to Subnet D's cross-traffic receiver).
+//! continues toward GW2 (Fig. 3: the ESR-5000's outgoing link fans out
+//! to Subnet B's gateway and to Subnet D's cross-traffic receiver). Cross
+//! traffic never reaches it — each hop's router ends that flow at its
+//! egress ([`Router::with_exit_flow`]) — so the demux forwards the padded
+//! flow and drops anything else.
+//!
+//! [`Router::with_exit_flow`]: linkpad_sim::router::Router::with_exit_flow
 
 use linkpad_sim::engine::Context;
 use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::packet::Packet;
 
-/// Routes packets by flow: padded flow → `padded_next`, everything else
-/// → `other_next` (dropped when `None`).
+/// Forwards the padded flow to `padded_next` and drops everything else.
 #[derive(Debug)]
 pub struct FlowDemux {
     padded_next: NodeId,
-    other_next: Option<NodeId>,
-    padded_count: u64,
-    other_count: u64,
 }
 
 impl FlowDemux {
-    /// Create a demux.
-    pub fn new(padded_next: NodeId, other_next: Option<NodeId>) -> Self {
-        Self {
-            padded_next,
-            other_next,
-            padded_count: 0,
-            other_count: 0,
-        }
-    }
-
-    /// Packets forwarded along the padded path.
-    pub fn padded_count(&self) -> u64 {
-        self.padded_count
-    }
-
-    /// Packets routed off-path (or dropped).
-    pub fn other_count(&self) -> u64 {
-        self.other_count
+    /// A demux forwarding the padded flow to `padded_next`.
+    pub fn new(padded_next: NodeId) -> Self {
+        Self { padded_next }
     }
 }
 
 impl Node for FlowDemux {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         if packet.is_padded_flow() {
-            self.padded_count += 1;
             ctx.send_now(self.padded_next, packet);
-        } else {
-            self.other_count += 1;
-            if let Some(next) = self.other_next {
-                ctx.send_now(next, packet);
-            }
         }
     }
 
-    fn reset(&mut self) {
-        self.padded_count = 0;
-        self.other_count = 0;
-    }
+    /// Stateless: the next hop is wiring.
+    fn reset(&mut self) {}
 
     fn label(&self) -> &str {
         "demux"
@@ -74,13 +51,11 @@ mod tests {
     use linkpad_stats::rng::MasterSeed;
 
     #[test]
-    fn demux_splits_flows() {
+    fn demux_forwards_the_padded_flow_and_drops_the_rest() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
         let (padded_handle, padded_sink) = Sink::new();
         let padded_id = b.add_node(Box::new(padded_sink));
-        let (cross_handle, cross_sink) = Sink::new();
-        let cross_id = b.add_node(Box::new(cross_sink));
-        let demux = b.add_node(Box::new(FlowDemux::new(padded_id, Some(cross_id))));
+        let demux = b.add_node(Box::new(FlowDemux::new(padded_id)));
         for (flow, kind, period) in [
             (FlowId::PADDED, PacketKind::Dummy, 0.010),
             (FlowId::CROSS, PacketKind::Cross, 0.004),
@@ -96,26 +71,9 @@ mod tests {
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(padded_handle.count(), 100);
-        assert_eq!(cross_handle.count(), 250);
         assert_eq!(padded_handle.count_kind(PacketKind::Cross), 0);
-        assert_eq!(cross_handle.count_kind(PacketKind::Dummy), 0);
-    }
-
-    #[test]
-    fn cross_traffic_can_be_dropped() {
-        let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (padded_handle, padded_sink) = Sink::new();
-        let padded_id = b.add_node(Box::new(padded_sink));
-        let demux = b.add_node(Box::new(FlowDemux::new(padded_id, None)));
-        b.add_node(Box::new(DistSource::new(
-            demux,
-            FlowId::CROSS,
-            PacketKind::Cross,
-            Box::new(Deterministic::new(0.01).unwrap()),
-            Box::new(Deterministic::new(100.0).unwrap()),
-        )));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        assert_eq!(padded_handle.count(), 0); // nothing leaked across
+        // A padded packet costs its source timer, the demux and the sink;
+        // a cross packet ends at the demux, sent nowhere.
+        assert_eq!(sim.events_processed(), 3 * 100 + 2 * 250);
     }
 }

@@ -9,8 +9,9 @@
 //! * [`cross`] — cross-traffic models: packet-size mixes, the
 //!   utilization→rate helper, and diurnal (hour-of-day) utilization
 //!   profiles for the campus and WAN experiments of Fig. 8.
-//! * [`demux`] — a flow demultiplexer so cross traffic leaves the padded
-//!   path at each hop's egress, as in the paper's Fig. 3 topology.
+//! * [`demux`] — the flow demultiplexer that carries the padded flow on
+//!   from each hop's egress, as in the paper's Fig. 3 topology (cross
+//!   traffic ends at the router's egress).
 //! * [`switching`] — a payload source that switches between the low and
 //!   high rate over time (the hidden state the adversary estimates).
 //! * [`scenario`] — the experiment topologies as builders:
@@ -23,7 +24,8 @@
 //!   gateway pairs feeding a shared trunk link, a trunk tap recording
 //!   the aggregate, and an N-way flow demux behind it. Cohort mode
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
-//!   swaps the non-target pairs for `FlowCohort` superposition nodes;
+//!   swaps the non-target pairs for `FlowCohort` superposition nodes,
+//!   whose traffic ends at the trunk instrument once recorded;
 //!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk

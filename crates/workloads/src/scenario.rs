@@ -504,18 +504,20 @@ impl ScenarioBuilder {
                 next_for_padded = b.add_node(Box::new(bg.with_label(format!("bg-hop-{i}"))));
                 continue;
             }
-            let (_cross_sink_handle, cross_sink) = Sink::new();
-            let cross_sink_id = b.add_node(Box::new(cross_sink.with_label("subnet-d")));
-            let demux_id = b.add_node(Box::new(FlowDemux::new(
-                next_for_padded,
-                Some(cross_sink_id),
-            )));
+            // Subnet D's receiver stays in the node list, idle: cross
+            // traffic ends at the router's egress, and dropping the node
+            // would shift every later node's RNG stream index.
+            b.add_node(Box::new(Sink::new().1.with_label("subnet-d")));
+            let demux_id = b.add_node(Box::new(FlowDemux::new(next_for_padded)));
+            // Cross traffic matters only while it holds the egress
+            // (δ_net); nothing downstream of the hop reads it.
             let router_id = b.add_node(Box::new(
                 Router::new(
                     demux_id,
                     self.hop_link_bps,
                     SimDuration::from_secs_f64(self.hop_propagation),
                 )
+                .with_exit_flow(FlowId::CROSS)
                 .with_label(format!("router-{i}")),
             ));
             if hop.utilization > 0.0 {

@@ -255,8 +255,8 @@ pub struct ShardedAggregate {
     /// Enable per-shard causal tracing
     /// ([`linkpad_sim::engine::Sim::enable_tracing`]).
     tracing: bool,
-    /// Attribute per-shard wall time, sampling every n-th dispatch
-    /// ([`linkpad_sim::attr::AttributionSampler`]).
+    /// Attribute per-shard wall time, sampling one dispatch in n on
+    /// average ([`linkpad_sim::attr::AttributionSampler`]).
     attribution: Option<u64>,
 }
 
@@ -330,8 +330,8 @@ impl ShardedAggregate {
     }
 
     /// Attribute every shard's event-loop wall time to store, context
-    /// and handler phases per node type, sampling every
-    /// `sample_every`-th dispatch: each [`ShardReport`] then carries an
+    /// and handler phases per node type, sampling one dispatch in
+    /// `sample_every` on average: each [`ShardReport`] then carries an
     /// [`AttributionReport`], and [`ShardedRun::attribution`] merges
     /// them. Simulated results are unchanged.
     pub fn with_attribution(mut self, sample_every: u64) -> Self {

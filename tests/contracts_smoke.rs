@@ -5,15 +5,25 @@
 //! [`Router`]:
 //!
 //! 1. `reset(s)` ≡ a fresh build, on the lab at 45 % cross traffic;
-//! 2. a one-shard `ShardedAggregate` ≡ the unsharded sim;
-//! 3. a `FlowCohort` ≡ K gateways, for synchronized CIT.
+//! 2. routers that end cross traffic at their egress ≡ the wiring that
+//!    carried it on to Subnet D's sink;
+//! 3. a one-shard `ShardedAggregate` ≡ the unsharded sim;
+//! 4. a `FlowCohort` ≡ K gateways, for synchronized CIT.
 
-use linkpad::core::gateway::SenderGateway;
+use linkpad::core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad::prelude::*;
 use linkpad::sim::cohort::LawSchedule;
-use linkpad::sim::engine::SimBuilder;
-use linkpad::sim::packet::FlowId;
+use linkpad::sim::engine::{Context, Sim, SimBuilder};
+use linkpad::sim::node::{Node, NodeId};
+use linkpad::sim::packet::{FlowId, Packet, PacketKind};
 use linkpad::sim::router::Router;
+use linkpad::sim::sink::Sink;
+use linkpad::sim::source::DistSource;
+use linkpad::sim::tap::{Tap, TapHandle};
+use linkpad::stats::dist::Deterministic;
+use linkpad::workloads::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// A window series as raw bits: counts, bytes, coverage and the PIAT
 /// moments, so the comparisons leave no floating-point slack.
@@ -56,6 +66,115 @@ fn lab_reset_under_cross_traffic_equals_a_fresh_build() {
     reused.run_for_secs(0.73);
     reused.reset(45);
     assert_eq!(piat_bits(&mut reused), want, "reset diverged from rebuild");
+}
+
+/// The reference model for a lab hop: the router forwards every flow to
+/// this two-way splitter, which sends the padded flow on and cross
+/// traffic to Subnet D's sink.
+struct Splitter {
+    padded_next: NodeId,
+    cross_next: NodeId,
+    /// Cross packets the hop's router serviced.
+    cross: Rc<Cell<u64>>,
+}
+
+impl Node for Splitter {
+    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
+        if packet.is_padded_flow() {
+            ctx.send_now(self.padded_next, packet);
+        } else {
+            self.cross.set(self.cross.get() + 1);
+            ctx.send_now(self.cross_next, packet);
+        }
+    }
+}
+
+/// `ScenarioBuilder::lab(seed).with_payload_rate(rate).with_hops(hops)`
+/// with every hop wired through a [`Splitter`]: the lab builder's node
+/// list, order and labels (node `i` draws RNG stream `i`), calibrated
+/// defaults, 0.5 ms hop propagation and trimodal cross sizes. Returns
+/// the sim, its receiver tap and the splitters' cross count.
+fn splitter_lab(seed: u64, rate: f64, hops: &[HopSpec]) -> (Sim, TapHandle, Rc<Cell<u64>>) {
+    let d = CalibratedDefaults::paper();
+    let mix = SizeMix::InternetTrimodal;
+    let propagation = SimDuration::from_secs_f64(0.5e-3);
+    let cross = Rc::new(Cell::new(0));
+    let mut b = SimBuilder::new(MasterSeed::new(seed));
+    let subnet_b = b.add_node(Box::new(Sink::new().1.with_label("subnet-b")));
+    let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
+    let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2));
+    let mut next = b.add_node(Box::new(rtap.with_label("tap@gw2")));
+    for (i, hop) in hops.iter().enumerate().rev() {
+        let subnet_d = b.add_node(Box::new(Sink::new().1.with_label("subnet-d")));
+        let splitter = b.add_node(Box::new(Splitter {
+            padded_next: next,
+            cross_next: subnet_d,
+            cross: Rc::clone(&cross),
+        }));
+        let router = Router::new(splitter, d.link_bps, propagation);
+        let router = b.add_node(Box::new(router.with_label(format!("router-{i}"))));
+        let rate = cross_rate_for_utilization(hop.utilization, d.link_bps, mix.mean_bytes())
+            .expect("valid utilization");
+        b.add_node(Box::new(
+            DistSource::new(
+                router,
+                FlowId::CROSS,
+                PacketKind::Cross,
+                cross_interval_law(rate, hop.bursty).expect("valid rate"),
+                Box::new(mix.law().expect("valid mix")),
+            )
+            .with_label(format!("cross-{i}")),
+        ));
+        next = router;
+    }
+    let stap = Tap::on_padded_flow(Some(next)).1.with_label("tap@gw1");
+    let stap = b.add_node(Box::new(stap));
+    let schedule = ScheduleSpec::Cit.to_schedule(d.tau).expect("cit");
+    let (_, gw1) = SenderGateway::new(stap, schedule, d.jitter, d.packet_size);
+    let gw1 = b.add_node(Box::new(gw1.with_discipline(d.discipline)));
+    b.add_node(Box::new(DistSource::new(
+        gw1,
+        FlowId::PADDED,
+        PacketKind::Payload,
+        PayloadSpec::Cbr { rate }.interval_law().expect("cbr"),
+        Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
+    )));
+    (b.build().expect("builds"), receiver_tap, cross)
+}
+
+#[test]
+fn routers_ending_cross_traffic_equal_the_splitter_wiring() {
+    let until = SimTime::from_secs_f64(2.0);
+    for hops in [vec![HopSpec::poisson(0.45)], vec![HopSpec::poisson(0.3); 2]] {
+        let what = format!("{} hop(s)", hops.len());
+        let mut built = ScenarioBuilder::lab(47)
+            .with_payload_rate(10.0)
+            .with_hops(hops.clone())
+            .build()
+            .expect("builds");
+        let (mut reference, reference_tap, cross) = splitter_lab(47, 10.0, &hops);
+        assert_eq!(built.sim.node_count(), reference.node_count(), "{what}");
+        built.sim.run_until(until);
+        reference.run_until(until);
+
+        let piat_bits = |tap: &TapHandle| -> Vec<u64> {
+            tap.piats_secs().into_iter().map(f64::to_bits).collect()
+        };
+        assert!(reference_tap.count() > 150, "{what}");
+        assert_eq!(
+            piat_bits(&built.receiver_tap),
+            piat_bits(&reference_tap),
+            "{what}: receiver PIATs differ from the splitter wiring"
+        );
+        // Each serviced cross packet cost the reference two more
+        // dispatches: the splitter and Subnet D's sink.
+        assert!(cross.get() > 1_000, "{what}");
+        assert_eq!(
+            reference.events_processed() - built.sim.events_processed(),
+            2 * cross.get(),
+            "{what}"
+        );
+    }
 }
 
 #[test]
