@@ -14,12 +14,7 @@ use linkpad_bench::table::{fmt_rate, Table};
 use linkpad_workloads::scenario::{ScenarioBuilder, TapPosition};
 
 fn main() {
-    // Packet-level cross traffic is the expensive part; trim the budget.
-    let base = Budget::from_env();
-    let budget = Budget {
-        train: base.train.min(80),
-        test: base.test.min(60),
-    };
+    let budget = Budget::from_env();
     let n = 1000;
     let at = TapPosition::ReceiverIngress;
 

@@ -16,7 +16,8 @@
 //!   forwards with finite egress bandwidth and propagation delay;
 //!   queueing behind cross traffic is exactly the paper's `δ_net`
 //!   disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results. Each
-//!   arrival computes its departure, so a hop costs one event.
+//!   arrival computes its departure, so a hop costs one event, and a
+//!   router serves open-loop cross traffic of its own without any.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses.
 //! * **Windowed observers** ([`observer::WindowedObserver`]) are the

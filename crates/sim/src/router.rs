@@ -15,15 +15,39 @@
 //! packet on to arrive at `busy_until + propagation`. Packets waiting for
 //! the wire sit in the event store, not in a node-local queue.
 //!
-//! A router may also end one *exit flow* at its egress
-//! ([`Router::with_exit_flow`]): such a packet occupies the wire like any
-//! other and is then dropped instead of sent on. The lab ends cross
-//! traffic this way, since nothing downstream of its hop reads it.
+//! A router may also serve open-loop *cross traffic* of its own
+//! ([`Router::with_cross_traffic`]): a renewal process of arrivals that
+//! occupy the egress and go nowhere. Because the process is open-loop,
+//! the backlog a packet meets depends only on the cross arrivals before
+//! it, so the router draws them lazily: when a packet arrives at `now`,
+//! it first serves, in arrival order, every cross arrival at or before
+//! `now`, then the packet. A cross arrival at exactly `now` is served
+//! before the arriving packet. Cross traffic costs no events at all.
 
 use crate::engine::Context;
 use crate::node::{Node, NodeId};
-use crate::packet::{FlowId, Packet};
+use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
+use linkpad_stats::dist::ContinuousDist;
+use linkpad_stats::StatsError;
+
+/// Transmit time of `size_bytes` on an egress of `bits_per_sec`, in the
+/// router's integer nanoseconds.
+fn transmit_time(size_bytes: u32, bits_per_sec: f64) -> SimDuration {
+    SimDuration::from_secs_f64(f64::from(size_bytes) * 8.0 / bits_per_sec)
+}
+
+/// An open-loop cross-traffic process served on a router's egress.
+#[derive(Debug)]
+struct CrossTraffic {
+    /// Inter-arrival law (seconds).
+    interval: Box<dyn ContinuousDist>,
+    /// Packet-size law (bytes, rounded and clamped to at least 1).
+    size: Box<dyn ContinuousDist>,
+    /// When the next cross packet arrives; `SimTime::MAX` until
+    /// `on_start` draws the first gap.
+    next_at: SimTime,
+}
 
 /// A store-and-forward router with one egress.
 #[derive(Debug)]
@@ -33,8 +57,8 @@ pub struct Router {
     propagation: SimDuration,
     /// When the egress finishes the last packet accepted so far.
     busy_until: SimTime,
-    /// Packets of this flow end at the egress instead of reaching `next`.
-    exit: Option<FlowId>,
+    /// Cross traffic served on the egress, drawn lazily.
+    cross: Option<CrossTraffic>,
     label: String,
 }
 
@@ -54,17 +78,42 @@ impl Router {
             bits_per_sec,
             propagation,
             busy_until: SimTime::ZERO,
-            exit: None,
+            cross: None,
             label: "router".to_string(),
         }
     }
 
-    /// Builder-style exit flow: packets of `flow` still occupy the
-    /// egress for their transmit time, and are then dropped instead of
-    /// sent to the next hop.
-    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
-        self.exit = Some(flow);
-        self
+    /// Builder-style cross traffic: an open-loop renewal process with
+    /// gaps from `interval` (seconds) and sizes from `size` (bytes,
+    /// rounded and clamped to at least 1), served on the egress and then
+    /// dropped. The arrivals draw from the router's own RNG stream.
+    ///
+    /// Rejects an interval law whose mean is not finite and positive:
+    /// serving arrivals that never advance the clock would never end.
+    pub fn with_cross_traffic(
+        mut self,
+        interval: Box<dyn ContinuousDist>,
+        size: Box<dyn ContinuousDist>,
+    ) -> Result<Self, StatsError> {
+        let mean = interval.mean();
+        if !mean.is_finite() {
+            return Err(StatsError::NonFinite {
+                what: "cross-traffic mean interval",
+                value: mean,
+            });
+        }
+        if mean <= 0.0 {
+            return Err(StatsError::NonPositive {
+                what: "cross-traffic mean interval",
+                value: mean,
+            });
+        }
+        self.cross = Some(CrossTraffic {
+            interval,
+            size,
+            next_at: SimTime::MAX,
+        });
+        Ok(self)
     }
 
     /// Builder-style label.
@@ -77,11 +126,19 @@ impl Router {
 impl Node for Router {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let tx = SimDuration::from_secs_f64(packet.tx_time_secs(self.bits_per_sec));
-        self.busy_until = self.busy_until.max(now) + tx;
-        if self.exit == Some(packet.flow) {
-            return;
+        // Serve the cross arrivals at or before `now` first, in arrival
+        // order, drawing in `DistSource`'s order: size, then next gap.
+        if let Some(cross) = &mut self.cross {
+            while cross.next_at <= now {
+                let size = cross.size.sample(ctx.rng).round().max(1.0) as u32;
+                self.busy_until =
+                    cross.next_at.max(self.busy_until) + transmit_time(size, self.bits_per_sec);
+                cross.next_at +=
+                    SimDuration::from_secs_f64(cross.interval.sample(ctx.rng).max(0.0));
+            }
         }
+        self.busy_until =
+            self.busy_until.max(now) + transmit_time(packet.size_bytes, self.bits_per_sec);
         ctx.send_after(
             (self.busy_until + self.propagation) - now,
             self.next,
@@ -89,8 +146,18 @@ impl Node for Router {
         );
     }
 
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        if let Some(cross) = &mut self.cross {
+            let gap = cross.interval.sample(ctx.rng).max(0.0);
+            cross.next_at = ctx.now() + SimDuration::from_secs_f64(gap);
+        }
+    }
+
     fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
+        if let Some(cross) = &mut self.cross {
+            cross.next_at = SimTime::MAX;
+        }
     }
 
     fn label(&self) -> &str {
@@ -104,8 +171,9 @@ mod tests {
     use crate::engine::{Sim, SimBuilder};
     use crate::packet::{FlowId, PacketKind};
     use crate::sink::{Sink, SinkHandle};
-    use linkpad_stats::rng::MasterSeed;
-    use std::cell::Cell;
+    use linkpad_stats::dist::{Categorical, Deterministic, Exponential, Pareto};
+    use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
+    use std::cell::{Cell, RefCell};
     use std::collections::VecDeque;
     use std::rc::Rc;
 
@@ -218,31 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn exit_flow_holds_the_wire_then_ends() {
-        let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
-        let router = Router::new(sink_id, 100e6, SimDuration::ZERO).with_exit_flow(FlowId::CROSS);
-        let r = b.add_node(Box::new(router));
-        for flow in [FlowId::CROSS, FlowId::PADDED] {
-            b.add_node(Box::new(Sender {
-                dst: r,
-                flow,
-                size: 500,
-                at_ns: vec![0],
-            }));
-        }
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        // The padded packet waits out the cross packet's 40 µs on the
-        // wire, and only it reaches the sink.
-        assert_eq!(arrival_ns(&handle), vec![80_000]);
-        assert_eq!(handle.arrival_times_for_flow(FlowId::CROSS), vec![]);
-        // Two sends into the router, one delivery out of it.
-        assert_eq!(sim.events_processed(), 3);
-    }
-
-    #[test]
     fn cross_traffic_perturbs_padded_flow_timing() {
         // A padded CBR flow shares the router with a bursty cross flow;
         // padded inter-arrival variance at the sink must exceed the
@@ -310,6 +353,25 @@ mod tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn bad_bandwidth_panics() {
         let _ = Router::new(NodeId(0), -1.0, SimDuration::ZERO);
+    }
+
+    #[test]
+    fn cross_traffic_needs_a_finite_positive_mean_gap() {
+        let router = || Router::new(NodeId(0), 1e9, SimDuration::ZERO);
+        let size = || -> Box<dyn ContinuousDist> { Box::new(Deterministic::new(500.0).unwrap()) };
+        let zero = Box::new(Deterministic::new(0.0).unwrap());
+        assert!(matches!(
+            router().with_cross_traffic(zero, size()),
+            Err(StatsError::NonPositive { .. })
+        ));
+        // Tail index 1: the Pareto mean diverges.
+        let heavy = Box::new(Pareto::new(1e-6, 1.0).unwrap());
+        assert!(matches!(
+            router().with_cross_traffic(heavy, size()),
+            Err(StatsError::NonFinite { .. })
+        ));
+        let poisson = Box::new(Exponential::with_rate(1e3).unwrap());
+        assert!(router().with_cross_traffic(poisson, size()).is_ok());
     }
 
     // ------------------------------------------------ reference model --
@@ -506,5 +568,172 @@ mod tests {
         ] {
             assert!(n > 0, "the traffic produced no {what}");
         }
+    }
+
+    // --------------------------------------------- lazy cross traffic --
+
+    /// Cross-traffic gaps of the grid runs, in microseconds: whole
+    /// microseconds and never zero, so a cross packet scheduled one gap
+    /// ahead is always scheduled before the instant it arrives.
+    const CROSS_GAPS_US: [f64; 6] = [100.0, 550.0, 1_000.0, 1_500.0, 2_500.0, 4_000.0];
+    /// Padded packets of the grid runs, one every 2 ms.
+    const PADDED: u64 = 1_000;
+    const PADDED_PERIOD_NS: u64 = 2_000_000;
+
+    fn grid_gaps() -> Box<dyn ContinuousDist> {
+        let pairs: Vec<(f64, f64)> = CROSS_GAPS_US.iter().map(|&us| (us * 1e-6, 1.0)).collect();
+        Box::new(Categorical::new(&pairs).unwrap())
+    }
+
+    fn grid_sizes() -> Box<dyn ContinuousDist> {
+        Box::new(Categorical::new(&[(64.0, 1.0), (550.0, 1.0), (1500.0, 1.0)]).unwrap())
+    }
+
+    /// Sends `remaining` 500 B padded packets, one per `period`, each
+    /// from a timer at the instant it arrives.
+    struct Metronome {
+        dst: NodeId,
+        period: SimDuration,
+        remaining: u64,
+    }
+
+    impl Node for Metronome {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.schedule_timer(self.period, 0);
+        }
+        fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
+            let pkt = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 500);
+            ctx.send_now(self.dst, pkt);
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                ctx.schedule_timer(self.period, 0);
+            }
+        }
+    }
+
+    /// The per-packet wiring of [`Router::with_cross_traffic`]: replays
+    /// the lazy router's draws, in its order, from a clone of its RNG
+    /// stream, and schedules each cross packet one gap ahead. A cross
+    /// delivery is therefore always scheduled before a padded packet
+    /// sent at the instant it arrives, and a plain router serves it
+    /// first: the lazy router's tie rule.
+    struct EagerCross {
+        dst: NodeId,
+        rng: Xoshiro256StarStar,
+        interval: Box<dyn ContinuousDist>,
+        size: Box<dyn ContinuousDist>,
+        /// No cross packet arrives after this instant.
+        until: SimTime,
+        /// Arrival instants of the cross packets sent, in order.
+        sent: Rc<RefCell<Vec<SimTime>>>,
+    }
+
+    impl EagerCross {
+        fn emit(&mut self, ctx: &mut Context<'_>) {
+            let gap = SimDuration::from_secs_f64(self.interval.sample(&mut self.rng).max(0.0));
+            if ctx.now() + gap > self.until {
+                return;
+            }
+            let size = self.size.sample(&mut self.rng).round().max(1.0) as u32;
+            let pkt = ctx.spawn_packet(FlowId::CROSS, PacketKind::Cross, size);
+            ctx.send_after(gap, self.dst, pkt);
+            ctx.schedule_timer(gap, 0);
+            self.sent.borrow_mut().push(ctx.now() + gap);
+        }
+    }
+
+    impl Node for EagerCross {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.emit(ctx);
+        }
+        fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
+            self.emit(ctx);
+        }
+    }
+
+    /// A padded metronome and grid cross traffic through one 8 Mb/s
+    /// egress, run until every packet has drained: on the lazy router
+    /// when `eager` is `None`, else on a plain router fed by an
+    /// [`EagerCross`] that logs into `eager`. A byte takes 1 µs on the
+    /// wire and every gap is whole microseconds, so cross and padded
+    /// arrivals tie exactly.
+    fn run_cross_grid(eager: Option<Rc<RefCell<Vec<SimTime>>>>) -> (Sim, SinkHandle) {
+        const SEED: u64 = 16;
+        const BPS: f64 = 8e6;
+        let mut b = SimBuilder::new(MasterSeed::new(SEED));
+        let (handle, sink) = Sink::new();
+        let sink_id = b.add_node(Box::new(sink));
+        let router = Router::new(sink_id, BPS, SimDuration::from_nanos(3_000));
+        let router_id = match eager {
+            Some(_) => b.add_node(Box::new(router)),
+            None => b.add_node(Box::new(
+                router
+                    .with_cross_traffic(grid_gaps(), grid_sizes())
+                    .unwrap(),
+            )),
+        };
+        b.add_node(Box::new(Metronome {
+            dst: router_id,
+            period: SimDuration::from_nanos(PADDED_PERIOD_NS),
+            remaining: PADDED,
+        }));
+        if let Some(sent) = eager {
+            b.add_node(Box::new(EagerCross {
+                dst: router_id,
+                rng: MasterSeed::new(SEED).stream(router_id.index() as u64),
+                interval: grid_gaps(),
+                size: grid_sizes(),
+                until: SimTime::from_nanos(PADDED * PADDED_PERIOD_NS),
+                sent,
+            }));
+        }
+        let mut sim = b.build().unwrap();
+        sim.run_until(SimTime::MAX);
+        assert_eq!(sim.pending_events(), 0, "every packet drained");
+        (sim, handle)
+    }
+
+    #[test]
+    fn lazy_cross_traffic_matches_an_eager_source_on_the_same_draws() {
+        let sent = Rc::new(RefCell::new(Vec::new()));
+        let (reference, ref_sink) = run_cross_grid(Some(Rc::clone(&sent)));
+        let (lazy, sink) = run_cross_grid(None);
+
+        let padded = sink.arrival_times_for_flow(FlowId::PADDED);
+        assert_eq!(padded.len() as u64, PADDED);
+        assert_eq!(
+            padded,
+            ref_sink.arrival_times_for_flow(FlowId::PADDED),
+            "padded departures differ from the eager wiring"
+        );
+        assert_eq!(sink.count() as u64, PADDED, "cross traffic goes nowhere");
+
+        // A tie is a cross arrival at a padded instant. Each flow leaves
+        // in FIFO order, so the eager wiring's j-th cross departure is
+        // its j-th cross arrival, and likewise for the padded flow.
+        let sent = sent.borrow();
+        let cross_out = ref_sink.arrival_times_for_flow(FlowId::CROSS);
+        assert_eq!(cross_out.len(), sent.len());
+        let mut ties = 0;
+        for (j, t) in sent.iter().enumerate() {
+            let ns = t.as_nanos();
+            if ns % PADDED_PERIOD_NS == 0 {
+                let k = (ns / PADDED_PERIOD_NS - 1) as usize;
+                assert!(
+                    cross_out[j] < padded[k],
+                    "tie at {ns} ns served padded-first"
+                );
+                ties += 1;
+            }
+        }
+        assert!(ties > 0, "the traffic produced no cross/padded ties");
+        // Each cross packet cost the eager wiring a source timer, a
+        // router delivery and a sink delivery, and the lazy router none.
+        assert_eq!(
+            reference.events_processed() - lazy.events_processed(),
+            3 * sent.len() as u64
+        );
     }
 }

@@ -30,7 +30,9 @@
 //! ladder event queue was built for, as a real scenario rather than a
 //! microbench.
 
-use crate::scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError};
+use crate::scenario::{
+    check_link_bps, AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError,
+};
 use crate::switching::SwitchingSource;
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad_sim::cohort::{CohortHandle, CohortJitter, FlowCohort, COHORT_FLOW};
@@ -184,9 +186,8 @@ impl AggregateSpec {
 
 /// Per-flow fan-out after the trunk: routes `FlowId(i)` to `nexts[i]`.
 ///
-/// The generalization of [`crate::demux::FlowDemux`] from one padded
-/// flow to N; aggregate scenarios use it to peel every padded flow off
-/// the shared trunk toward its own receiver gateway.
+/// Aggregate scenarios use it to peel every padded flow off the shared
+/// trunk toward its own receiver gateway.
 ///
 /// Every flow that reaches the demux **must** have a branch: an unknown
 /// `FlowId` is a topology wiring bug (a source feeding the trunk that
@@ -259,6 +260,20 @@ pub(crate) fn build_aggregate(
 ) -> Result<BuiltScenario, ScenarioError> {
     if spec.flows == 0 {
         return Err(ScenarioError::EmptyAggregate);
+    }
+    check_link_bps("trunk capacity", spec.trunk_bps)?;
+    let propagation = spec.trunk_propagation;
+    if !propagation.is_finite() {
+        return Err(ScenarioError::Stats(StatsError::NonFinite {
+            what: "trunk propagation",
+            value: propagation,
+        }));
+    }
+    if propagation < 0.0 {
+        return Err(ScenarioError::Stats(StatsError::NonPositive {
+            what: "trunk propagation",
+            value: propagation,
+        }));
     }
     if let Some(sw) = spec.switching {
         for r in sw.rates {

@@ -16,6 +16,12 @@
 //! bench (`fig6`) keeps full packet-level cross traffic and doubles as
 //! the validation that this substitution reproduces the same
 //! detection-rate behaviour (`ablations` bench, background-vs-packet).
+//! The lab's router serves that traffic lazily but exactly: it draws
+//! every cross arrival and runs the FIFO recursion over each one
+//! ([`Router::with_cross_traffic`]), it just does so when a padded
+//! packet arrives instead of one event per cross packet.
+//!
+//! [`Router::with_cross_traffic`]: linkpad_sim::router::Router::with_cross_traffic
 
 use linkpad_sim::engine::Context;
 use linkpad_sim::node::{Node, NodeId};

@@ -9,9 +9,6 @@
 //! * [`cross`] — cross-traffic models: packet-size mixes, the
 //!   utilization→rate helper, and diurnal (hour-of-day) utilization
 //!   profiles for the campus and WAN experiments of Fig. 8.
-//! * [`demux`] — the flow demultiplexer that carries the padded flow on
-//!   from each hop's egress, as in the paper's Fig. 3 topology (cross
-//!   traffic ends at the router's egress).
 //! * [`switching`] — a payload source that switches between the low and
 //!   high rate over time (the hidden state the adversary estimates).
 //! * [`scenario`] — the experiment topologies as builders:
@@ -39,7 +36,6 @@
 pub mod aggregate;
 pub mod background;
 pub mod cross;
-pub mod demux;
 pub mod scenario;
 pub mod shard;
 pub mod spec;
@@ -48,7 +44,6 @@ pub mod switching;
 pub use aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec, TrunkDemux};
 pub use background::BackgroundNoiseHop;
 pub use cross::{cross_rate_for_utilization, DiurnalProfile, SizeMix};
-pub use demux::FlowDemux;
 pub use scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, TapPosition};
 pub use shard::{ShardReport, ShardedAggregate, ShardedRun};
 pub use spec::{HopSpec, PayloadSpec, ScheduleSpec};

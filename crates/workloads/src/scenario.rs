@@ -2,8 +2,11 @@
 //!
 //! * **lab** (Fig. 3): `source → GW1 → [tap] → ESR-5000-style router
 //!   (shared with a cross-traffic workstation) → [tap] → GW2 → sink`.
-//!   With the cross source off this is §5.1's zero-cross-traffic setup —
-//!   the adversary's best case; with it on, it is the Fig. 6 sweep.
+//!   The router serves the workstation's packet-level cross traffic
+//!   itself, drawing each arrival when a padded packet needs the backlog
+//!   it left ([`Router::with_cross_traffic`]). With cross traffic off
+//!   this is §5.1's zero-cross-traffic setup — the adversary's best
+//!   case; with it on, it is the Fig. 6 sweep.
 //! * **campus** (Fig. 7a): the same, but the padded flow traverses a
 //!   3-router enterprise chain with light cross traffic at every hop and
 //!   the adversary taps right in front of the receiver gateway.
@@ -16,7 +19,6 @@
 
 use crate::aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec};
 use crate::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
-use crate::demux::FlowDemux;
 use crate::spec::{HopSpec, PayloadModel, PayloadSpec, ScheduleSpec};
 use crate::switching::RateLog;
 use linkpad_core::calibration::CalibratedDefaults;
@@ -186,7 +188,7 @@ pub struct ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// The laboratory topology (Fig. 3): one shared router, cross traffic
-    /// off by default (§5.1 zero-cross case). Turn the cross source on
+    /// off by default (§5.1 zero-cross case). Turn cross traffic on
     /// with [`ScenarioBuilder::with_hops`] or
     /// [`ScenarioBuilder::with_uniform_utilization`].
     pub fn lab(seed: u64) -> Self {
@@ -479,6 +481,7 @@ impl ScenarioBuilder {
         if let Some(spec) = self.aggregate {
             return crate::aggregate::build_aggregate(self, spec);
         }
+        check_link_bps("hop link capacity", self.hop_link_bps)?;
         let d = self.defaults;
         let mut b = SimBuilder::new(MasterSeed::new(self.seed));
 
@@ -504,41 +507,24 @@ impl ScenarioBuilder {
                 next_for_padded = b.add_node(Box::new(bg.with_label(format!("bg-hop-{i}"))));
                 continue;
             }
-            // Subnet D's receiver stays in the node list, idle: cross
-            // traffic ends at the router's egress, and dropping the node
-            // would shift every later node's RNG stream index.
-            b.add_node(Box::new(Sink::new().1.with_label("subnet-d")));
-            let demux_id = b.add_node(Box::new(FlowDemux::new(next_for_padded)));
-            // Cross traffic matters only while it holds the egress
-            // (δ_net); nothing downstream of the hop reads it.
-            let router_id = b.add_node(Box::new(
-                Router::new(
-                    demux_id,
-                    self.hop_link_bps,
-                    SimDuration::from_secs_f64(self.hop_propagation),
-                )
-                .with_exit_flow(FlowId::CROSS)
-                .with_label(format!("router-{i}")),
-            ));
+            let mut router = Router::new(
+                next_for_padded,
+                self.hop_link_bps,
+                SimDuration::from_secs_f64(self.hop_propagation),
+            )
+            .with_label(format!("router-{i}"));
             if hop.utilization > 0.0 {
                 let rate = cross_rate_for_utilization(
                     hop.utilization,
                     self.hop_link_bps,
                     self.size_mix.mean_bytes(),
                 )?;
-                let interval = cross_interval_law(rate, hop.bursty)?;
-                b.add_node(Box::new(
-                    DistSource::new(
-                        router_id,
-                        FlowId::CROSS,
-                        PacketKind::Cross,
-                        interval,
-                        Box::new(self.size_mix.law()?),
-                    )
-                    .with_label(format!("cross-{i}")),
-                ));
+                router = router.with_cross_traffic(
+                    cross_interval_law(rate, hop.bursty)?,
+                    Box::new(self.size_mix.law()?),
+                )?;
             }
-            next_for_padded = router_id;
+            next_for_padded = b.add_node(Box::new(router));
         }
 
         // Sender side: GW1 ← sender tap wiring runs forward.
@@ -577,6 +563,18 @@ impl ScenarioBuilder {
             tau: d.tau,
         })
     }
+}
+
+/// Reject a link capacity the router model cannot serve: it must be
+/// finite and positive.
+pub(crate) fn check_link_bps(what: &'static str, bps: f64) -> Result<(), StatsError> {
+    if !bps.is_finite() {
+        return Err(StatsError::NonFinite { what, value: bps });
+    }
+    if bps <= 0.0 {
+        return Err(StatsError::NonPositive { what, value: bps });
+    }
+    Ok(())
 }
 
 /// Extra instrumentation of an aggregate scenario (one entry per flow,
@@ -746,6 +744,7 @@ pub fn piats_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use linkpad_stats::dist::ContinuousDist;
     use linkpad_stats::moments::{sample_mean, sample_variance};
 
     #[test]
@@ -797,6 +796,56 @@ mod tests {
         assert!(
             busy > 3.0 * quiet,
             "σ_net missing: quiet={quiet:e} busy={busy:e}"
+        );
+    }
+
+    #[test]
+    fn lab_router_waits_match_pollaczek_khinchine() {
+        // The lab hop is an M/G/1 queue fed by Poisson cross traffic.
+        // Padded probes 10 ms apart see independent stationary backlogs
+        // (the argument of `background.rs`), so a probe's wait is a draw
+        // of the stationary virtual waiting time, whose mean is
+        // Pollaczek–Khinchine's W_q = λ·E[S²] / (2(1 − ρ)).
+        const UTIL: f64 = 0.45;
+        const SEEDS: u64 = 8;
+        const SECS: f64 = 30.0;
+        let d = CalibratedDefaults::paper();
+        let mix = SizeMix::InternetTrimodal;
+        let sizes = mix.law().unwrap();
+        let lambda = cross_rate_for_utilization(UTIL, d.link_bps, mix.mean_bytes()).unwrap();
+        let secs_per_byte = 8.0 / d.link_bps;
+        let service_sq = (sizes.variance() + sizes.mean().powi(2)) * secs_per_byte.powi(2);
+        let pk = lambda * service_sq / (2.0 * (1.0 - UTIL));
+        assert!((pk - 9.243e-6).abs() < 1e-9, "W_q = {pk:e}");
+
+        // Tap to tap, a probe spends its wait, its own transmit time and
+        // the hop's propagation, all in whole nanoseconds.
+        let fixed_ns = SimDuration::from_secs_f64(d.packet_size as f64 * secs_per_byte).as_nanos()
+            + SimDuration::from_secs_f64(0.5e-3).as_nanos();
+        let mut waits = Vec::new();
+        for seed in 1..=SEEDS {
+            let mut s = ScenarioBuilder::lab(seed)
+                .with_payload_rate(10.0)
+                .with_uniform_utilization(UTIL)
+                .build()
+                .unwrap();
+            s.run_for_secs(SECS);
+            let sent = s.sender_tap.timestamps();
+            let got = s.receiver_tap.timestamps();
+            assert!(got.len() + 2 >= sent.len(), "probes lost");
+            // FIFO and lossless: the k-th capture at each tap is one packet.
+            for (a, b) in sent.iter().zip(&got) {
+                let wait_ns = b.saturating_since(*a).as_nanos() - fixed_ns;
+                waits.push(wait_ns as f64 * 1e-9);
+            }
+        }
+        let mean = sample_mean(&waits).unwrap();
+        let se = (sample_variance(&waits).unwrap() / waits.len() as f64).sqrt();
+        let z = (mean - pk) / se;
+        assert!(
+            z.abs() < 3.0,
+            "mean wait {mean:e} s vs P-K {pk:e} s: z = {z:.2} over {} probes",
+            waits.len()
         );
     }
 
@@ -863,6 +912,35 @@ mod tests {
         assert_eq!(b.label(), "wan");
         assert_eq!(b.payload().rate(), 40.0);
         assert_eq!(b.schedule().sigma_t(0.010), 1e-3);
+    }
+
+    #[test]
+    fn bad_link_parameters_are_typed_errors() {
+        let nan = f64::NAN;
+        let cases = [
+            (
+                "hop capacity 0",
+                ScenarioBuilder::lab(14).with_hop_link_bps(0.0),
+            ),
+            (
+                "trunk capacity 0",
+                ScenarioBuilder::aggregate(14, 4).with_trunk(0.0, 1e-3),
+            ),
+            (
+                "trunk capacity NaN",
+                ScenarioBuilder::aggregate(14, 4).with_trunk(nan, 1e-3),
+            ),
+            (
+                "trunk propagation < 0",
+                ScenarioBuilder::aggregate(14, 4).with_trunk(1e9, -1.0),
+            ),
+        ];
+        for (what, builder) in cases {
+            assert!(
+                matches!(builder.build(), Err(ScenarioError::Stats(_))),
+                "{what} must be a typed error"
+            );
+        }
     }
 
     #[test]

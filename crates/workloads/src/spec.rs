@@ -287,7 +287,7 @@ impl PayloadModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopSpec {
     /// Target utilization of the hop's shared egress link contributed by
-    /// cross traffic (0 disables the cross source).
+    /// cross traffic (0 disables cross traffic).
     pub utilization: f64,
     /// Bursty (Pareto inter-arrival) rather than Poisson cross traffic
     /// (packet-level hops only).

@@ -5,8 +5,9 @@
 //! [`Router`]:
 //!
 //! 1. `reset(s)` ≡ a fresh build, on the lab at 45 % cross traffic;
-//! 2. routers that end cross traffic at their egress ≡ the wiring that
-//!    carried it on to Subnet D's sink;
+//! 2. routers that draw their cross traffic lazily ≡ the per-packet
+//!    wiring on the same draws: a plain router fed by an eager source
+//!    that replays the router's RNG stream;
 //! 3. a one-shard `ShardedAggregate` ≡ the unsharded sim;
 //! 4. a `FlowCohort` ≡ K gateways, for synchronized CIT.
 
@@ -20,7 +21,8 @@ use linkpad::sim::router::Router;
 use linkpad::sim::sink::Sink;
 use linkpad::sim::source::DistSource;
 use linkpad::sim::tap::{Tap, TapHandle};
-use linkpad::stats::dist::Deterministic;
+use linkpad::stats::dist::{ContinuousDist, Deterministic};
+use linkpad::stats::rng::Xoshiro256StarStar;
 use linkpad::workloads::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -68,63 +70,95 @@ fn lab_reset_under_cross_traffic_equals_a_fresh_build() {
     assert_eq!(piat_bits(&mut reused), want, "reset diverged from rebuild");
 }
 
-/// The reference model for a lab hop: the router forwards every flow to
-/// this two-way splitter, which sends the padded flow on and cross
-/// traffic to Subnet D's sink.
-struct Splitter {
-    padded_next: NodeId,
-    cross_next: NodeId,
-    /// Cross packets the hop's router serviced.
-    cross: Rc<Cell<u64>>,
+/// Dispatches a reference lab spends on per-packet cross traffic.
+type Tally = Rc<Cell<u64>>;
+
+fn bump(tally: &Tally, by: u64) {
+    tally.set(tally.get() + by);
 }
 
-impl Node for Splitter {
+/// The per-packet wiring of one hop's `Router::with_cross_traffic`:
+/// replays the router's draws, in its order (first gap, then size and
+/// next gap per arrival), from a clone of its RNG stream, and schedules
+/// each cross packet one gap ahead. A cross delivery is therefore
+/// scheduled before any padded packet that reaches the router at the
+/// same instant, so the plain router serves it first, as the lazy one
+/// does.
+struct EagerCross {
+    router: NodeId,
+    rng: Xoshiro256StarStar,
+    interval: Box<dyn ContinuousDist>,
+    size: Box<dyn ContinuousDist>,
+    /// No cross packet arrives after this instant.
+    until: SimTime,
+    dispatches: Tally,
+}
+
+impl EagerCross {
+    fn emit(&mut self, ctx: &mut Context<'_>) {
+        let gap = SimDuration::from_secs_f64(self.interval.sample(&mut self.rng).max(0.0));
+        if ctx.now() + gap > self.until {
+            return;
+        }
+        let size = self.size.sample(&mut self.rng).round().max(1.0) as u32;
+        let packet = ctx.spawn_packet(FlowId::CROSS, PacketKind::Cross, size);
+        ctx.send_after(gap, self.router, packet);
+        ctx.schedule_timer(gap, 0);
+        // The router delivery and the timer both fall within the run.
+        bump(&self.dispatches, 2);
+    }
+}
+
+impl Node for EagerCross {
+    fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.emit(ctx);
+    }
+    fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
+        self.emit(ctx);
+    }
+}
+
+/// A reference hop router's next hop: passes the padded flow on and
+/// drops the cross traffic the router forwards.
+struct DropCross {
+    padded_next: NodeId,
+    dispatches: Tally,
+}
+
+impl Node for DropCross {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
+        bump(&self.dispatches, 1);
         if packet.is_padded_flow() {
             ctx.send_now(self.padded_next, packet);
-        } else {
-            self.cross.set(self.cross.get() + 1);
-            ctx.send_now(self.cross_next, packet);
         }
     }
 }
 
 /// `ScenarioBuilder::lab(seed).with_payload_rate(rate).with_hops(hops)`
-/// with every hop wired through a [`Splitter`]: the lab builder's node
-/// list, order and labels (node `i` draws RNG stream `i`), calibrated
-/// defaults, 0.5 ms hop propagation and trimodal cross sizes. Returns
-/// the sim, its receiver tap and the splitters' cross count.
-fn splitter_lab(seed: u64, rate: f64, hops: &[HopSpec]) -> (Sim, TapHandle, Rc<Cell<u64>>) {
+/// with per-packet cross traffic: the lab builder's nodes, order and
+/// labels (node `i` draws RNG stream `i`), with calibrated defaults,
+/// 0.5 ms hop propagation and trimodal cross sizes. Each hop's router
+/// is a plain [`Router`] at the lab's node index, reserved and installed
+/// later, forwarding to a [`DropCross`]; an [`EagerCross`] holding a
+/// clone of the router's stream feeds it. Both are appended after the
+/// lab's nodes. Returns the sim, its receiver tap and the tally of
+/// their dispatches.
+fn eager_lab(seed: u64, rate: f64, hops: &[HopSpec], until: SimTime) -> (Sim, TapHandle, Tally) {
     let d = CalibratedDefaults::paper();
     let mix = SizeMix::InternetTrimodal;
     let propagation = SimDuration::from_secs_f64(0.5e-3);
-    let cross = Rc::new(Cell::new(0));
+    let dispatches = Tally::default();
     let mut b = SimBuilder::new(MasterSeed::new(seed));
     let subnet_b = b.add_node(Box::new(Sink::new().1.with_label("subnet-b")));
     let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
     let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2));
     let mut next = b.add_node(Box::new(rtap.with_label("tap@gw2")));
+    // (hop, its router's reserved id, the router's padded next hop)
+    let mut routers = Vec::new();
     for (i, hop) in hops.iter().enumerate().rev() {
-        let subnet_d = b.add_node(Box::new(Sink::new().1.with_label("subnet-d")));
-        let splitter = b.add_node(Box::new(Splitter {
-            padded_next: next,
-            cross_next: subnet_d,
-            cross: Rc::clone(&cross),
-        }));
-        let router = Router::new(splitter, d.link_bps, propagation);
-        let router = b.add_node(Box::new(router.with_label(format!("router-{i}"))));
-        let rate = cross_rate_for_utilization(hop.utilization, d.link_bps, mix.mean_bytes())
-            .expect("valid utilization");
-        b.add_node(Box::new(
-            DistSource::new(
-                router,
-                FlowId::CROSS,
-                PacketKind::Cross,
-                cross_interval_law(rate, hop.bursty).expect("valid rate"),
-                Box::new(mix.law().expect("valid mix")),
-            )
-            .with_label(format!("cross-{i}")),
-        ));
+        let router = b.reserve();
+        routers.push((i, hop, router, next));
         next = router;
     }
     let stap = Tap::on_padded_flow(Some(next)).1.with_label("tap@gw1");
@@ -139,21 +173,46 @@ fn splitter_lab(seed: u64, rate: f64, hops: &[HopSpec]) -> (Sim, TapHandle, Rc<C
         PayloadSpec::Cbr { rate }.interval_law().expect("cbr"),
         Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
     )));
-    (b.build().expect("builds"), receiver_tap, cross)
+    for (i, hop, router, padded_next) in routers {
+        let drop = b.add_node(Box::new(DropCross {
+            padded_next,
+            dispatches: Rc::clone(&dispatches),
+        }));
+        let cross_rate = cross_rate_for_utilization(hop.utilization, d.link_bps, mix.mean_bytes())
+            .expect("valid utilization");
+        b.add_node(Box::new(EagerCross {
+            router,
+            rng: MasterSeed::new(seed).stream(router.index() as u64),
+            interval: cross_interval_law(cross_rate, hop.bursty).expect("valid rate"),
+            size: Box::new(mix.law().expect("valid mix")),
+            until,
+            dispatches: Rc::clone(&dispatches),
+        }));
+        let plain = Router::new(drop, d.link_bps, propagation).with_label(format!("router-{i}"));
+        b.install(router, Box::new(plain));
+    }
+    (b.build().expect("builds"), receiver_tap, dispatches)
 }
 
 #[test]
-fn routers_ending_cross_traffic_equal_the_splitter_wiring() {
+fn lazy_cross_traffic_equals_eager_sources_on_the_same_draws() {
     let until = SimTime::from_secs_f64(2.0);
-    for hops in [vec![HopSpec::poisson(0.45)], vec![HopSpec::poisson(0.3); 2]] {
-        let what = format!("{} hop(s)", hops.len());
+    for (what, hops) in [
+        ("one Poisson hop", vec![HopSpec::poisson(0.45)]),
+        ("two Poisson hops", vec![HopSpec::poisson(0.3); 2]),
+        ("one bursty hop", vec![HopSpec::bursty(0.45)]),
+    ] {
         let mut built = ScenarioBuilder::lab(47)
             .with_payload_rate(10.0)
             .with_hops(hops.clone())
             .build()
             .expect("builds");
-        let (mut reference, reference_tap, cross) = splitter_lab(47, 10.0, &hops);
-        assert_eq!(built.sim.node_count(), reference.node_count(), "{what}");
+        let (mut reference, reference_tap, wiring) = eager_lab(47, 10.0, &hops, until);
+        assert_eq!(
+            reference.node_count(),
+            built.sim.node_count() + 2 * hops.len(),
+            "{what}"
+        );
         built.sim.run_until(until);
         reference.run_until(until);
 
@@ -164,14 +223,15 @@ fn routers_ending_cross_traffic_equal_the_splitter_wiring() {
         assert_eq!(
             piat_bits(&built.receiver_tap),
             piat_bits(&reference_tap),
-            "{what}: receiver PIATs differ from the splitter wiring"
+            "{what}: receiver PIATs differ from the per-packet wiring"
         );
-        // Each serviced cross packet cost the reference two more
-        // dispatches: the splitter and Subnet D's sink.
-        assert!(cross.get() > 1_000, "{what}");
+        // The lazy lab is the reference minus its wiring: each cross
+        // packet's timer, router delivery and drop, and each padded
+        // packet's pass through a drop node.
+        assert!(wiring.get() > 100_000, "{what}");
         assert_eq!(
             reference.events_processed() - built.sim.events_processed(),
-            2 * cross.get(),
+            wiring.get(),
             "{what}"
         );
     }
