@@ -43,6 +43,7 @@ use linkpad_adversary::aggregate::{
     estimate_flow_count, estimate_flow_count_from_bytes, estimate_flow_count_from_bytes_gap_aware,
 };
 use linkpad_bench::perf::{defense_grid, provisioned_trunk_bps};
+use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
 use linkpad_obs::EventLog;
 use linkpad_sim::fault::{FaultPlan, OutageSchedule};
@@ -120,13 +121,7 @@ fn main() {
     let observing = report_path.is_some() || events_path.is_some();
     let mut log = EventLog::new();
 
-    let quick = matches!(
-        std::env::var("LINKPAD_SCALE")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("quick")
-    );
+    let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
     let (shards, measured) = if quick { (2, 6) } else { (4, 12) };
     let defaults = ScenarioBuilder::aggregate(1, 1).defaults;
     let tau = defaults.tau;

@@ -47,6 +47,7 @@
 
 use linkpad_adversary::aggregate::{estimate_flow_count, estimate_flow_count_gap_aware};
 use linkpad_bench::perf::provisioned_trunk_bps;
+use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
 use linkpad_obs::json::Json;
 use linkpad_obs::EventLog;
@@ -157,13 +158,7 @@ fn main() {
     let observing = report_path.is_some() || events_path.is_some();
     let mut log = EventLog::new();
 
-    let quick = matches!(
-        std::env::var("LINKPAD_SCALE")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("quick")
-    );
+    let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
     let shards = if quick { 2 } else { 4 };
     let tau = ScenarioBuilder::aggregate(1, 1).defaults.tau;
     let window = WINDOW_OVER_TAU * tau;

@@ -36,6 +36,7 @@
 
 use linkpad_adversary::aggregate::estimate_flow_count;
 use linkpad_bench::perf::provisioned_trunk_bps;
+use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
 use linkpad_obs::EventLog;
 use linkpad_workloads::aggregate::PhaseSpec;
@@ -100,13 +101,7 @@ fn main() {
     let observing = report_path.is_some() || events_path.is_some();
     let mut log = EventLog::new();
 
-    let quick = matches!(
-        std::env::var("LINKPAD_SCALE")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("quick")
-    );
+    let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
     let (ns, shards): (&[usize], usize) = if quick {
         (&[10_000], 2)
     } else {

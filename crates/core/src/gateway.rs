@@ -111,7 +111,7 @@ pub struct SenderGateway {
     next: NodeId,
     /// Flow identity of the padded stream this gateway emits. Defaults
     /// to [`FlowId::PADDED`]; aggregate scenarios give each gateway pair
-    /// its own flow so a trunk tap can be demultiplexed per flow.
+    /// its own flow so the shared trunk can be demultiplexed per flow.
     flow: FlowId,
     /// Constant on-the-wire size of every padded packet (threat model
     /// remark 3: all packets look identical).
@@ -437,7 +437,7 @@ mod tests {
     use super::*;
     use crate::schedule::PaddingSchedule;
     use linkpad_sim::engine::SimBuilder;
-    use linkpad_sim::sink::Sink;
+    use linkpad_sim::observer::WindowedObserver;
     use linkpad_sim::source::DistSource;
     use linkpad_sim::tap::{Tap, TapHandle};
     use linkpad_stats::dist::Deterministic;
@@ -453,7 +453,7 @@ mod tests {
         secs: f64,
     ) -> (TapHandle, GatewayHandle, ReceiverHandle) {
         let mut b = SimBuilder::new(MasterSeed::new(seed));
-        let (_sink_handle, sink) = Sink::new();
+        let (_sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (rx_handle, rx) = ReceiverGateway::new(Some(sink_id));
         let rx_id = b.add_node(Box::new(rx));
@@ -677,9 +677,9 @@ mod tests {
     #[test]
     fn all_padded_packets_share_one_size() {
         // Threat-model remark 3: constant packet size. Verify through a
-        // sink that observes sizes.
+        // capture-only observer, which totals wire sizes per window.
         let mut b = SimBuilder::new(MasterSeed::new(13));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0), None);
         let sink_id = b.add_node(Box::new(sink));
         let (gw_handle, gw) = SenderGateway::new(
             sink_id,
@@ -699,9 +699,10 @@ mod tests {
         sim.run_until(SimTime::from_secs_f64(5.0));
         // Every packet at the sink has exactly the fixed padded size, and
         // at most one tick's packet can be missing (in flight at the end).
-        assert_eq!(sink_handle.bytes(), sink_handle.count() as u64 * 500);
+        let bytes: u64 = sink_handle.with_windows(|ws| ws.iter().map(|w| w.bytes).sum());
+        assert_eq!(bytes, sink_handle.arrivals() * 500);
         let ticks = gw_handle.payload_sent() + gw_handle.dummy_sent();
-        assert!(ticks - sink_handle.count() as u64 <= 1);
+        assert!(ticks - sink_handle.arrivals() <= 1);
     }
 
     #[test]

@@ -90,15 +90,15 @@ mod tests {
     use crate::schedule::PaddingSchedule;
     use linkpad_sim::engine::SimBuilder;
     use linkpad_sim::packet::{FlowId, PacketKind};
-    use linkpad_sim::sink::Sink;
     use linkpad_sim::source::DistSource;
+    use linkpad_sim::tap::Tap;
     use linkpad_sim::time::SimTime;
     use linkpad_stats::dist::Deterministic;
     use linkpad_stats::rng::MasterSeed;
 
     fn run(rate_pps: f64, secs: f64) -> OverheadReport {
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (gw_handle, gw) = SenderGateway::new(
             sink_id,
@@ -160,7 +160,7 @@ mod tests {
     fn empty_run_is_well_defined() {
         // A gateway that never ticked: no division by zero.
         let mut b = SimBuilder::new(MasterSeed::new(6));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (gw_handle, _gw) = SenderGateway::new(
             sink_id,

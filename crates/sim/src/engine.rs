@@ -256,11 +256,6 @@ impl Sim {
         self.instruments.profile = None;
     }
 
-    /// Is engine self-profiling currently enabled?
-    pub fn profiling_enabled(&self) -> bool {
-        self.instruments.profile.is_some()
-    }
-
     /// Snapshot the engine profile accumulated since
     /// [`Sim::enable_profiling`] (or the last [`Sim::reset`]), or
     /// `None` when profiling is disabled.
@@ -292,16 +287,6 @@ impl Sim {
         }
     }
 
-    /// Drop the causal trace (if any).
-    pub fn disable_tracing(&mut self) {
-        self.instruments.trace = None;
-    }
-
-    /// Is causal tracing currently enabled?
-    pub fn tracing_enabled(&self) -> bool {
-        self.instruments.trace.is_some()
-    }
-
     /// Snapshot the causal trace accumulated since
     /// [`Sim::enable_tracing`] (or the last [`Sim::reset`]), or `None`
     /// when tracing is disabled.
@@ -331,13 +316,8 @@ impl Sim {
         self.instruments.watchdog = Some(Watchdog::new(max_events, max_wall));
     }
 
-    /// Remove any armed watchdog budget and clear the tripped flag.
-    pub fn clear_watchdog(&mut self) {
-        self.instruments.watchdog = None;
-    }
-
     /// Did a watchdog budget end a run early? (Sticky until the next
-    /// [`Sim::reset`], [`Sim::set_watchdog`] or [`Sim::clear_watchdog`].)
+    /// [`Sim::reset`] or [`Sim::set_watchdog`].)
     pub fn watchdog_tripped(&self) -> bool {
         self.instruments.watchdog.is_some_and(|w| w.tripped)
     }
@@ -793,7 +773,7 @@ mod tests {
         full.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(log.borrow()[..], full_log.borrow()[..partial]);
         // Re-arming (or reset) clears the trip and the run completes.
-        sim.clear_watchdog();
+        sim.set_watchdog(None, None);
         sim.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(log.borrow().len(), 100);
     }
@@ -940,7 +920,6 @@ mod tests {
         // Profiled run: identical node-visible behavior, full profile.
         let (prof_log, mut prof) = build();
         prof.enable_profiling();
-        assert!(prof.profiling_enabled());
         let prof_stats = prof.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(prof_stats, plain_stats);
         assert_eq!(*prof_log.borrow(), *plain_log.borrow());
@@ -989,7 +968,6 @@ mod tests {
         // Traced run: identical node-visible behavior, full trace.
         let (traced_log, mut traced) = build();
         traced.enable_tracing();
-        assert!(traced.tracing_enabled());
         let traced_stats = traced.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(
             traced_stats, plain_stats,
@@ -1038,11 +1016,6 @@ mod tests {
         fresh.enable_tracing();
         fresh.run_until(SimTime::from_nanos(1_000_000));
         assert_eq!(fresh.trace_report().expect("enabled"), report);
-
-        // Disabling drops the trace and returns to the plain loop.
-        fresh.disable_tracing();
-        assert!(fresh.trace_report().is_none());
-        assert!(!fresh.tracing_enabled());
     }
 
     #[test]

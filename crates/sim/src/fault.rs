@@ -478,8 +478,7 @@ mod tests {
     use super::*;
     use crate::engine::SimBuilder;
     use crate::packet::{FlowId, PacketKind};
-    use crate::sink::Sink;
-    use crate::sink::SinkHandle;
+    use crate::tap::{Tap, TapHandle};
     use linkpad_stats::rng::MasterSeed;
 
     fn dur(secs: f64) -> SimDuration {
@@ -575,9 +574,9 @@ mod tests {
         loss: Option<LossModel>,
         outage: Option<OutageSchedule>,
         plan_seed: u64,
-    ) -> (FaultGateHandle, SinkHandle) {
+    ) -> (FaultGateHandle, TapHandle) {
         let mut b = SimBuilder::new(MasterSeed::new(seed));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (gate_handle, gate) = LossyGate::new(sink_id, loss, outage, plan_seed);
         let gate_id = b.add_node(Box::new(gate));

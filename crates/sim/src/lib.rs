@@ -19,7 +19,8 @@
 //!   arrival computes its departure, so a hop costs one event, and a
 //!   router serves open-loop cross traffic of its own without any.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
-//!   "Agilent J6841A network analyzer" the paper's adversary uses.
+//!   "Agilent J6841A network analyzer" the paper's adversary uses. A
+//!   tap with no next hop is the capture-only endpoint of a path.
 //! * **Windowed observers** ([`observer::WindowedObserver`]) are the
 //!   aggregate-link counterpart: they fold arrivals online into
 //!   fixed-width window statistics (count, byte rate, PIAT moments) in
@@ -61,7 +62,6 @@ pub mod observer;
 pub mod packet;
 pub mod parallel;
 pub mod router;
-pub mod sink;
 pub mod source;
 pub mod tap;
 pub mod time;
@@ -79,7 +79,6 @@ pub use observer::{ObserverHandle, WindowStats, WindowedObserver};
 pub use packet::{FlowId, Packet, PacketKind};
 pub use parallel::{parallel_map, parallel_map_init_catching, ItemPanic};
 pub use router::Router;
-pub use sink::{Sink, SinkHandle};
 pub use source::DistSource;
 pub use tap::{Tap, TapHandle};
 pub use time::{SimDuration, SimTime};

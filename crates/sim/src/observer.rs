@@ -426,7 +426,7 @@ mod tests {
     use super::*;
     use crate::engine::SimBuilder;
     use crate::packet::{FlowId, PacketKind};
-    use crate::sink::Sink;
+    use crate::tap::Tap;
     use linkpad_stats::rng::MasterSeed;
 
     /// Emits one 500-byte packet every `period`.
@@ -452,7 +452,7 @@ mod tests {
 
     fn run_clocked(period_ms: f64, total: u32, window_ms: f64) -> (ObserverHandle, u32) {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (obs, node) =
             WindowedObserver::new(SimDuration::from_millis_f64(window_ms), Some(sink_id));
@@ -613,7 +613,7 @@ mod tests {
         gaps: OutageSchedule,
     ) -> (ObserverHandle, u32) {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (obs, node) =
             WindowedObserver::new(SimDuration::from_millis_f64(window_ms), Some(sink_id));

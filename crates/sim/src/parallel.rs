@@ -105,7 +105,7 @@ impl fmt::Display for ItemPanic {
 impl std::error::Error for ItemPanic {}
 
 /// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

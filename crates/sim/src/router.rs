@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use crate::engine::{Sim, SimBuilder};
     use crate::packet::{FlowId, PacketKind};
-    use crate::sink::{Sink, SinkHandle};
+    use crate::tap::{Tap, TapHandle};
     use linkpad_stats::dist::{Categorical, Deterministic, Exponential, Pareto};
     use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
     use std::cell::{Cell, RefCell};
@@ -196,18 +196,35 @@ mod tests {
     }
 
     /// Arrival times at the sink, in nanoseconds.
-    fn arrival_ns(handle: &SinkHandle) -> Vec<u64> {
-        handle
-            .arrival_times()
-            .iter()
-            .map(|t| t.as_nanos())
-            .collect()
+    fn arrival_ns(handle: &TapHandle) -> Vec<u64> {
+        handle.timestamps().iter().map(|t| t.as_nanos()).collect()
+    }
+
+    /// Terminal node logging each arrival's instant and flow, for tests
+    /// that split a sink's arrivals by flow (a [`Tap`] records instants
+    /// only).
+    #[derive(Clone, Default)]
+    struct FlowLog(Rc<RefCell<Vec<(SimTime, FlowId)>>>);
+    impl FlowLog {
+        /// Arrival instants of `flow`, in order.
+        fn of(&self, flow: FlowId) -> Vec<SimTime> {
+            let log = self.0.borrow();
+            log.iter().filter(|a| a.1 == flow).map(|a| a.0).collect()
+        }
+        fn count(&self) -> usize {
+            self.0.borrow().len()
+        }
+    }
+    impl Node for FlowLog {
+        fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
+            self.0.borrow_mut().push((ctx.now(), packet.flow));
+        }
     }
 
     #[test]
     fn fifo_service_spaces_departures() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         // 100 Mb/s: 500 B → 40 µs service.
         let router = Router::new(sink_id, 100e6, SimDuration::ZERO);
@@ -231,7 +248,7 @@ mod tests {
     #[test]
     fn propagation_adds_constant_delay() {
         let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let prop = SimDuration::from_millis_f64(5.0);
         let r = b.add_node(Box::new(Router::new(sink_id, 100e6, prop)));
@@ -250,7 +267,7 @@ mod tests {
     #[test]
     fn idle_router_transmits_immediately() {
         let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let r = b.add_node(Box::new(Router::new(sink_id, 1e9, SimDuration::ZERO)));
         b.add_node(Box::new(Sender {
@@ -268,7 +285,7 @@ mod tests {
     #[test]
     fn reset_forgets_the_backlog() {
         let mut b = SimBuilder::new(MasterSeed::new(4));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let r = b.add_node(Box::new(Router::new(sink_id, 100e6, SimDuration::ZERO)));
         b.add_node(Box::new(Sender {
@@ -292,7 +309,7 @@ mod tests {
         // no-cross-traffic case. This is δ_net in miniature.
         fn piat_variance(with_cross: bool) -> f64 {
             let mut b = SimBuilder::new(MasterSeed::new(42));
-            let (handle, sink) = Sink::new();
+            let (handle, sink) = Tap::on_padded_flow(None);
             let sink_id = b.add_node(Box::new(sink));
             let r = b.add_node(Box::new(Router::new(sink_id, 10e6, SimDuration::ZERO)));
 
@@ -334,7 +351,7 @@ mod tests {
             }
             let mut sim = b.build().unwrap();
             sim.run_until(SimTime::from_secs_f64(20.0));
-            let times = handle.arrival_times_for_flow(FlowId::PADDED);
+            let times = handle.timestamps();
             let piats: Vec<f64> = times
                 .windows(2)
                 .map(|w| (w[1].saturating_since(w[0])).as_secs_f64())
@@ -494,12 +511,12 @@ mod tests {
     /// until every packet has drained. Every gap is a whole number of
     /// microseconds and a byte takes 1 µs on the wire, so arrivals and
     /// departures share one grid and tie exactly.
-    fn run_grid(reference: Option<Rc<Ties>>) -> (Sim, SinkHandle) {
+    fn run_grid(reference: Option<Rc<Ties>>) -> (Sim, FlowLog) {
         const BPS: f64 = 8e6;
         let prop = SimDuration::from_nanos(3_000);
         let mut b = SimBuilder::new(MasterSeed::new(15));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
+        let handle = FlowLog::default();
+        let sink_id = b.add_node(Box::new(handle.clone()));
         let router = match reference {
             Some(ties) => b.add_node(Box::new(ServiceTimerRouter {
                 next: sink_id,
@@ -541,8 +558,8 @@ mod tests {
 
         for flow in [FlowId::PADDED, FlowId::CROSS] {
             assert_eq!(
-                sink.arrival_times_for_flow(flow),
-                ref_sink.arrival_times_for_flow(flow),
+                sink.of(flow),
+                ref_sink.of(flow),
                 "{flow:?}: sink arrivals differ from the reference model"
             );
         }
@@ -659,12 +676,12 @@ mod tests {
     /// [`EagerCross`] that logs into `eager`. A byte takes 1 µs on the
     /// wire and every gap is whole microseconds, so cross and padded
     /// arrivals tie exactly.
-    fn run_cross_grid(eager: Option<Rc<RefCell<Vec<SimTime>>>>) -> (Sim, SinkHandle) {
+    fn run_cross_grid(eager: Option<Rc<RefCell<Vec<SimTime>>>>) -> (Sim, FlowLog) {
         const SEED: u64 = 16;
         const BPS: f64 = 8e6;
         let mut b = SimBuilder::new(MasterSeed::new(SEED));
-        let (handle, sink) = Sink::new();
-        let sink_id = b.add_node(Box::new(sink));
+        let handle = FlowLog::default();
+        let sink_id = b.add_node(Box::new(handle.clone()));
         let router = Router::new(sink_id, BPS, SimDuration::from_nanos(3_000));
         let router_id = match eager {
             Some(_) => b.add_node(Box::new(router)),
@@ -701,11 +718,11 @@ mod tests {
         let (reference, ref_sink) = run_cross_grid(Some(Rc::clone(&sent)));
         let (lazy, sink) = run_cross_grid(None);
 
-        let padded = sink.arrival_times_for_flow(FlowId::PADDED);
+        let padded = sink.of(FlowId::PADDED);
         assert_eq!(padded.len() as u64, PADDED);
         assert_eq!(
             padded,
-            ref_sink.arrival_times_for_flow(FlowId::PADDED),
+            ref_sink.of(FlowId::PADDED),
             "padded departures differ from the eager wiring"
         );
         assert_eq!(sink.count() as u64, PADDED, "cross traffic goes nowhere");
@@ -714,7 +731,7 @@ mod tests {
         // in FIFO order, so the eager wiring's j-th cross departure is
         // its j-th cross arrival, and likewise for the padded flow.
         let sent = sent.borrow();
-        let cross_out = ref_sink.arrival_times_for_flow(FlowId::CROSS);
+        let cross_out = ref_sink.of(FlowId::CROSS);
         assert_eq!(cross_out.len(), sent.len());
         let mut ties = 0;
         for (j, t) in sent.iter().enumerate() {

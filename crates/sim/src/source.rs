@@ -112,7 +112,8 @@ impl Node for DistSource {
 mod tests {
     use super::*;
     use crate::engine::SimBuilder;
-    use crate::sink::Sink;
+    use crate::observer::WindowedObserver;
+    use crate::tap::Tap;
     use crate::time::SimTime;
     use linkpad_stats::dist::{Deterministic, Exponential};
     use linkpad_stats::rng::MasterSeed;
@@ -120,7 +121,7 @@ mod tests {
     #[test]
     fn cbr_source_emits_at_fixed_rate() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(DistSource::new(
             sink_id,
@@ -132,7 +133,7 @@ mod tests {
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.05));
         assert_eq!(handle.count(), 10);
-        let times = handle.arrival_times();
+        let times = handle.timestamps();
         for (i, t) in times.iter().enumerate() {
             assert_eq!(t.as_nanos(), (i as u64 + 1) * 100_000_000);
         }
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn poisson_source_rate_is_right_on_average() {
         let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(DistSource::new(
             sink_id,
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn limit_stops_emission() {
         let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(
             DistSource::new(
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn zero_limit_emits_nothing() {
         let mut b = SimBuilder::new(MasterSeed::new(4));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(
             DistSource::new(
@@ -199,7 +200,7 @@ mod tests {
     #[test]
     fn initial_delay_shifts_first_packet() {
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(
             DistSource::new(
@@ -214,14 +215,15 @@ mod tests {
         ));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.0));
-        let first = handle.arrival_times()[0];
+        let first = handle.timestamps()[0];
         assert_eq!(first.as_nanos(), 510_000_000);
     }
 
     #[test]
     fn sizes_are_clamped_to_at_least_one_byte() {
         let mut b = SimBuilder::new(MasterSeed::new(6));
-        let (handle, sink) = Sink::new();
+        // A capture-only observer: one window holds the byte total.
+        let (handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0), None);
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(
             DistSource::new(
@@ -235,7 +237,8 @@ mod tests {
         ));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(handle.count(), 3);
-        assert_eq!(handle.bytes(), 3); // clamped to 1 byte each
+        assert_eq!(handle.arrivals(), 3);
+        let bytes: u64 = handle.with_windows(|ws| ws.iter().map(|w| w.bytes).sum());
+        assert_eq!(bytes, 3); // clamped to 1 byte each
     }
 }

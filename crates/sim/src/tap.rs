@@ -14,16 +14,15 @@
 //! and overhead accounting may use but the `linkpad-adversary` crate never
 //! touches — packets are "perfectly encrypted" in the threat model.
 //!
+//! A tap with no next hop is a **capture-only endpoint**: it records
+//! what reaches the end of a path (a subnet behind the receiver
+//! gateway, a test's terminal node) and forwards nothing.
+//!
 //! **Memory model:** a tap stores every matching arrival, so its memory
-//! is `O(arrivals)` — one `SimTime` per capture, growing for as long as
-//! the simulation runs. That is the right trade for per-flow captures
-//! (the detection pipeline consumes the raw PIATs), but a *filterless*
-//! tap on a many-flow trunk accumulates the whole aggregate: 10⁴ CIT
-//! flows produce ~10⁶ captures per simulated second, reallocating the
-//! buffer unboundedly on long runs. Scenario builders should pre-size
-//! with [`Tap::with_capacity`] (or [`TapHandle::reserve`]) when the
-//! capture size is predictable, and aggregate experiments that only need
-//! window-level statistics should use
+//! is `O(arrivals)` — one `SimTime` per capture. That is the right
+//! trade for per-flow captures, whose PIATs the detection pipeline
+//! consumes raw; [`TapHandle::reserve`] pre-sizes a predictable
+//! capture. An aggregate trunk is watched by a
 //! [`WindowedObserver`](crate::observer::WindowedObserver) instead,
 //! whose memory is `O(windows)` — independent of the arrival count.
 
@@ -140,14 +139,13 @@ pub struct Tap {
     filter: Option<FlowId>,
     /// Downstream node (`None` = capture-only endpoint).
     next: Option<NodeId>,
-    /// Packets of this flow end here instead of reaching `next`.
-    exit: Option<FlowId>,
     label: String,
 }
 
 impl Tap {
     /// A tap that records packets of `filter` (or all packets when
-    /// `None`) and forwards everything to `next`.
+    /// `None`) and forwards everything to `next` (`None`: a
+    /// capture-only endpoint).
     pub fn new(filter: Option<FlowId>, next: Option<NodeId>) -> (TapHandle, Self) {
         let state = Rc::new(RefCell::new(TapState::default()));
         (
@@ -158,7 +156,6 @@ impl Tap {
                 state,
                 filter,
                 next,
-                exit: None,
                 label: "tap".to_string(),
             },
         )
@@ -174,24 +171,6 @@ impl Tap {
         self.label = label.into();
         self
     }
-
-    /// Builder-style capture-capacity hint: pre-size the timestamp
-    /// buffer for `captures` expected packets, so a predictable capture
-    /// (e.g. an aggregate trunk at a known rate) never reallocates
-    /// mid-run. The buffer still grows beyond the hint on demand, and
-    /// `reset`/[`TapHandle::clear`] keep the reserved capacity.
-    pub fn with_capacity(self, captures: usize) -> Self {
-        self.state.borrow_mut().timestamps.reserve(captures);
-        self
-    }
-
-    /// Builder-style exit flow: packets of `flow` are recorded as the
-    /// filter says and then end here instead of reaching `next` — for
-    /// traffic no node downstream reads.
-    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
-        self.exit = Some(flow);
-        self
-    }
 }
 
 impl Node for Tap {
@@ -205,9 +184,8 @@ impl Node for Tap {
                 PacketKind::Cross => st.cross += 1,
             }
         }
-        match self.next {
-            Some(next) if self.exit != Some(packet.flow) => ctx.send_now(next, packet),
-            _ => {}
+        if let Some(next) = self.next {
+            ctx.send_now(next, packet);
         }
     }
 
@@ -228,9 +206,7 @@ impl Node for Tap {
         }
         if let Some(next) = self.next {
             for packet in packets.drain(..) {
-                if self.exit != Some(packet.flow) {
-                    ctx.send_now(next, packet);
-                }
+                ctx.send_now(next, packet);
             }
         } else {
             packets.clear();
@@ -250,7 +226,6 @@ impl Node for Tap {
 mod tests {
     use super::*;
     use crate::engine::SimBuilder;
-    use crate::sink::Sink;
     use crate::time::SimDuration;
     use linkpad_stats::rng::MasterSeed;
 
@@ -283,7 +258,7 @@ mod tests {
     #[test]
     fn filtered_tap_records_only_matching_flow() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (tap_handle, tap) = Tap::on_padded_flow(Some(sink_id));
         let tap_id = b.add_node(Box::new(tap));
@@ -356,26 +331,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_pre_sizes_without_changing_behavior() {
-        let mut b = SimBuilder::new(MasterSeed::new(6));
-        let (handle, tap) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(tap.with_capacity(4096)));
-        b.add_node(Box::new(Mixer {
-            dst: tap_id,
-            sent: 0,
-            total: 6,
-        }));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(handle.count(), 6);
-        handle.clear();
-        assert_eq!(handle.count(), 0);
-    }
-
-    #[test]
     fn capture_only_tap_does_not_forward() {
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let _sink_id = b.add_node(Box::new(sink));
         let (tap_handle, tap) = Tap::new(None, None); // no next
         let tap_id = b.add_node(Box::new(tap));

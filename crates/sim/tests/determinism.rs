@@ -9,7 +9,6 @@
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::equeue::{EventKind, EventQueue};
 use linkpad_sim::packet::{FlowId, PacketKind};
-use linkpad_sim::sink::Sink;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::{SimDuration, SimTime};
@@ -97,7 +96,7 @@ fn ladder_queue_model_agreement_at_scale() {
 /// Build a jittered source → tap → sink sim and capture its trace.
 fn capture_trace(seed: u64, secs: f64) -> Vec<u64> {
     let mut b = SimBuilder::new(MasterSeed::new(seed));
-    let (_sink_handle, sink) = Sink::new();
+    let (_sink_handle, sink) = Tap::new(None, None);
     let sink_id = b.add_node(Box::new(sink));
     let (tap_handle, tap) = Tap::new(None, Some(sink_id));
     let tap_id = b.add_node(Box::new(tap));

@@ -10,17 +10,16 @@
 //!
 //! ```
 //! use linkpad_stats::rng::MasterSeed;
-//! use rand::Rng;
 //!
 //! let seed = MasterSeed::new(42);
 //! let mut gw_rng = seed.stream(7);     // e.g. the sender gateway
 //! let mut net_rng = seed.stream(8);    // e.g. a router
-//! let a: f64 = gw_rng.random();
-//! let b: f64 = net_rng.random();
+//! let a = gw_rng.next_f64();
+//! let b = net_rng.next_f64();
 //! assert_ne!(a, b);
 //! // Re-derive the same stream: identical sequence.
 //! let mut again = seed.stream(7);
-//! assert_eq!(a, again.random::<f64>());
+//! assert_eq!(a, again.next_f64());
 //! ```
 
 use rand_core::{RngCore, SeedableRng};
@@ -45,8 +44,7 @@ pub fn splitmix64_mix(mut z: u64) -> u64 {
 /// xoshiro256★★ pseudo-random generator (Blackman & Vigna, 2018).
 ///
 /// Period 2²⁵⁶ − 1, passes BigCrush, four words of state, ~0.8 ns per
-/// `next_u64` on modern x86-64. Implements [`rand_core::RngCore`] so it
-/// plugs into the whole `rand` distribution machinery.
+/// `next_u64` on modern x86-64. Implements [`rand_core::RngCore`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
@@ -214,7 +212,6 @@ impl MasterSeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn xoshiro_matches_reference_vector() {
@@ -322,15 +319,5 @@ mod tests {
         assert_ne!(seed.child(0), seed.child(1));
         // Children are deterministic.
         assert_eq!(seed.child(3), seed.child(3));
-    }
-
-    #[test]
-    fn works_with_rand_traits() {
-        let seed = MasterSeed::new(11);
-        let mut rng = seed.stream(0);
-        let x: f64 = rng.random_range(5.0..6.0);
-        assert!((5.0..6.0).contains(&x));
-        let k: u32 = rng.random_range(0..10);
-        assert!(k < 10);
     }
 }

@@ -6,20 +6,21 @@
 //! once. This module opens that regime end to end:
 //!
 //! ```text
-//!  src_0 → GW1_0 → [tap@gw1] ─┐                ┌─ [tap@gw2] → GW2_0 → sink
-//!  src_1 → GW1_1 ─────────────┤                ├─ GW2_1
-//!   ...                       ├→ trunk router ─┤   ...      (per-flow
-//!  src_N → GW1_N ─────────────┘   [trunk tap]  └─ GW2_N      demux)
+//!  src_0 → GW1_0 → [tap@gw1] ─┐                    ┌─ [tap@gw2] → GW2_0 → [subnet-b]
+//!  src_1 → GW1_1 ─────────────┤                    ├─ GW2_1
+//!   ...                       ├→ trunk router ─────┤   ...      (per-flow
+//!  src_N → GW1_N ─────────────┘  [observer@trunk]  └─ GW2_N      demux)
 //! ```
 //!
 //! Every flow `i` runs its own CIT/VIT padding gateway pair under
 //! `FlowId(i)`; all sender gateways feed one shared **trunk** (a FIFO
-//! router with configurable capacity and propagation). A **trunk tap**
-//! (no flow filter) records the aggregate arrival process — the
-//! adversary's view of the shared link — and a [`TrunkDemux`] fans the
-//! flows back out so the adversary pipeline (and QoS accounting) can
+//! router with configurable capacity and propagation). A **trunk
+//! observer** ([`WindowedObserver`], no flow filter) folds the aggregate
+//! arrival process into per-window statistics — the adversary's view of
+//! the shared link, in `O(windows)` memory — and a [`TrunkDemux`] fans
+//! the flows back out so the adversary pipeline (and QoS accounting) can
 //! also observe any single flow post-trunk (cohort traffic, which has no
-//! receiver, ends at the trunk instrument instead). Flow 0 is the fully
+//! receiver, ends at the trunk observer instead). Flow 0 is the fully
 //! instrumented *target* flow: it keeps the lab scenario's sender-egress
 //! and receiver-ingress taps, so [`TapPosition`](crate::scenario::TapPosition)
 //! semantics carry over unchanged.
@@ -42,7 +43,6 @@ use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::{FlowId, Packet, PacketKind};
 use linkpad_sim::router::Router;
-use linkpad_sim::sink::Sink;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::SimDuration;
@@ -126,12 +126,11 @@ pub struct AggregateSpec {
     /// packets in flight: the steady-state pending-event population is
     /// roughly `flows × (2 + propagation/τ)`.
     pub trunk_propagation: f64,
-    /// Width (seconds) of the streaming trunk observer's windows. When
-    /// set, a [`WindowedObserver`] replaces the store-everything trunk
-    /// tap — `O(windows)` memory instead of `O(arrivals)` — and the
-    /// aggregate view lives in
+    /// Width (seconds) of the trunk observer's windows. Every aggregate
+    /// watches its trunk with a [`WindowedObserver`] — `O(windows)`
+    /// memory — whose view lives in
     /// [`AggregateHandles::trunk_observer`](crate::scenario::AggregateHandles).
-    pub observer_window: Option<f64>,
+    pub observer_window: f64,
     /// When set, flow 0's payload is driven by a rate-switching source
     /// instead of the builder's payload law; the ground-truth switch log
     /// lands in
@@ -144,7 +143,7 @@ pub struct AggregateSpec {
     /// cohort support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
-    /// [`COHORT_FLOW`] and ends at the trunk instrument once recorded;
+    /// [`COHORT_FLOW`] and ends at the trunk observer once recorded;
     /// QoS instrumentation exists only for the target flow.
     pub cohort_size: Option<usize>,
     /// Padding-clock phase layout across the flow population.
@@ -167,14 +166,14 @@ impl AggregateSpec {
     /// Defaults for `flows` gateway pairs: a 10 Gb/s metro trunk with
     /// 5 ms propagation. At the calibrated τ = 10 ms padding clock each
     /// flow offers 400 kb/s, so utilization stays moderate up to ~10⁴
-    /// flows. The trunk instrument defaults to the store-everything tap
-    /// and flow 0 to the builder's payload law.
+    /// flows. The trunk observer's windows default to 20 τ = 0.2 s and
+    /// flow 0 to the builder's payload law.
     pub fn new(flows: usize) -> Self {
         Self {
             flows,
             trunk_bps: 10e9,
             trunk_propagation: 5e-3,
-            observer_window: None,
+            observer_window: 0.2,
             switching: None,
             cohort_size: None,
             phases: PhaseSpec::Synchronized,
@@ -195,7 +194,7 @@ impl AggregateSpec {
 /// would skew QoS and overhead accounting without a trace. The demux
 /// therefore panics on unknown flows, in the same fail-loudly-at-the-
 /// source spirit as `SimBuilder::install`. Cohort traffic
-/// ([`COHORT_FLOW`]) has no receiver: it ends at the trunk instrument
+/// ([`COHORT_FLOW`]) has no receiver: it ends at the trunk observer
 /// that records it, and reaching the demux is the same wiring bug.
 ///
 /// A **base** offset lets a shard carrying global flows `[base, base+n)`
@@ -291,13 +290,12 @@ pub(crate) fn build_aggregate(
             }));
         }
     }
-    if let Some(w) = spec.observer_window {
-        if !(w.is_finite() && w > 0.0) {
-            return Err(ScenarioError::Stats(StatsError::NonPositive {
-                what: "observer window",
-                value: w,
-            }));
-        }
+    let window = spec.observer_window;
+    if !(window.is_finite() && window > 0.0) {
+        return Err(ScenarioError::Stats(StatsError::NonPositive {
+            what: "observer window",
+            value: window,
+        }));
     }
     let (start, count) = spec.flow_range.unwrap_or((0, spec.flows));
     if count == 0 || start.checked_add(count).is_none_or(|end| end > spec.flows) {
@@ -330,13 +328,14 @@ pub(crate) fn build_aggregate(
     let tau = d.tau;
     let mut b = SimBuilder::new(MasterSeed::new(builder.seed()));
 
-    // Receiver side, flow 0 (the instrumented target): sink ← GW2 ← tap.
+    // Receiver side, flow 0 (the instrumented target): subnet-B
+    // endpoint ← GW2 ← tap.
     // Observer-only shards (ranges excluding flow 0) keep the handles —
     // constructed, never wired — so every shard exposes the same
     // `BuiltScenario` shape with zeroed target instrumentation.
     let mut demux_nexts: Vec<NodeId> = Vec::new();
     let (payload_sink, receiver, receiver_tap) = if has_target {
-        let (payload_sink, sink) = Sink::new();
+        let (payload_sink, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink.with_label("subnet-b")));
         let (receiver, gw2) = ReceiverGateway::new(Some(sink_id));
         let gw2_id = b.add_node(Box::new(gw2));
@@ -345,14 +344,14 @@ pub(crate) fn build_aggregate(
         demux_nexts.push(rtap_id);
         (payload_sink, receiver, receiver_tap)
     } else {
-        let (payload_sink, _sink) = Sink::new();
+        let (payload_sink, _sink) = Tap::new(None, None);
         let (receiver, _gw2) = ReceiverGateway::new(None);
         let (receiver_tap, _rtap) = Tap::on_padded_flow(None);
         (payload_sink, receiver, receiver_tap)
     };
 
     // Receiver side, non-target flows: a terminating gateway each in the
-    // per-flow mode; in cohort mode they end at the trunk instrument.
+    // per-flow mode; in cohort mode they end at the trunk observer.
     let mut receivers = Vec::new();
     if has_target {
         receivers.push(receiver.clone());
@@ -366,47 +365,25 @@ pub(crate) fn build_aggregate(
         }
     }
 
-    // The shared trunk: router → aggregate instrument → demux. The
-    // instrument is the adversary's view of the shared link: either the
-    // store-everything tap (default; pre-sized so the first ~0.64 s of
-    // τ-clocked aggregate traffic never reallocates — see the memory
-    // model in `Tap`'s docs — with the pre-size capped at 10⁶ captures
-    // so cohort-scale populations don't pre-commit gigabytes) or, for
-    // long/huge runs, the streaming windowed observer in O(windows)
-    // memory. Cohort traffic has no receiver, so in cohort mode it ends
-    // at the instrument once recorded.
+    // The shared trunk: router → observer → demux. The observer is the
+    // adversary's view of the shared link, in O(windows) memory. Cohort
+    // traffic has no receiver, so in cohort mode it ends at the observer
+    // once recorded.
     let demux_id = b.add_node(Box::new(TrunkDemux::new(demux_nexts).with_base(start)));
-    let cohort_exit = spec.cohort_size.map(|_| COHORT_FLOW);
-    let (trunk_tap, trunk_observer, instrument_id) = match spec.observer_window {
-        Some(window) => {
-            let (obs, mut node) =
-                WindowedObserver::new(SimDuration::from_secs_f64(window), Some(demux_id));
-            // Measurement gaps: the observer goes blind on the gap
-            // schedule's down intervals and stamps per-window coverage.
-            if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
-                node = node.with_gaps(gaps);
-            }
-            if let Some(flow) = cohort_exit {
-                node = node.with_exit_flow(flow);
-            }
-            let id = b.add_node(Box::new(node.with_label("observer@trunk")));
-            (None, Some(obs), id)
-        }
-        None => {
-            let (tap, mut node) = Tap::new(None, Some(demux_id));
-            if let Some(flow) = cohort_exit {
-                node = node.with_exit_flow(flow);
-            }
-            let id = b.add_node(Box::new(
-                node.with_capacity((count * 64).min(1_000_000))
-                    .with_label("tap@trunk"),
-            ));
-            (Some(tap), None, id)
-        }
-    };
+    let (trunk_observer, mut observer) =
+        WindowedObserver::new(SimDuration::from_secs_f64(window), Some(demux_id));
+    // Measurement gaps: the observer goes blind on the gap schedule's
+    // down intervals and stamps per-window coverage.
+    if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
+        observer = observer.with_gaps(gaps);
+    }
+    if spec.cohort_size.is_some() {
+        observer = observer.with_exit_flow(COHORT_FLOW);
+    }
+    let observer_id = b.add_node(Box::new(observer.with_label("observer@trunk")));
     let trunk_id = b.add_node(Box::new(
         Router::new(
-            instrument_id,
+            observer_id,
             spec.trunk_bps,
             SimDuration::from_secs_f64(spec.trunk_propagation),
         )
@@ -595,8 +572,7 @@ pub(crate) fn build_aggregate(
         receiver,
         payload_sink,
         aggregate: Some(AggregateHandles {
-            trunk_tap,
-            trunk_observer,
+            trunk_observer: Some(trunk_observer),
             target_rate_log,
             gateways,
             receivers,
@@ -629,19 +605,27 @@ mod tests {
     }
 
     #[test]
-    fn trunk_tap_sees_all_flows_and_demux_separates_them() {
+    fn trunk_observer_sees_all_flows_and_demux_separates_them() {
         let flows = 8;
         let b = ScenarioBuilder::aggregate(2, flows).with_payload_rate(10.0);
         let mut s = b.build().unwrap();
         s.run_for_secs(5.0);
         let agg = s.aggregate.as_ref().unwrap();
-        // Every gateway ticks at ~100 pps; the trunk tap sees the union.
+        // Every gateway ticks at ~100 pps; the trunk observer sees the
+        // union.
         let per_flow = s.sender_tap.count() as f64;
-        let trunk = agg.trunk_tap.as_ref().unwrap().count() as f64;
+        let obs = agg.trunk_observer.clone().unwrap();
+        let trunk = obs.arrivals() as f64;
         assert!(
             (trunk / per_flow - flows as f64).abs() < 0.1 * flows as f64,
             "trunk {trunk} vs per-flow {per_flow}"
         );
+        // The default 0.2 s windows partition the arrivals in
+        // O(windows) memory; full windows hold ~flows × window/τ.
+        assert_eq!(obs.counts().iter().sum::<f64>(), trunk);
+        assert!(obs.windows() <= 26, "windows {}", obs.windows());
+        let mid = obs.counts()[12];
+        assert!((mid - (flows * 20) as f64).abs() <= 2.0, "mid window {mid}");
         // Post-demux, flow 0's tap is a clean single-flow stream again.
         assert!(s.receiver_tap.count() > 400);
         let (_, _, cross) = s.receiver_tap.kind_counts();
@@ -685,7 +669,7 @@ mod tests {
     fn trunk_demux_forwards_known_flows() {
         use linkpad_sim::time::SimTime;
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (h, sink) = Sink::new();
+        let (h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let demux_id = b.add_node(Box::new(TrunkDemux::new(vec![sink_id])));
         b.add_node(Box::new(DistSource::new(
@@ -705,7 +689,7 @@ mod tests {
     fn trunk_demux_errors_on_unknown_flow() {
         use linkpad_sim::time::SimTime;
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let demux_id = b.add_node(Box::new(TrunkDemux::new(vec![sink_id])));
         // Flow 7 has no branch: a wiring bug, and it must fail loudly
@@ -719,37 +703,6 @@ mod tests {
         )));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::from_secs_f64(1.0));
-    }
-
-    #[test]
-    fn observer_replaces_trunk_tap_and_sees_the_same_aggregate() {
-        let flows = 6;
-        let tapped = ScenarioBuilder::aggregate(9, flows).with_payload_rate(10.0);
-        let observed = tapped.clone().with_trunk_observer(0.1);
-        let mut a = tapped.build().unwrap();
-        let mut b = observed.build().unwrap();
-        a.run_for_secs(4.0);
-        b.run_for_secs(4.0);
-        let tap = a.aggregate.as_ref().unwrap().trunk_tap.clone().unwrap();
-        let agg_b = b.aggregate.as_ref().unwrap();
-        assert!(agg_b.trunk_tap.is_none(), "observer replaces the tap");
-        let obs = agg_b.trunk_observer.clone().unwrap();
-        // Identical seed and topology shape → identical trunk arrivals,
-        // just folded into windows instead of stored one by one.
-        assert_eq!(obs.arrivals(), tap.count() as u64);
-        assert_eq!(
-            obs.counts().iter().sum::<f64>(),
-            tap.count() as f64,
-            "window counts partition the arrivals"
-        );
-        assert!(
-            obs.windows() <= 41,
-            "windows {} not O(arrivals)",
-            obs.windows()
-        );
-        // Full windows hold ~flows × window/τ arrivals.
-        let mid = obs.counts()[20];
-        assert!((mid - (flows * 10) as f64).abs() <= 2.0, "mid window {mid}");
     }
 
     #[test]
@@ -790,12 +743,12 @@ mod tests {
         assert!(gate.offered() > 3500, "offered {}", gate.offered());
         let frac = gate.drop_fraction();
         assert!((frac - 0.2).abs() < 0.03, "drop fraction {frac}");
-        // The trunk instrument sits behind the gate: it sees survivors
+        // The trunk observer sits behind the gate: it sees survivors
         // only (minus the few packets in flight over the 5 ms trunk).
-        let trunk = agg.trunk_tap.as_ref().unwrap().count() as u64;
+        let trunk = agg.trunk_observer.as_ref().unwrap().arrivals();
         assert!(
             gate.passed() - trunk <= 8,
-            "tap {trunk} vs passed {}",
+            "observer {trunk} vs passed {}",
             gate.passed()
         );
     }
@@ -835,6 +788,37 @@ mod tests {
         let counts = obs.counts();
         assert_eq!(counts[4], 0.0);
         assert!(counts[5] > 0.0);
+    }
+
+    #[test]
+    fn default_aggregate_observes_its_trunk_and_honours_observer_gaps() {
+        use linkpad_sim::fault::OutageSchedule;
+        // No `with_trunk_observer`: the default 0.2 s observer watches
+        // the trunk, and a gap-only plan blinds it.
+        let gaps = OutageSchedule::new(
+            SimDuration::from_secs_f64(1.0),
+            SimDuration::from_secs_f64(0.2),
+        );
+        let mut s = ScenarioBuilder::aggregate(22, 4)
+            .with_payload_rate(10.0)
+            .with_faults(FaultPlan::new(3).with_observer_gaps(gaps))
+            .build()
+            .unwrap();
+        s.run_for_secs(3.0);
+        let agg = s.aggregate.as_ref().unwrap();
+        let obs = agg
+            .trunk_observer
+            .clone()
+            .expect("every aggregate observes its trunk");
+        assert_eq!(obs.window_secs(), 0.2);
+        // Down the first 0.2 s of every 1 s: windows 0, 5, 10, … are
+        // blind, the rest fully covered.
+        let covs = obs.coverages();
+        assert!(covs.len() >= 14, "windows {}", covs.len());
+        for (i, &c) in covs.iter().enumerate() {
+            let want = if i % 5 == 0 { 0.0 } else { 1.0 };
+            assert_eq!(c, want, "window {i}");
+        }
     }
 
     #[test]

@@ -127,15 +127,15 @@ mod tests {
     use super::*;
     use linkpad_sim::engine::SimBuilder;
     use linkpad_sim::packet::{FlowId, PacketKind};
-    use linkpad_sim::sink::Sink;
     use linkpad_sim::source::DistSource;
+    use linkpad_sim::tap::Tap;
     use linkpad_stats::dist::Deterministic;
     use linkpad_stats::moments::sample_variance;
     use linkpad_stats::rng::MasterSeed;
 
     fn run_piat_variance(utilization: f64, seed: u64) -> f64 {
         let mut b = SimBuilder::new(MasterSeed::new(seed));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let hop =
             BackgroundNoiseHop::new(sink_id, 400e6, utilization, 593.0, SimDuration::ZERO).unwrap();
@@ -149,7 +149,7 @@ mod tests {
         )));
         let mut sim = b.build().unwrap();
         sim.run_until(linkpad_sim::time::SimTime::from_secs_f64(200.0));
-        let times = handle.arrival_times();
+        let times = handle.timestamps();
         let piats: Vec<f64> = times
             .windows(2)
             .map(|w| w[1].saturating_since(w[0]).as_secs_f64())
@@ -178,7 +178,7 @@ mod tests {
     fn NodeId_test() -> NodeId {
         // Build a throwaway sim to mint a valid id.
         let mut b = SimBuilder::new(MasterSeed::new(0));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         b.add_node(Box::new(sink))
     }
 
@@ -217,7 +217,7 @@ mod tests {
         // timestamps are recorded in arrival order by construction, so
         // instead verify count: every packet arrives exactly once).
         let mut b = SimBuilder::new(MasterSeed::new(6));
-        let (handle, sink) = Sink::new();
+        let (handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let hop = BackgroundNoiseHop::new(sink_id, 1e6, 0.9, 1500.0, SimDuration::ZERO).unwrap();
         let hop_id = b.add_node(Box::new(hop.with_label("hot")));
@@ -230,7 +230,7 @@ mod tests {
         )));
         let mut sim = b.build().unwrap();
         sim.run_until(linkpad_sim::time::SimTime::from_secs_f64(10.0));
-        let times = handle.arrival_times();
+        let times = handle.timestamps();
         assert!(times.len() > 5000);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }

@@ -18,11 +18,12 @@
 //!   one trunk), each returning a runnable simulation plus tap/gateway
 //!   handles, a PIAT collector, and a seed-reset fast path for sweeps.
 //! * [`aggregate`] — the many-gateway trunk topology: per-flow padded
-//!   gateway pairs feeding a shared trunk link, a trunk tap recording
-//!   the aggregate, and an N-way flow demux behind it. Cohort mode
+//!   gateway pairs feeding a shared trunk link, a windowed trunk
+//!   observer folding the aggregate, and an N-way flow demux behind it.
+//!   Cohort mode
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
 //!   swaps the non-target pairs for `FlowCohort` superposition nodes,
-//!   whose traffic ends at the trunk instrument once recorded;
+//!   whose traffic ends at the trunk observer once recorded;
 //!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk

@@ -30,7 +30,6 @@ use linkpad_sim::fault::{FaultGateHandle, FaultPlan};
 use linkpad_sim::observer::ObserverHandle;
 use linkpad_sim::packet::{FlowId, PacketKind};
 use linkpad_sim::router::Router;
-use linkpad_sim::sink::{Sink, SinkHandle};
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::{Tap, TapHandle};
 use linkpad_sim::time::SimDuration;
@@ -214,7 +213,8 @@ impl ScenarioBuilder {
 
     /// The aggregate many-gateway topology (see [`crate::aggregate`]):
     /// `flows` independent padded gateway pairs sharing one trunk link,
-    /// with a trunk tap on the aggregate and a per-flow demux behind it.
+    /// with a windowed observer on the trunk and a per-flow demux behind
+    /// it.
     /// Flow 0 keeps the lab scenario's instrumentation, so the usual tap
     /// positions and collectors work unchanged; the extra handles live
     /// in [`BuiltScenario::aggregate`].
@@ -264,16 +264,16 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Replace the aggregate trunk's store-everything tap with a
-    /// streaming windowed observer of the given window width (seconds):
-    /// the aggregate-link adversary's instrument, folding arrivals into
-    /// per-window count/byte-rate/PIAT-moment statistics in `O(windows)`
-    /// memory. The handle lands in [`AggregateHandles::trunk_observer`];
-    /// [`AggregateHandles::trunk_tap`] becomes `None`. No effect outside
-    /// the aggregate family.
+    /// Set the window width (seconds) of the aggregate trunk's streaming
+    /// observer, the aggregate-link adversary's instrument, which folds
+    /// arrivals into per-window count/byte-rate/PIAT-moment statistics in
+    /// `O(windows)` memory (default 0.2 s; see
+    /// [`AggregateSpec::observer_window`]). The handle lands in
+    /// [`AggregateHandles::trunk_observer`]. No effect outside the
+    /// aggregate family.
     pub fn with_trunk_observer(mut self, window_secs: f64) -> Self {
         if let Some(spec) = &mut self.aggregate {
-            spec.observer_window = Some(window_secs);
+            spec.observer_window = window_secs;
         }
         self
     }
@@ -485,8 +485,8 @@ impl ScenarioBuilder {
         let d = self.defaults;
         let mut b = SimBuilder::new(MasterSeed::new(self.seed));
 
-        // Downstream first: subnet-B sink ← GW2 ← receiver tap.
-        let (payload_sink, sink) = Sink::new();
+        // Downstream first: subnet-B endpoint ← GW2 ← receiver tap.
+        let (payload_sink, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink.with_label("subnet-b")));
         let (receiver, gw2) = ReceiverGateway::new(Some(sink_id));
         let gw2_id = b.add_node(Box::new(gw2));
@@ -581,14 +581,11 @@ pub(crate) fn check_link_bps(what: &'static str, bps: f64) -> Result<(), StatsEr
 /// indexed by flow id; flow 0 is also exposed through the plain
 /// [`BuiltScenario`] handles).
 pub struct AggregateHandles {
-    /// Tap on the shared trunk, recording **all** flows — the
-    /// aggregate-link adversary's raw view. `None` when the builder
-    /// selected the streaming observer instead
-    /// ([`ScenarioBuilder::with_trunk_observer`]).
-    pub trunk_tap: Option<TapHandle>,
     /// Streaming windowed observer on the shared trunk — the
-    /// aggregate-link adversary's `O(windows)` view. `None` unless
-    /// [`ScenarioBuilder::with_trunk_observer`] was used.
+    /// aggregate-link adversary's `O(windows)` view of **all** flows.
+    /// Always `Some` for an aggregate. The `Option` stays because the
+    /// benchmark (`linkbench/`) reads the field through
+    /// `Option::and_then`; dropping it is a benchmark change.
     pub trunk_observer: Option<ObserverHandle>,
     /// Ground-truth rate-switch log of the target flow. `None` unless
     /// [`ScenarioBuilder::with_switching_target`] was used.
@@ -620,8 +617,8 @@ pub struct BuiltScenario {
     pub gateway: GatewayHandle,
     /// GW2 instrumentation.
     pub receiver: ReceiverHandle,
-    /// Final payload sink in subnet B.
-    pub payload_sink: SinkHandle,
+    /// Capture-only tap at the payload's destination in subnet B.
+    pub payload_sink: TapHandle,
     /// Aggregate-family extras (`None` for lab/campus/wan).
     pub aggregate: Option<AggregateHandles>,
     pub(crate) tau: f64,

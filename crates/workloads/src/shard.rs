@@ -9,10 +9,9 @@
 //! so the population can be **partitioned**: [`ShardedAggregate`] splits
 //! the global flow range over `shards` sub-simulations, runs each on a
 //! worker (dynamic work-stealing via
-//! [`parallel_map_init_catching`](linkpad_sim::parallel::parallel_map_init_catching),
-//! with per-worker topology reuse through [`BuiltScenario::reset`] when
-//! consecutive shards share a shape), and merges the per-shard trunk
-//! window series into one trunk view with
+//! [`parallel_map_init_catching`](linkpad_sim::parallel::parallel_map_init_catching);
+//! every shard is a fresh build of its range), and merges the per-shard
+//! trunk window series into one trunk view with
 //! [`merge_window_series`](linkpad_sim::observer::merge_window_series).
 //!
 //! **Harness fault tolerance.** A panicking shard worker no longer
@@ -58,58 +57,18 @@
 //! exactly); shards 1.. are observer-only populations under seeds
 //! derived from the builder seed and the shard index.
 
-use crate::aggregate::{AggregateSpec, PhaseSpec};
-use crate::scenario::{BuiltScenario, ScenarioBuilder, ScenarioError};
+use crate::scenario::{ScenarioBuilder, ScenarioError};
 use linkpad_obs::json::{escape, num};
 use linkpad_obs::{EventLog, HarnessEvent, Histogram, ProfileReport, TraceReport};
 use linkpad_sim::attr::{AttributionReport, AttributionSampler};
 use linkpad_sim::observer::{merge_window_series, WindowStats};
-use linkpad_sim::parallel::{default_threads, parallel_map_init_catching};
+use linkpad_sim::parallel::{default_threads, panic_message, parallel_map_init_catching};
 use linkpad_sim::time::SimDuration;
 use linkpad_stats::rng::splitmix64_mix;
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Render a caught panic payload (the retry path's own `catch_unwind`;
-/// first attempts go through `ItemPanic`, which does the same).
-fn panic_cause(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Shape fingerprint of a shard's topology: shards with equal shapes are
-/// identical up to their RNG seed, so a worker that just ran one can
-/// [`BuiltScenario::reset`] it for the next instead of rebuilding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ShardShape {
-    flows: usize,
-    has_target: bool,
-    /// Phase layouts that depend on *global* flow position — uniform
-    /// draws per flow id, and stratified spreads (keyed to the global
-    /// flow/member index so the merged arrival multiset is independent
-    /// of the split) — key the shape to the range start, forfeiting
-    /// reuse; only the synchronized layout (every phase zero) shares
-    /// one key and therefore one topology across shards.
-    phase_key: u64,
-    /// Cohort mode groups members on the **global** cohort grid, so a
-    /// range's partition into (partial) cohorts depends on where its
-    /// start sits within a cohort: equal-sized ranges at different
-    /// alignments build different node partitions (e.g. cohort sizes
-    /// [1, 2] vs [2, 1]), which draw jitter in different per-node
-    /// sequences. The alignment therefore keys the shape — without it,
-    /// reset-reuse would replay another partition's draw order and the
-    /// merged PIAT moments would depend on which worker ran which
-    /// shard.
-    cohort_align: u64,
-}
 
 /// Result of one shard's sub-simulation.
 #[derive(Debug, Clone)]
@@ -238,8 +197,7 @@ impl ShardedRun {
 
 /// An aggregate scenario split over worker sub-simulations (see the
 /// module docs). Construct from an aggregate [`ScenarioBuilder`] with a
-/// trunk observer configured and a shard count set via
-/// [`ScenarioBuilder::with_shards`].
+/// shard count set via [`ScenarioBuilder::with_shards`].
 #[derive(Debug, Clone)]
 pub struct ShardedAggregate {
     builder: ScenarioBuilder,
@@ -262,19 +220,14 @@ pub struct ShardedAggregate {
 
 impl ShardedAggregate {
     /// Validate and plan the split. Fails unless the builder is an
-    /// aggregate with a windowed trunk observer (the mergeable view),
-    /// no pre-set flow range, and `1 ≤ shards ≤ flows`.
+    /// aggregate (whose trunk observer is the mergeable view) with no
+    /// pre-set flow range and `1 ≤ shards ≤ flows`.
     pub fn new(builder: ScenarioBuilder) -> Result<Self, ScenarioError> {
         let Some(spec) = builder.aggregate_spec() else {
             return Err(ScenarioError::InvalidSharding(
                 "only the aggregate family shards",
             ));
         };
-        if spec.observer_window.is_none() {
-            return Err(ScenarioError::InvalidSharding(
-                "sharded runs merge window series; configure with_trunk_observer",
-            ));
-        }
         if spec.flow_range.is_some() {
             return Err(ScenarioError::InvalidSharding(
                 "builder is already restricted to a flow range",
@@ -287,8 +240,7 @@ impl ShardedAggregate {
             ));
         }
         // Even split; the first `flows % shards` shards absorb the
-        // remainder, so shard sizes differ by at most one and most
-        // shards share one shape (→ reset-reuse on a worker).
+        // remainder, so shard sizes differ by at most one.
         let base = spec.flows / shards;
         let rem = spec.flows % shards;
         let mut ranges = Vec::with_capacity(shards);
@@ -401,38 +353,6 @@ impl ShardedAggregate {
             .with_seed(self.shard_seed(s))
     }
 
-    /// The aggregate spec, re-checked on the run path: `new` validated
-    /// it, but the run paths propagate a typed error instead of
-    /// panicking if the invariant is ever violated.
-    fn spec(&self) -> Result<AggregateSpec, ScenarioError> {
-        self.builder
-            .aggregate_spec()
-            .ok_or(ScenarioError::InvalidSharding(
-                "only the aggregate family shards",
-            ))
-    }
-
-    fn shard_shape(&self, s: usize) -> Result<ShardShape, ScenarioError> {
-        let (start, count) = self.ranges[s];
-        let spec = self.spec()?;
-        let position_dependent = !matches!(spec.phases, PhaseSpec::Synchronized);
-        Ok(ShardShape {
-            flows: count,
-            has_target: start == 0,
-            phase_key: if position_dependent {
-                start as u64 + 1
-            } else {
-                0
-            },
-            cohort_align: match spec.cohort_size {
-                // Offset of the range's first member within its global
-                // cohort: determines the partial/full cohort partition.
-                Some(k) => ((start.max(1) - 1) % k) as u64 + 1,
-                None => 0,
-            },
-        })
-    }
-
     /// Run every shard for `secs` of simulated time on the default
     /// worker pool and merge the trunk views.
     pub fn run_for_secs(&self, secs: f64) -> Result<ShardedRun, ScenarioError> {
@@ -490,12 +410,8 @@ impl ShardedAggregate {
             }
         }
         let shard_ids: Vec<usize> = (0..self.shards()).collect();
-        let attempts = parallel_map_init_catching(
-            shard_ids,
-            threads,
-            || None::<(ShardShape, BuiltScenario)>,
-            |slot, s| self.run_shard(slot, s, secs),
-        );
+        let attempts =
+            parallel_map_init_catching(shard_ids, threads, || (), |_, s| self.run_shard(s, secs));
         let mut shards = Vec::with_capacity(attempts.len());
         for (s, attempt) in attempts.into_iter().enumerate() {
             let report = match attempt {
@@ -510,7 +426,7 @@ impl ShardedAggregate {
                             cause: panic.message,
                         });
                     }
-                    match catch_unwind(AssertUnwindSafe(|| self.run_shard(&mut None, s, secs))) {
+                    match catch_unwind(AssertUnwindSafe(|| self.run_shard(s, secs))) {
                         Ok(report) => {
                             if let Some(l) = log.as_deref_mut() {
                                 l.emit(HarnessEvent::ShardRetried { shard: s });
@@ -520,7 +436,7 @@ impl ShardedAggregate {
                         Err(payload) => {
                             return Err(ScenarioError::ShardFailed {
                                 shard: s,
-                                cause: panic_cause(payload),
+                                cause: panic_message(payload),
                             });
                         }
                     }
@@ -633,14 +549,9 @@ impl ShardedAggregate {
         )
     }
 
-    /// One worker step: build (or reset-reuse) shard `s`'s sub-sim, run
-    /// it, extract the trunk view.
-    fn run_shard(
-        &self,
-        slot: &mut Option<(ShardShape, BuiltScenario)>,
-        s: usize,
-        secs: f64,
-    ) -> Result<ShardReport, ScenarioError> {
+    /// One worker step: build shard `s`'s sub-sim, arm the enabled
+    /// instruments, run it, extract the trunk view.
+    fn run_shard(&self, s: usize, secs: f64) -> Result<ShardReport, ScenarioError> {
         if let Some((target, remaining)) = &self.panic_budget {
             let armed = *target == s
                 && remaining
@@ -650,37 +561,15 @@ impl ShardedAggregate {
                 panic!("injected shard fault (test hook)");
             }
         }
-        let shape = self.shard_shape(s)?;
-        let scenario = match slot {
-            // Same shape as the worker's previous shard: the scenario-
-            // reset fast path (bit-identical to a fresh build — see
-            // tests/reset_determinism.rs).
-            Some((cached, scenario)) if *cached == shape => {
-                scenario.reset(self.shard_seed(s));
-                scenario
-            }
-            _ => {
-                let built = self.shard_builder(s).build()?;
-                &mut slot.insert((shape, built)).1
-            }
-        };
-        match self.watchdog {
-            Some((max_events, max_wall)) => scenario.sim.set_watchdog(max_events, max_wall),
-            // A reused slot may carry a previous configuration.
-            None => scenario.sim.clear_watchdog(),
+        let mut scenario = self.shard_builder(s).build()?;
+        if let Some((max_events, max_wall)) = self.watchdog {
+            scenario.sim.set_watchdog(max_events, max_wall);
         }
         if self.profiling {
-            // (Re)start the profile at the run boundary; a reused slot
-            // may carry a stale one.
             scenario.sim.enable_profiling();
-        } else {
-            scenario.sim.disable_profiling();
         }
         if self.tracing {
-            // Same stale-state discipline as the profile.
             scenario.sim.enable_tracing();
-        } else {
-            scenario.sim.disable_tracing();
         }
         // Run in slices, sampling the pending-event population for the
         // memory high-water report. A tripped watchdog makes the
@@ -706,7 +595,7 @@ impl ShardedAggregate {
             .trunk_observer
             .clone()
             .ok_or(ScenarioError::InvalidSharding(
-                "sharded runs merge window series; configure with_trunk_observer",
+                "sharded runs merge window series; the shard built no trunk observer",
             ))?;
         let interrupted = scenario.sim.watchdog_tripped();
         let mut windows = observer.window_series();
@@ -714,7 +603,7 @@ impl ShardedAggregate {
             // Keep only windows the clock fully crossed: the window
             // containing the trip instant is incomplete (its counts
             // stop mid-window) and would read as a traffic dip.
-            let window = SimDuration::from_secs_f64(self.spec()?.observer_window.unwrap_or(0.0));
+            let window = observer.window();
             if window.as_nanos() > 0 {
                 let complete = (scenario.sim.now().as_nanos() / window.as_nanos()) as usize;
                 windows.truncate(complete);
@@ -739,6 +628,7 @@ impl ShardedAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::PhaseSpec;
 
     fn small_builder(seed: u64, flows: usize, shards: usize) -> ScenarioBuilder {
         ScenarioBuilder::aggregate(seed, flows)
@@ -812,13 +702,12 @@ mod tests {
     fn position_dependent_phase_layouts_survive_any_split() {
         // Regression guards: (a) stratified phases are keyed to global
         // flow/member indices, so cohort grouping at shard boundaries
-        // must not change the aggregate phase multiset; (b) the worker
-        // reset-reuse fast path must not replay another shard's phase
-        // layout (shape keys account for position-dependent layouts).
-        // Both bugs showed up as merged counts diverging from the
-        // unsharded single sim — in per-flow mode (a 3-shard run reused
-        // shard 1's stratified topology for shard 2) and in cohort mode
-        // (shard-local chunking restarted stratification at each range).
+        // must not change the aggregate phase multiset; (b) no shard may
+        // run another shard's phase layout. Both bugs showed up as
+        // merged counts diverging from the unsharded single sim — in
+        // per-flow mode (a 3-shard run once reused shard 1's stratified
+        // topology for shard 2) and in cohort mode (shard-local chunking
+        // restarted stratification at each range).
         for phases in [PhaseSpec::Stratified, PhaseSpec::Uniform { seed: 9 }] {
             for cohorts in [None, Some(4)] {
                 let mut builder = ScenarioBuilder::aggregate(42, 13)
@@ -853,15 +742,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuse_respects_cohort_grid_alignment() {
+    fn each_shard_equals_a_fresh_build_of_its_range() {
         // flows = 10, cohorts of 4, 3 shards → ranges (0,4), (4,3),
         // (7,3). On the global member grid, shard 1 partitions into
         // cohorts of sizes [1, 2] and shard 2 into [2, 1]: same flow
         // count, different alignment, different per-node jitter draw
-        // sequences. The worker that just ran shard 1 must therefore
-        // rebuild shard 2 instead of reset-reusing — regression guard
-        // for the shape key omitting the cohort alignment (same counts,
-        // bitwise-different PIAT moments, thread-schedule dependent).
+        // sequences. Shard 2 must run its own partition, not shard 1's
+        // — regression guard from when a worker reused the previous
+        // shard's topology (same counts, bitwise-different PIAT moments,
+        // thread-schedule dependent).
         let sharded = ShardedAggregate::new(
             ScenarioBuilder::aggregate(55, 10)
                 .with_payload_rate(10.0)
@@ -870,8 +759,7 @@ mod tests {
                 .with_shards(3),
         )
         .unwrap();
-        // threads = 1 forces one worker to run every shard in order —
-        // the maximal-reuse schedule.
+        // threads = 1 makes one worker run every shard in order.
         let run = sharded.run_for_secs_with_threads(1.55, 1).unwrap();
         for s in 0..3 {
             let mut fresh = sharded.shard_builder(s).build().unwrap();
@@ -1071,12 +959,6 @@ mod tests {
         let lab = ScenarioBuilder::lab(1);
         assert!(matches!(
             ShardedAggregate::new(lab),
-            Err(ScenarioError::InvalidSharding(_))
-        ));
-        // No mergeable observer view.
-        let no_obs = ScenarioBuilder::aggregate(1, 8).with_shards(2);
-        assert!(matches!(
-            ShardedAggregate::new(no_obs),
             Err(ScenarioError::InvalidSharding(_))
         ));
         // More shards than flows.

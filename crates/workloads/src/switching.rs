@@ -130,13 +130,13 @@ impl Node for SwitchingSource {
 mod tests {
     use super::*;
     use linkpad_sim::engine::SimBuilder;
-    use linkpad_sim::sink::Sink;
+    use linkpad_sim::tap::Tap;
     use linkpad_stats::rng::MasterSeed;
 
     #[test]
     fn switches_rates_on_schedule() {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Sink::new();
+        let (sink_handle, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (log, src) =
             SwitchingSource::new(sink_id, [10.0, 40.0], SimDuration::from_secs_f64(5.0), 500);
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn rate_at_reports_ground_truth() {
         let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let (log, src) =
             SwitchingSource::new(sink_id, [10.0, 40.0], SimDuration::from_secs_f64(2.0), 500);
@@ -172,7 +172,7 @@ mod tests {
     #[should_panic(expected = "rates must be positive")]
     fn zero_rate_panics() {
         let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (_h, sink) = Sink::new();
+        let (_h, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink));
         let _ = SwitchingSource::new(sink_id, [0.0, 40.0], SimDuration::from_secs_f64(1.0), 500);
     }

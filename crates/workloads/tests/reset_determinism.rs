@@ -205,15 +205,19 @@ fn reset_clears_instrumentation_handles() {
     let mut s = builder.build().expect("build");
     s.run_for_secs(2.0);
     let agg = s.aggregate.as_ref().expect("aggregate handles");
-    let trunk_tap = agg.trunk_tap.clone().expect("tap-mode trunk");
+    let trunk_observer = agg.trunk_observer.clone().expect("trunk observer");
     assert!(s.gateway.ticks() > 0);
-    assert!(trunk_tap.count() > 0);
+    assert!(trunk_observer.arrivals() > 0);
     assert!(s.payload_sink.count() > 0);
     s.reset(7);
     let agg = s.aggregate.as_ref().expect("aggregate handles");
     assert_eq!(s.gateway.ticks(), 0, "gateway stats survive reset");
     assert_eq!(s.receiver.payload_delivered(), 0);
-    assert_eq!(trunk_tap.count(), 0, "trunk tap survives reset");
+    assert_eq!(
+        trunk_observer.arrivals(),
+        0,
+        "trunk observer survives reset"
+    );
     assert_eq!(s.sender_tap.count(), 0);
     assert_eq!(s.receiver_tap.count(), 0);
     assert_eq!(s.payload_sink.count(), 0);

@@ -1,10 +1,9 @@
-//! In cohort mode the trunk instrument ends cohort traffic once it has
-//! recorded it. These tests keep the wiring that carried that traffic
-//! on — the instrument forwarding every flow to a demux that absorbs
-//! cohort packets — as the reference model, and check in both
-//! instrument modes that the aggregate's trunk view and the target
-//! flow's receive side are bit-identical to it, at exactly one dispatch
-//! fewer per cohort arrival.
+//! In cohort mode the trunk observer ends cohort traffic once it has
+//! recorded it. This test keeps the wiring that carried that traffic on
+//! — the observer forwarding every flow to a demux that absorbs cohort
+//! packets — as the reference model, and checks that the aggregate's
+//! trunk view and the target flow's receive side are bit-identical to
+//! it, at exactly one dispatch fewer per cohort arrival.
 
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad_sim::cohort::{CohortJitter, FlowCohort, COHORT_FLOW};
@@ -13,7 +12,6 @@ use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::observer::{ObserverHandle, WindowStats, WindowedObserver};
 use linkpad_sim::packet::{FlowId, Packet, PacketKind};
 use linkpad_sim::router::Router;
-use linkpad_sim::sink::Sink;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::{Tap, TapHandle};
 use linkpad_sim::time::{SimDuration, SimTime};
@@ -32,17 +30,13 @@ const TRUNK_BPS: f64 = 10e6;
 const TRUNK_PROPAGATION: f64 = 1e-3;
 const WINDOW: f64 = 0.1;
 
-fn builder(observed: bool) -> ScenarioBuilder {
-    let b = ScenarioBuilder::aggregate(SEED, FLOWS)
+fn builder() -> ScenarioBuilder {
+    ScenarioBuilder::aggregate(SEED, FLOWS)
         .with_payload_rate(10.0)
         .with_trunk(TRUNK_BPS, TRUNK_PROPAGATION)
         .with_cohorts(COHORT)
-        .with_phases(PHASES);
-    if observed {
-        b.with_trunk_observer(WINDOW)
-    } else {
-        b
-    }
+        .with_phases(PHASES)
+        .with_trunk_observer(WINDOW)
 }
 
 /// The reference demux: forwards the target flow to its receiver tap and
@@ -63,31 +57,25 @@ impl Node for AbsorbingDemux {
     }
 }
 
-/// The reference's trunk instrument.
-enum Instrument {
-    Observer(ObserverHandle),
-    Tap(TapHandle),
-}
-
 struct Reference {
     sim: Sim,
-    instrument: Instrument,
+    observer: ObserverHandle,
     receiver_tap: TapHandle,
     /// Cohort packets the demux absorbed.
     absorbed: Rc<Cell<u64>>,
 }
 
-/// `builder(observed).build()` with the instrument forwarding every flow
-/// to an [`AbsorbingDemux`]: the aggregate builder's cohort-mode node
-/// list, order and labels (node `i` draws RNG stream `i`).
-fn absorbing_aggregate(observed: bool) -> Reference {
-    let builder = builder(observed);
+/// `builder().build()` with the observer forwarding every flow to an
+/// [`AbsorbingDemux`]: the aggregate builder's cohort-mode node list,
+/// order and labels (node `i` draws RNG stream `i`).
+fn absorbing_aggregate() -> Reference {
+    let builder = builder();
     let d = builder.defaults;
     let tau = d.tau;
     let period = builder.schedule().mean_interval(tau);
     let absorbed = Rc::new(Cell::new(0));
     let mut b = SimBuilder::new(MasterSeed::new(SEED));
-    let subnet_b = b.add_node(Box::new(Sink::new().1.with_label("subnet-b")));
+    let subnet_b = b.add_node(Box::new(Tap::new(None, None).1.with_label("subnet-b")));
     let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
     let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2));
     let rtap = b.add_node(Box::new(rtap.with_label("tap@gw2")));
@@ -95,19 +83,10 @@ fn absorbing_aggregate(observed: bool) -> Reference {
         target: rtap,
         absorbed: Rc::clone(&absorbed),
     }));
-    let (instrument, instrument_id) = if observed {
-        let (obs, node) = WindowedObserver::new(SimDuration::from_secs_f64(WINDOW), Some(demux));
-        let id = b.add_node(Box::new(node.with_label("observer@trunk")));
-        (Instrument::Observer(obs), id)
-    } else {
-        let (tap, node) = Tap::new(None, Some(demux));
-        let id = b.add_node(Box::new(
-            node.with_capacity(FLOWS * 64).with_label("tap@trunk"),
-        ));
-        (Instrument::Tap(tap), id)
-    };
+    let (observer, node) = WindowedObserver::new(SimDuration::from_secs_f64(WINDOW), Some(demux));
+    let observer_id = b.add_node(Box::new(node.with_label("observer@trunk")));
     let propagation = SimDuration::from_secs_f64(TRUNK_PROPAGATION);
-    let trunk = Router::new(instrument_id, TRUNK_BPS, propagation).with_label("trunk");
+    let trunk = Router::new(observer_id, TRUNK_BPS, propagation).with_label("trunk");
     let trunk = b.add_node(Box::new(trunk));
 
     let stap = b.add_node(Box::new(
@@ -155,7 +134,7 @@ fn absorbing_aggregate(observed: bool) -> Reference {
     }
     Reference {
         sim: b.build().expect("builds"),
-        instrument,
+        observer,
         receiver_tap,
         absorbed,
     }
@@ -185,44 +164,31 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 #[test]
 fn an_instrument_ending_cohort_traffic_equals_an_absorbing_demux() {
     let until = SimTime::from_secs_f64(1.5);
-    for observed in [true, false] {
-        let mode = if observed { "observer" } else { "tap" };
-        let mut built = builder(observed).build().expect("builds");
-        let mut reference = absorbing_aggregate(observed);
-        assert_eq!(built.sim.node_count(), reference.sim.node_count(), "{mode}");
-        built.sim.run_until(until);
-        reference.sim.run_until(until);
+    let mut built = builder().build().expect("builds");
+    let mut reference = absorbing_aggregate();
+    assert_eq!(built.sim.node_count(), reference.sim.node_count());
+    built.sim.run_until(until);
+    reference.sim.run_until(until);
 
-        let agg = built.aggregate.as_ref().expect("aggregate handles");
-        match &reference.instrument {
-            Instrument::Observer(want) => {
-                let got = agg.trunk_observer.as_ref().expect("observer mode");
-                assert_eq!(
-                    series_bits(&got.window_series()),
-                    series_bits(&want.window_series()),
-                    "trunk window series differ"
-                );
-            }
-            Instrument::Tap(want) => {
-                let got = agg.trunk_tap.as_ref().expect("tap mode");
-                assert_eq!(got.timestamps(), want.timestamps(), "trunk captures differ");
-                assert_eq!(got.kind_counts(), want.kind_counts());
-            }
-        }
-        assert!(reference.receiver_tap.count() > 100, "{mode}");
-        assert_eq!(
-            built.receiver_tap.timestamps(),
-            reference.receiver_tap.timestamps(),
-            "{mode}: the target's receive side differs"
-        );
-        // The reference dispatched each cohort arrival once more: into
-        // the absorbing demux.
-        let absorbed = reference.absorbed.get();
-        assert!(absorbed > 1_000, "{mode}: {absorbed} cohort arrivals");
-        assert_eq!(
-            reference.sim.events_processed() - built.sim.events_processed(),
-            absorbed,
-            "{mode}"
-        );
-    }
+    let agg = built.aggregate.as_ref().expect("aggregate handles");
+    let got = agg.trunk_observer.as_ref().expect("trunk observer");
+    assert_eq!(
+        series_bits(&got.window_series()),
+        series_bits(&reference.observer.window_series()),
+        "trunk window series differ"
+    );
+    assert!(reference.receiver_tap.count() > 100);
+    assert_eq!(
+        built.receiver_tap.timestamps(),
+        reference.receiver_tap.timestamps(),
+        "the target's receive side differs"
+    );
+    // The reference dispatched each cohort arrival once more: into the
+    // absorbing demux.
+    let absorbed = reference.absorbed.get();
+    assert!(absorbed > 1_000, "{absorbed} cohort arrivals");
+    assert_eq!(
+        reference.sim.events_processed() - built.sim.events_processed(),
+        absorbed
+    );
 }

@@ -18,7 +18,6 @@ use linkpad::sim::engine::{Context, Sim, SimBuilder};
 use linkpad::sim::node::{Node, NodeId};
 use linkpad::sim::packet::{FlowId, Packet, PacketKind};
 use linkpad::sim::router::Router;
-use linkpad::sim::sink::Sink;
 use linkpad::sim::source::DistSource;
 use linkpad::sim::tap::{Tap, TapHandle};
 use linkpad::stats::dist::{ContinuousDist, Deterministic};
@@ -150,7 +149,7 @@ fn eager_lab(seed: u64, rate: f64, hops: &[HopSpec], until: SimTime) -> (Sim, Ta
     let propagation = SimDuration::from_secs_f64(0.5e-3);
     let dispatches = Tally::default();
     let mut b = SimBuilder::new(MasterSeed::new(seed));
-    let subnet_b = b.add_node(Box::new(Sink::new().1.with_label("subnet-b")));
+    let subnet_b = b.add_node(Box::new(Tap::new(None, None).1.with_label("subnet-b")));
     let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
     let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2));
     let mut next = b.add_node(Box::new(rtap.with_label("tap@gw2")));

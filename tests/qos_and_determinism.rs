@@ -108,10 +108,10 @@ fn parallel_sweep_equals_sequential_run() {
 #[test]
 fn switching_source_ground_truth_is_queryable() {
     use linkpad::sim::engine::SimBuilder;
-    use linkpad::sim::sink::Sink;
+    use linkpad::sim::tap::Tap;
     use linkpad::workloads::switching::SwitchingSource;
     let mut b = SimBuilder::new(MasterSeed::new(77));
-    let (_h, sink) = Sink::new();
+    let (_h, sink) = Tap::new(None, None);
     let sink_id = b.add_node(Box::new(sink));
     let (log, src) =
         SwitchingSource::new(sink_id, [10.0, 40.0], SimDuration::from_secs_f64(3.0), 500);
