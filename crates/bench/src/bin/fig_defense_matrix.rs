@@ -147,7 +147,7 @@ fn main() {
             "count_err_pct",
             "n_hat_bytes",
             "byte_err_pct",
-            "events_per_sec",
+            "events",
             "wall_secs",
         ],
     );
@@ -198,11 +198,11 @@ fn main() {
         let byte_err = byte_est.relative_error(FLOWS) * 100.0;
         eprintln!(
             "{label}: E[T] = {:.2} ms, counts {:.0} ({count_err:.2}%), \
-             bytes {:.0} ({byte_err:.2}%), {:.2e} ev/s",
+             bytes {:.0} ({byte_err:.2}%), {} events",
             interval * 1e3,
             count_est.n_hat,
             byte_est.n_hat,
-            run.events_per_sec(),
+            run.events(),
         );
         table.row(vec![
             label.to_string(),
@@ -213,7 +213,7 @@ fn main() {
             format!("{count_err:.2}"),
             format!("{:.0}", byte_est.n_hat),
             format!("{byte_err:.2}"),
-            format!("{:.0}", run.events_per_sec()),
+            run.events().to_string(),
             format!("{:.2}", run.wall_secs),
         ]);
         if label == "adaptive" {

@@ -9,9 +9,10 @@
 //! non-target flows as `FlowCohort` superposition nodes, the population
 //! split over worker sub-sims, per-shard trunk window series merged by
 //! summing `WindowStats` — and asserts the **rate-law flow-count
-//! estimate stays within ±10 %** at every N (gate), with events/s,
+//! estimate stays within ±10 %** at every N (gate), with event-count,
 //! wall-clock, peak pending-event and peak process-memory columns
-//! recording what the scale costs.
+//! recording what the scale costs (the event count is deterministic;
+//! the wall clock of a sub-second run is one noisy reading).
 //!
 //! A second table re-runs the 10⁴-flow point with **independent uniform
 //! clock phases** (the desynchronized-clock countermeasure from the
@@ -122,7 +123,7 @@ fn main() {
             "flows",
             "n_hat",
             "err_pct",
-            "events_per_sec",
+            "events",
             "wall_secs",
             "peak_pending",
             "peak_rss_mb",
@@ -163,10 +164,10 @@ fn main() {
             .expect("estimator over steady-state windows");
         let err_pct = est.relative_error(n) * 100.0;
         eprintln!(
-            "N = {n}: n_hat = {:.1} ({err_pct:.3}%), {:.2e} ev/s, {:.1} s wall, \
+            "N = {n}: n_hat = {:.1} ({err_pct:.3}%), {} events, {:.1} s wall, \
              peak pending {}",
             est.n_hat,
-            run.events_per_sec(),
+            run.events(),
             run.wall_secs,
             run.pending_peak(),
         );
@@ -174,7 +175,7 @@ fn main() {
             n.to_string(),
             format!("{:.1}", est.n_hat),
             format!("{err_pct:.3}"),
-            format!("{:.0}", run.events_per_sec()),
+            run.events().to_string(),
             format!("{:.2}", run.wall_secs),
             run.pending_peak().to_string(),
             format!("{:.0}", peak_rss_mb()),

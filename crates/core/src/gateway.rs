@@ -110,8 +110,9 @@ pub struct SenderGateway {
     discipline: TimerDiscipline,
     next: NodeId,
     /// Flow identity of the padded stream this gateway emits. Defaults
-    /// to [`FlowId::PADDED`]; aggregate scenarios give each gateway pair
-    /// its own flow so the shared trunk can be demultiplexed per flow.
+    /// to [`FlowId::PADDED`]; aggregate scenarios give each non-target
+    /// gateway its own flow, which the trunk observer ends once
+    /// recorded.
     flow: FlowId,
     /// Constant on-the-wire size of every padded packet (threat model
     /// remark 3: all packets look identical).
@@ -359,12 +360,12 @@ impl ReceiverHandle {
     }
 }
 
-/// The receiver gateway GW2: strips padding, delivers payload.
+/// The receiver gateway GW2: strips padding, delivers payload. It
+/// terminates the padded flow ([`FlowId::PADDED`]); any other packet is
+/// counted as unexpected.
 pub struct ReceiverGateway {
     /// Where decrypted payload goes (`None` = terminate here).
     inner: Option<NodeId>,
-    /// Flow identity of the padded stream this gateway terminates.
-    flow: FlowId,
     stats: Rc<RefCell<ReceiverStats>>,
     label: String,
 }
@@ -379,18 +380,10 @@ impl ReceiverGateway {
             },
             Self {
                 inner,
-                flow: FlowId::PADDED,
                 stats,
                 label: "gw2".to_string(),
             },
         )
-    }
-
-    /// Terminate a specific flow id (default [`FlowId::PADDED`]) —
-    /// pairs with [`SenderGateway::with_flow`] in aggregate scenarios.
-    pub fn with_flow(mut self, flow: FlowId) -> Self {
-        self.flow = flow;
-        self
     }
 
     /// Builder-style label.
@@ -404,7 +397,7 @@ impl Node for ReceiverGateway {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         let mut st = self.stats.borrow_mut();
         match packet.kind {
-            PacketKind::Payload if packet.flow == self.flow => {
+            PacketKind::Payload if packet.is_padded_flow() => {
                 st.payload_delivered += 1;
                 st.end_to_end_delay
                     .push(ctx.now().saturating_since(packet.enqueued).as_secs_f64());
@@ -414,7 +407,7 @@ impl Node for ReceiverGateway {
                     ctx.send_now(inner, packet);
                 }
             }
-            PacketKind::Dummy if packet.flow == self.flow => {
+            PacketKind::Dummy if packet.is_padded_flow() => {
                 st.dummies_stripped += 1;
             }
             _ => {
@@ -513,10 +506,10 @@ mod tests {
         assert!(gw.payload_sent() - rx.payload_delivered() <= 1);
         assert!(gw.dummy_sent() - rx.dummies_stripped() <= 1);
         assert_eq!(rx.unexpected(), 0);
-        let (p, d, c) = tap.kind_counts();
+        let (p, d) = tap.kind_counts();
         assert!(gw.payload_sent() - p <= 1);
         assert!(gw.dummy_sent() - d <= 1);
-        assert_eq!(c, 0);
+        assert_eq!(p + d, tap.count() as u64);
     }
 
     #[test]

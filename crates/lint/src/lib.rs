@@ -43,13 +43,16 @@ pub const INVENTORY_PATH: &str = "crates/lint/UNSAFE_INVENTORY.md";
 /// run cannot afford to panic in (typed errors or documented infallible
 /// patterns only).
 pub const RUN_PATH_FILES: &[&str] = &[
+    "crates/core/src/gateway.rs",
     "crates/sim/src/cohort.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",
     "crates/sim/src/hooks.rs",
     "crates/sim/src/observer.rs",
     "crates/sim/src/router.rs",
+    "crates/sim/src/source.rs",
     "crates/sim/src/tap.rs",
+    "crates/workloads/src/aggregate.rs",
     "crates/workloads/src/shard.rs",
     "crates/workloads/src/scenario.rs",
 ];

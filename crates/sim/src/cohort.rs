@@ -1,9 +1,9 @@
 //! Flow cohorts: K padded flows superposed in one node.
 //!
 //! The aggregate scenario family models every padded flow as its own
-//! sender/receiver gateway pair — faithful, but ~10 boxed nodes and one
-//! armed timer per flow, which walls the family at ~10⁴ flows. What a
-//! padding gateway puts on the wire is only its emission instants and
+//! sender gateway and payload source — faithful, but two boxed nodes
+//! and one armed timer per flow, which walls the family at ~10⁴ flows.
+//! What a padding gateway puts on the wire is only its emission instants and
 //! wire sizes: flow k with start phase φₖ fires its j-th tick at
 //! `φₖ + T₁ + … + Tⱼ`, each transmission shifted by an independent
 //! per-tick disturbance δ that does not feed back into the clock, and

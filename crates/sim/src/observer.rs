@@ -25,13 +25,15 @@
 //! records packet kinds or flow ids (packets are "perfectly encrypted" in
 //! the threat model), so everything the [`ObserverHandle`] exposes is
 //! legitimately available to the adversary. The one flow id it reads is
-//! its exit flow ([`WindowedObserver::with_exit_flow`]), and only after
-//! recording, to decide whether the packet goes on.
+//! the padded flow's ([`FlowId::PADDED`](crate::packet::FlowId::PADDED),
+//! an aggregate's target), and only after recording, to decide whether
+//! the packet goes on: every other flow ends at the observer, because
+//! nothing downstream of an aggregate's trunk reads it.
 
 use crate::engine::Context;
 use crate::fault::OutageSchedule;
 use crate::node::{Node, NodeId};
-use crate::packet::{FlowId, Packet};
+use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::moments::RunningMoments;
 use std::cell::RefCell;
@@ -307,24 +309,23 @@ impl ObserverHandle {
 }
 
 /// The observer node: records window statistics for **every** packet
-/// crossing it (an aggregate link has no flow filter) and forwards the
-/// packet unchanged with zero delay, like a passive splitter — except
-/// packets of its exit flow, which end here once recorded.
+/// crossing it (an aggregate link has no flow filter), forwards packets
+/// of the padded flow ([`FlowId::PADDED`](crate::packet::FlowId::PADDED))
+/// unchanged with zero delay, like a passive splitter, and ends every
+/// other packet once recorded.
 #[derive(Debug)]
 pub struct WindowedObserver {
     state: Rc<RefCell<ObserverState>>,
     window_nanos: u64,
-    /// Downstream node (`None` = capture-only endpoint).
+    /// Where padded-flow packets go (`None` = capture-only endpoint).
     next: Option<NodeId>,
-    /// Packets of this flow are recorded but not forwarded.
-    exit: Option<FlowId>,
     label: String,
 }
 
 impl WindowedObserver {
-    /// An observer with fixed window width `window`, forwarding to
-    /// `next`. Windows are anchored at simulation time zero: window `i`
-    /// covers `[i·window, (i+1)·window)`.
+    /// An observer with fixed window width `window`, forwarding the
+    /// padded flow to `next`. Windows are anchored at simulation time
+    /// zero: window `i` covers `[i·window, (i+1)·window)`.
     ///
     /// # Panics
     /// Panics if `window` is zero (configuration constant).
@@ -348,7 +349,6 @@ impl WindowedObserver {
                 state,
                 window_nanos: window.as_nanos(),
                 next,
-                exit: None,
                 label: "observer".to_string(),
             },
         )
@@ -362,21 +362,13 @@ impl WindowedObserver {
 
     /// Give the observer a measurement-gap schedule: while the
     /// schedule is down the observer is blind — arrivals are neither
-    /// counted nor timestamped (they still pass through to `next`),
-    /// the PIAT chain restarts after each gap, and every materialized
+    /// counted nor timestamped (padded ones still pass through to
+    /// `next`), the PIAT chain restarts after each gap, and every materialized
     /// window carries its up-time fraction in
     /// [`WindowStats::coverage`]. The schedule is configuration and
     /// survives [`ObserverHandle::clear`] and resets.
     pub fn with_gaps(self, gaps: OutageSchedule) -> Self {
         self.state.borrow_mut().gaps = Some(gaps);
-        self
-    }
-
-    /// Builder-style exit flow: packets of `flow` are recorded like any
-    /// other (or missed, inside a gap) and then end here instead of
-    /// reaching `next` — for traffic no node downstream reads.
-    pub fn with_exit_flow(mut self, flow: FlowId) -> Self {
-        self.exit = Some(flow);
         self
     }
 }
@@ -387,7 +379,7 @@ impl Node for WindowedObserver {
             .borrow_mut()
             .record(ctx.now(), packet.size_bytes, self.window_nanos);
         match self.next {
-            Some(next) if self.exit != Some(packet.flow) => ctx.send_now(next, packet),
+            Some(next) if packet.is_padded_flow() => ctx.send_now(next, packet),
             _ => {}
         }
     }
@@ -403,7 +395,7 @@ impl Node for WindowedObserver {
         }
         if let Some(next) = self.next {
             for packet in packets.drain(..) {
-                if self.exit != Some(packet.flow) {
+                if packet.is_padded_flow() {
                     ctx.send_now(next, packet);
                 }
             }
@@ -524,6 +516,63 @@ mod tests {
         assert_eq!(obs.windows(), 0);
         assert_eq!(obs.arrivals(), 0);
         assert_eq!(obs.window_secs(), 0.050);
+    }
+
+    /// Every `period`, sends `flows.len()` packets at one instant, one
+    /// per flow id (a same-instant burst when there is more than one).
+    struct Burst {
+        dst: NodeId,
+        flows: Vec<FlowId>,
+        remaining: u32,
+    }
+    impl Node for Burst {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.schedule_timer(SimDuration::from_millis_f64(1.0), 0);
+        }
+        fn on_timer(&mut self, _t: u64, ctx: &mut Context<'_>) {
+            for &flow in &self.flows {
+                let pkt = ctx.spawn_packet(flow, PacketKind::Dummy, 500);
+                ctx.send_now(self.dst, pkt);
+            }
+            self.remaining -= 1;
+            if self.remaining > 0 {
+                ctx.schedule_timer(SimDuration::from_millis_f64(1.0), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_padded_flow_goes_on() {
+        // One flow per tick exercises `on_packet`, three flows per tick
+        // the same-instant burst path `on_packets`.
+        for flows in [vec![FlowId(4)], vec![FlowId(4), FlowId::PADDED, FlowId(9)]] {
+            let mut b = SimBuilder::new(MasterSeed::new(2));
+            let (sink_handle, sink) = Tap::new(None, None);
+            let sink_id = b.add_node(Box::new(sink));
+            let (obs, node) =
+                WindowedObserver::new(SimDuration::from_millis_f64(5.0), Some(sink_id));
+            let obs_id = b.add_node(Box::new(node));
+            let padded = flows.iter().filter(|&&f| f == FlowId::PADDED).count();
+            let per_tick = flows.len();
+            b.add_node(Box::new(Burst {
+                dst: obs_id,
+                flows,
+                remaining: 20,
+            }));
+            let mut sim = b.build().unwrap();
+            sim.run_until(SimTime::MAX);
+            assert_eq!(
+                obs.arrivals(),
+                20 * per_tick as u64,
+                "every flow is recorded"
+            );
+            assert_eq!(
+                sink_handle.count(),
+                20 * padded,
+                "only the padded flow goes on"
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,6 @@ struct TapState {
     timestamps: Vec<SimTime>,
     payload: u64,
     dummy: u64,
-    cross: u64,
 }
 
 impl TapState {
@@ -49,7 +48,6 @@ impl TapState {
         self.timestamps.clear();
         self.payload = 0;
         self.dummy = 0;
-        self.cross = 0;
     }
 }
 
@@ -118,11 +116,12 @@ impl TapHandle {
         self.state.borrow().timestamps.len()
     }
 
-    /// Instrumentation only: (payload, dummy, cross) counts. Not part of
-    /// the adversary's view — used by overhead accounting and tests.
-    pub fn kind_counts(&self) -> (u64, u64, u64) {
+    /// Instrumentation only: (payload, dummy) counts of the captured
+    /// packets. Not part of the adversary's view — used by overhead
+    /// accounting and tests.
+    pub fn kind_counts(&self) -> (u64, u64) {
         let st = self.state.borrow();
-        (st.payload, st.dummy, st.cross)
+        (st.payload, st.dummy)
     }
 
     /// Drop everything captured so far (e.g. to discard a warm-up phase).
@@ -181,7 +180,7 @@ impl Node for Tap {
             match packet.kind {
                 PacketKind::Payload => st.payload += 1,
                 PacketKind::Dummy => st.dummy += 1,
-                PacketKind::Cross => st.cross += 1,
+                PacketKind::Cross => {}
             }
         }
         if let Some(next) = self.next {
@@ -199,7 +198,7 @@ impl Node for Tap {
                     match packet.kind {
                         PacketKind::Payload => st.payload += 1,
                         PacketKind::Dummy => st.dummy += 1,
-                        PacketKind::Cross => st.cross += 1,
+                        PacketKind::Cross => {}
                     }
                 }
             }
@@ -272,8 +271,7 @@ mod tests {
         assert_eq!(tap_handle.count(), 5);
         // ...but everything is forwarded:
         assert_eq!(sink_handle.count(), 10);
-        let (payload, dummy, cross) = tap_handle.kind_counts();
-        assert_eq!((payload, dummy, cross), (0, 5, 0));
+        assert_eq!(tap_handle.kind_counts(), (0, 5));
     }
 
     #[test]
@@ -327,7 +325,8 @@ mod tests {
         assert_eq!(tap_handle.count(), 0);
         sim.run_until(SimTime::from_secs_f64(1.0));
         assert_eq!(tap_handle.count(), 4);
-        assert_eq!(tap_handle.kind_counts().1 + tap_handle.kind_counts().2, 4);
+        // Two padded dummies and two cross packets since the clear.
+        assert_eq!(tap_handle.kind_counts(), (0, 2));
     }
 
     #[test]

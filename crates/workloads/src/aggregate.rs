@@ -6,23 +6,22 @@
 //! once. This module opens that regime end to end:
 //!
 //! ```text
-//!  src_0 → GW1_0 → [tap@gw1] ─┐                    ┌─ [tap@gw2] → GW2_0 → [subnet-b]
-//!  src_1 → GW1_1 ─────────────┤                    ├─ GW2_1
-//!   ...                       ├→ trunk router ─────┤   ...      (per-flow
-//!  src_N → GW1_N ─────────────┘  [observer@trunk]  └─ GW2_N      demux)
+//!  src_0 → GW1_0 → [tap@gw1] ─┐
+//!  src_1 → GW1_1 ─────────────┤
+//!   ...                       ├→ trunk router → [observer@trunk] → [tap@gw2] → GW2_0 → [subnet-b]
+//!  src_N → GW1_N ─────────────┘                  (flows 1..N end here)
 //! ```
 //!
-//! Every flow `i` runs its own CIT/VIT padding gateway pair under
+//! Every flow `i` runs its own CIT/VIT padding sender gateway under
 //! `FlowId(i)`; all sender gateways feed one shared **trunk** (a FIFO
 //! router with configurable capacity and propagation). A **trunk
 //! observer** ([`WindowedObserver`], no flow filter) folds the aggregate
 //! arrival process into per-window statistics — the adversary's view of
-//! the shared link, in `O(windows)` memory — and a [`TrunkDemux`] fans
-//! the flows back out so the adversary pipeline (and QoS accounting) can
-//! also observe any single flow post-trunk (cohort traffic, which has no
-//! receiver, ends at the trunk observer instead). Flow 0 is the fully
-//! instrumented *target* flow: it keeps the lab scenario's sender-egress
-//! and receiver-ingress taps, so [`TapPosition`](crate::scenario::TapPosition)
+//! the shared link, in `O(windows)` memory — and then ends every packet
+//! but the target's: nothing downstream of the trunk reads another
+//! flow. Flow 0 is the fully instrumented *target* flow: it keeps the
+//! lab scenario's sender-egress and receiver-ingress taps and its
+//! receiver gateway, so [`TapPosition`](crate::scenario::TapPosition)
 //! semantics carry over unchanged.
 //!
 //! With thousands of gateways and a long-haul trunk, hundreds of
@@ -36,12 +35,11 @@ use crate::scenario::{
 };
 use crate::switching::SwitchingSource;
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
-use linkpad_sim::cohort::{CohortHandle, CohortJitter, FlowCohort, COHORT_FLOW};
-use linkpad_sim::engine::{Context, SimBuilder};
+use linkpad_sim::cohort::{CohortHandle, CohortJitter, FlowCohort};
+use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::fault::{FaultPlan, LossyGate};
-use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::observer::WindowedObserver;
-use linkpad_sim::packet::{FlowId, Packet, PacketKind};
+use linkpad_sim::packet::{FlowId, PacketKind};
 use linkpad_sim::router::Router;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::Tap;
@@ -117,8 +115,9 @@ impl PhaseSpec {
 /// Configuration of the aggregate (many-gateway trunk) topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateSpec {
-    /// Number of padded flows (sender/receiver gateway pairs). Each flow
-    /// `i` is carried as `FlowId(i)`; flow 0 is the instrumented target.
+    /// Number of padded flows (sender gateways). Each flow `i` is
+    /// carried as `FlowId(i)`; flow 0 is the instrumented target and the
+    /// only flow with a receiver gateway.
     pub flows: usize,
     /// Trunk link capacity, bits/s.
     pub trunk_bps: f64,
@@ -143,8 +142,8 @@ pub struct AggregateSpec {
     /// cohort support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
-    /// [`COHORT_FLOW`] and ends at the trunk observer once recorded;
-    /// QoS instrumentation exists only for the target flow.
+    /// [`COHORT_FLOW`](linkpad_sim::cohort::COHORT_FLOW) and, like every
+    /// non-target flow, ends at the trunk observer once recorded.
     pub cohort_size: Option<usize>,
     /// Padding-clock phase layout across the flow population.
     pub phases: PhaseSpec,
@@ -180,64 +179,6 @@ impl AggregateSpec {
             flow_range: None,
             faults: None,
         }
-    }
-}
-
-/// Per-flow fan-out after the trunk: routes `FlowId(i)` to `nexts[i]`.
-///
-/// Aggregate scenarios use it to peel every padded flow off the shared
-/// trunk toward its own receiver gateway.
-///
-/// Every flow that reaches the demux **must** have a branch: an unknown
-/// `FlowId` is a topology wiring bug (a source feeding the trunk that
-/// the builder never gave a receiver), and silently dropping its packets
-/// would skew QoS and overhead accounting without a trace. The demux
-/// therefore panics on unknown flows, in the same fail-loudly-at-the-
-/// source spirit as `SimBuilder::install`. Cohort traffic
-/// ([`COHORT_FLOW`]) has no receiver: it ends at the trunk observer
-/// that records it, and reaching the demux is the same wiring bug.
-///
-/// A **base** offset lets a shard carrying global flows `[base, base+n)`
-/// index its branch table locally.
-#[derive(Debug)]
-pub struct TrunkDemux {
-    nexts: Vec<NodeId>,
-    base: usize,
-}
-
-impl TrunkDemux {
-    /// A demux routing flow `i` to `nexts[i]`.
-    pub fn new(nexts: Vec<NodeId>) -> Self {
-        Self { nexts, base: 0 }
-    }
-
-    /// Route global flow `base + i` to `nexts[i]` (shard plumbing).
-    pub fn with_base(mut self, base: usize) -> Self {
-        self.base = base;
-        self
-    }
-}
-
-impl Node for TrunkDemux {
-    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        let local = (packet.flow.0 as usize).checked_sub(self.base);
-        match local.and_then(|i| self.nexts.get(i)) {
-            Some(&next) => ctx.send_now(next, packet),
-            None => panic!(
-                "trunk demux: no branch for flow {} ({} branches wired at base {}) — \
-                 every flow on the trunk must have a receiver",
-                packet.flow.0,
-                self.nexts.len(),
-                self.base,
-            ),
-        }
-    }
-
-    /// Stateless: the branch table is wiring.
-    fn reset(&mut self) {}
-
-    fn label(&self) -> &str {
-        "trunk-demux"
     }
 }
 
@@ -333,52 +274,32 @@ pub(crate) fn build_aggregate(
     // Observer-only shards (ranges excluding flow 0) keep the handles —
     // constructed, never wired — so every shard exposes the same
     // `BuiltScenario` shape with zeroed target instrumentation.
-    let mut demux_nexts: Vec<NodeId> = Vec::new();
-    let (payload_sink, receiver, receiver_tap) = if has_target {
+    let (payload_sink, receiver, receiver_tap, target_next) = if has_target {
         let (payload_sink, sink) = Tap::new(None, None);
         let sink_id = b.add_node(Box::new(sink.with_label("subnet-b")));
         let (receiver, gw2) = ReceiverGateway::new(Some(sink_id));
         let gw2_id = b.add_node(Box::new(gw2));
         let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2_id));
         let rtap_id = b.add_node(Box::new(rtap.with_label("tap@gw2")));
-        demux_nexts.push(rtap_id);
-        (payload_sink, receiver, receiver_tap)
+        (payload_sink, receiver, receiver_tap, Some(rtap_id))
     } else {
         let (payload_sink, _sink) = Tap::new(None, None);
         let (receiver, _gw2) = ReceiverGateway::new(None);
         let (receiver_tap, _rtap) = Tap::on_padded_flow(None);
-        (payload_sink, receiver, receiver_tap)
+        (payload_sink, receiver, receiver_tap, None)
     };
 
-    // Receiver side, non-target flows: a terminating gateway each in the
-    // per-flow mode; in cohort mode they end at the trunk observer.
-    let mut receivers = Vec::new();
-    if has_target {
-        receivers.push(receiver.clone());
-    }
-    if spec.cohort_size.is_none() {
-        for f in start.max(1)..start + count {
-            let (r, gw2_f) = ReceiverGateway::new(None);
-            let id = b.add_node(Box::new(gw2_f.with_flow(FlowId(f as u32))));
-            receivers.push(r);
-            demux_nexts.push(id);
-        }
-    }
-
-    // The shared trunk: router → observer → demux. The observer is the
-    // adversary's view of the shared link, in O(windows) memory. Cohort
-    // traffic has no receiver, so in cohort mode it ends at the observer
-    // once recorded.
-    let demux_id = b.add_node(Box::new(TrunkDemux::new(demux_nexts).with_base(start)));
+    // The shared trunk: router → observer. The observer is the
+    // adversary's view of the shared link, in O(windows) memory; it
+    // passes the target flow on to its receiver and ends every other
+    // flow once recorded (an observer-only shard's observer is
+    // capture-only).
     let (trunk_observer, mut observer) =
-        WindowedObserver::new(SimDuration::from_secs_f64(window), Some(demux_id));
+        WindowedObserver::new(SimDuration::from_secs_f64(window), target_next);
     // Measurement gaps: the observer goes blind on the gap schedule's
     // down intervals and stamps per-window coverage.
     if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
         observer = observer.with_gaps(gaps);
-    }
-    if spec.cohort_size.is_some() {
-        observer = observer.with_exit_flow(COHORT_FLOW);
     }
     let observer_id = b.add_node(Box::new(observer.with_label("observer@trunk")));
     let trunk_id = b.add_node(Box::new(
@@ -472,7 +393,7 @@ pub(crate) fn build_aggregate(
     };
 
     match spec.cohort_size {
-        // Per-flow mode: a real gateway pair and payload source per flow.
+        // Per-flow mode: a real sender gateway and payload source per flow.
         None => {
             for f in start.max(1)..start + count {
                 let flow = FlowId(f as u32);
@@ -575,7 +496,6 @@ pub(crate) fn build_aggregate(
             trunk_observer: Some(trunk_observer),
             target_rate_log,
             gateways,
-            receivers,
             cohorts,
             fault_gate,
         }),
@@ -605,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn trunk_observer_sees_all_flows_and_demux_separates_them() {
+    fn trunk_observer_sees_all_flows_and_passes_on_the_target() {
         let flows = 8;
         let b = ScenarioBuilder::aggregate(2, flows).with_payload_rate(10.0);
         let mut s = b.build().unwrap();
@@ -626,36 +546,30 @@ mod tests {
         assert!(obs.windows() <= 26, "windows {}", obs.windows());
         let mid = obs.counts()[12];
         assert!((mid - (flows * 20) as f64).abs() <= 2.0, "mid window {mid}");
-        // Post-demux, flow 0's tap is a clean single-flow stream again.
+        // Past the observer only flow 0 goes on: its receiver sees a
+        // clean single-flow stream again.
         assert!(s.receiver_tap.count() > 400);
-        let (_, _, cross) = s.receiver_tap.kind_counts();
-        assert_eq!(cross, 0);
-        // Every receiver terminates only its own flow.
-        for (i, r) in agg.receivers.iter().enumerate() {
-            assert_eq!(r.unexpected(), 0, "receiver {i} saw foreign traffic");
-            assert!(
-                r.payload_delivered() + r.dummies_stripped() > 400,
-                "receiver {i} starved"
-            );
-        }
+        assert_eq!(s.receiver.unexpected(), 0);
+        assert_eq!(
+            s.receiver.payload_delivered() + s.receiver.dummies_stripped(),
+            s.receiver_tap.count() as u64
+        );
     }
 
     #[test]
-    fn aggregate_receiver_gets_all_payload_per_flow() {
+    fn aggregate_target_receiver_gets_all_payload() {
         let b = ScenarioBuilder::aggregate(3, 4).with_payload_rate(40.0);
         let mut s = b.build().unwrap();
         s.run_for_secs(10.0);
-        let agg = s.aggregate.as_ref().unwrap();
-        for (gw, rx) in agg.gateways.iter().zip(&agg.receivers) {
-            // Everything sent is delivered, minus at most a couple in
-            // flight over the 5 ms trunk.
-            assert!(gw.payload_sent() >= 395, "sent {}", gw.payload_sent());
-            assert!(gw.payload_sent() - rx.payload_delivered() <= 2);
-            assert!(gw.dummy_sent() - rx.dummies_stripped() <= 2);
-        }
+        // Everything the target sent is delivered, minus at most a
+        // couple in flight over the 5 ms trunk.
+        let gw = &s.gateway;
+        assert!(gw.payload_sent() >= 395, "sent {}", gw.payload_sent());
+        assert!(gw.payload_sent() - s.receiver.payload_delivered() <= 2);
+        assert!(gw.dummy_sent() - s.receiver.dummies_stripped() <= 2);
         assert_eq!(
             s.payload_sink.count() as u64,
-            agg.receivers[0].payload_delivered()
+            s.receiver.payload_delivered()
         );
     }
 
@@ -663,46 +577,6 @@ mod tests {
     fn empty_aggregate_is_a_build_error() {
         let b = ScenarioBuilder::aggregate(4, 0);
         assert!(matches!(b.build(), Err(ScenarioError::EmptyAggregate)));
-    }
-
-    #[test]
-    fn trunk_demux_forwards_known_flows() {
-        use linkpad_sim::time::SimTime;
-        let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (h, sink) = Tap::new(None, None);
-        let sink_id = b.add_node(Box::new(sink));
-        let demux_id = b.add_node(Box::new(TrunkDemux::new(vec![sink_id])));
-        b.add_node(Box::new(DistSource::new(
-            demux_id,
-            FlowId(0),
-            PacketKind::Dummy,
-            Box::new(linkpad_stats::dist::Deterministic::new(0.010).unwrap()),
-            Box::new(linkpad_stats::dist::Deterministic::new(500.0).unwrap()),
-        )));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        assert_eq!(h.count(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "no branch for flow 7")]
-    fn trunk_demux_errors_on_unknown_flow() {
-        use linkpad_sim::time::SimTime;
-        let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (_h, sink) = Tap::new(None, None);
-        let sink_id = b.add_node(Box::new(sink));
-        let demux_id = b.add_node(Box::new(TrunkDemux::new(vec![sink_id])));
-        // Flow 7 has no branch: a wiring bug, and it must fail loudly
-        // rather than silently dropping the flow's packets.
-        b.add_node(Box::new(DistSource::new(
-            demux_id,
-            FlowId(7),
-            PacketKind::Dummy,
-            Box::new(linkpad_stats::dist::Deterministic::new(0.004).unwrap()),
-            Box::new(linkpad_stats::dist::Deterministic::new(500.0).unwrap()),
-        )));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
     }
 
     #[test]
@@ -721,11 +595,8 @@ mod tests {
         // The switching payload still rides the padded flow end to end.
         assert!(s.receiver.payload_delivered() > 50);
         assert_eq!(s.receiver.unexpected(), 0);
-        for (i, r) in agg.receivers.iter().enumerate() {
-            assert!(
-                r.payload_delivered() + r.dummies_stripped() > 300,
-                "receiver {i} starved"
-            );
+        for (i, gw) in agg.gateways.iter().enumerate() {
+            assert!(gw.ticks() > 300, "gateway {i} starved");
         }
     }
 

@@ -18,12 +18,11 @@
 //!   one trunk), each returning a runnable simulation plus tap/gateway
 //!   handles, a PIAT collector, and a seed-reset fast path for sweeps.
 //! * [`aggregate`] — the many-gateway trunk topology: per-flow padded
-//!   gateway pairs feeding a shared trunk link, a windowed trunk
-//!   observer folding the aggregate, and an N-way flow demux behind it.
-//!   Cohort mode
+//!   sender gateways feeding a shared trunk link and a windowed trunk
+//!   observer folding the aggregate, which passes only the target flow
+//!   on to its receiver gateway. Cohort mode
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
-//!   swaps the non-target pairs for `FlowCohort` superposition nodes,
-//!   whose traffic ends at the trunk observer once recorded;
+//!   swaps the non-target senders for `FlowCohort` superposition nodes;
 //!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk
@@ -42,7 +41,7 @@ pub mod shard;
 pub mod spec;
 pub mod switching;
 
-pub use aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec, TrunkDemux};
+pub use aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec};
 pub use background::BackgroundNoiseHop;
 pub use cross::{cross_rate_for_utilization, DiurnalProfile, SizeMix};
 pub use scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, TapPosition};

@@ -212,12 +212,12 @@ impl ScenarioBuilder {
     }
 
     /// The aggregate many-gateway topology (see [`crate::aggregate`]):
-    /// `flows` independent padded gateway pairs sharing one trunk link,
-    /// with a windowed observer on the trunk and a per-flow demux behind
-    /// it.
-    /// Flow 0 keeps the lab scenario's instrumentation, so the usual tap
-    /// positions and collectors work unchanged; the extra handles live
-    /// in [`BuiltScenario::aggregate`].
+    /// `flows` independent padded sender gateways sharing one trunk
+    /// link, with a windowed observer on the trunk that ends every flow
+    /// but the target's.
+    /// Flow 0 keeps the lab scenario's instrumentation and receiver
+    /// gateway, so the usual tap positions and collectors work
+    /// unchanged; the extra handles live in [`BuiltScenario::aggregate`].
     pub fn aggregate(seed: u64, flows: usize) -> Self {
         let mut s = Self::lab(seed);
         s.hops = Vec::new(); // the trunk replaces the hop chain
@@ -294,7 +294,7 @@ impl ScenarioBuilder {
     /// Simulate the aggregate's non-target flows as
     /// [`FlowCohort`](linkpad_sim::cohort::FlowCohort)s of up to
     /// `cohort_size` flows each — one node and one pending timer per
-    /// cohort instead of ~10 nodes per flow, the lever that takes the
+    /// cohort instead of two nodes per flow, the lever that takes the
     /// family to 10⁶ concurrent flows. Requires a schedule with
     /// stochastic-cohort support (build fails with
     /// [`ScenarioError::CohortUnsupported`] otherwise — today only
@@ -593,9 +593,6 @@ pub struct AggregateHandles {
     /// Per-flow sender-gateway instrumentation. In cohort mode only the
     /// target flow has a real gateway, so this holds at most one entry.
     pub gateways: Vec<GatewayHandle>,
-    /// Per-flow receiver-gateway instrumentation (target only in cohort
-    /// mode).
-    pub receivers: Vec<ReceiverHandle>,
     /// Per-cohort instrumentation (empty unless
     /// [`ScenarioBuilder::with_cohorts`] was used).
     pub cohorts: Vec<linkpad_sim::cohort::CohortHandle>,
@@ -883,10 +880,12 @@ mod tests {
             .with_uniform_utilization(0.45);
         let mut s = b.build().unwrap();
         s.run_for_secs(20.0);
-        let (_, _, cross_at_sender) = s.sender_tap.kind_counts();
-        let (_, _, cross_at_receiver) = s.receiver_tap.kind_counts();
-        assert_eq!(cross_at_sender, 0);
-        assert_eq!(cross_at_receiver, 0);
+        // Every packet either tap captured is the padded flow's payload
+        // or dummy: none is cross traffic.
+        for tap in [&s.sender_tap, &s.receiver_tap] {
+            let (payload, dummy) = tap.kind_counts();
+            assert_eq!(payload + dummy, tap.count() as u64);
+        }
         assert!(s.receiver_tap.count() > 1500);
     }
 

@@ -171,12 +171,6 @@ impl ShardedRun {
             .unwrap_or(0)
     }
 
-    /// Aggregate simulation throughput: events across all shards per
-    /// wall-clock second of the fan-out.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events() as f64 / self.wall_secs
-    }
-
     /// Did any shard's watchdog end its run early? The merged series is
     /// then truncated to the prefix every shard fully simulated.
     pub fn interrupted(&self) -> bool {
@@ -817,7 +811,7 @@ mod tests {
 
     #[test]
     fn per_flow_mode_shards_too() {
-        // Without cohorts: every flow a real gateway pair, split over
+        // Without cohorts: every flow a real sender gateway, split over
         // ranges — the small-N cross-check configuration.
         let builder = ScenarioBuilder::aggregate(34, 6)
             .with_payload_rate(10.0)
@@ -837,8 +831,8 @@ mod tests {
             .run_for_secs(1.55)
             .unwrap();
         assert_eq!(run.counts(), obs.counts());
-        // Only shard 0 carries the target; the other shard still
-        // terminates its flows in receiver gateways.
+        // Only shard 0 carries the target; the other shard's flows end
+        // at its capture-only trunk observer.
         assert_eq!(run.shards[0].flow_range, (0, 3));
         assert_eq!(run.shards[1].flow_range, (3, 3));
     }
