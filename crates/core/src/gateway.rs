@@ -672,7 +672,7 @@ mod tests {
         // Threat-model remark 3: constant packet size. Verify through a
         // capture-only observer, which totals wire sizes per window.
         let mut b = SimBuilder::new(MasterSeed::new(13));
-        let (sink_handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0), None);
+        let (sink_handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0));
         let sink_id = b.add_node(Box::new(sink));
         let (gw_handle, gw) = SenderGateway::new(
             sink_id,

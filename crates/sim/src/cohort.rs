@@ -502,7 +502,7 @@ mod tests {
     #[test]
     fn window_counts_match_flows_times_windows_over_tau() {
         let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (obs, node) = WindowedObserver::new(ms(100.0), None);
+        let (obs, node) = WindowedObserver::new(ms(100.0));
         let obs_id = b.add_node(Box::new(node));
         let phases: Vec<SimDuration> = (0..40).map(|k| ms(0.25 * k as f64)).collect();
         let (_, cohort) = FlowCohort::new(obs_id, &phases, 500, cit());
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn size_law_draws_variable_wire_sizes() {
         let mut b = SimBuilder::new(MasterSeed::new(14));
-        let (obs, node) = WindowedObserver::new(ms(100.0), None);
+        let (obs, node) = WindowedObserver::new(ms(100.0));
         let obs_id = b.add_node(Box::new(node));
         let (_, cohort) = FlowCohort::new(obs_id, &[ms(0.0), ms(3.0)], 500, cit());
         let law = Box::new(linkpad_stats::dist::Uniform::new(300.0, 901.0).unwrap());

@@ -325,7 +325,7 @@ impl Sim {
     /// Run until the clock reaches `until` (events at exactly `until` are
     /// processed) or the event store drains, whichever comes first. An
     /// armed watchdog budget ([`Sim::set_watchdog`]) may end the run
-    /// early.
+    /// early. Either way every node then hears [`Node::on_horizon`].
     pub fn run_until(&mut self, until: SimTime) -> RunStats {
         // An uninstrumented sim — every benchmark and the overwhelmingly
         // common case — runs the `()` instance of the loop, which holds
@@ -408,6 +408,19 @@ impl Core {
         // point callers truncate partial results at.
         if !stopped && self.now < until && until != SimTime::MAX {
             self.now = until;
+        }
+        // Every event at or before the horizon has been dispatched: the
+        // bound, or for a stopped run the instant before its last event
+        // (same-instant events may remain).
+        let horizon = if stopped {
+            self.now.as_nanos().checked_sub(1).map(SimTime::from_nanos)
+        } else {
+            Some(until)
+        };
+        if let Some(horizon) = horizon {
+            for node in &mut self.nodes {
+                node.on_horizon(horizon);
+            }
         }
         self.events_processed += events;
         RunStats {
@@ -1224,6 +1237,48 @@ mod tests {
         stopped.run_until(bound);
         assert_eq!(*stopped_log.borrow(), *plain_log.borrow());
         assert_eq!(stopped.events_processed(), plain_stats.events);
+    }
+
+    #[test]
+    fn every_node_hears_the_horizon_after_each_run_segment() {
+        /// Logs the horizons it hears.
+        struct Horizons(Rc<RefCell<Vec<u64>>>);
+        impl Node for Horizons {
+            fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+            fn on_horizon(&mut self, horizon: SimTime) {
+                self.0.borrow_mut().push(horizon.as_nanos());
+            }
+        }
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let mut b = SimBuilder::new(MasterSeed::new(39));
+        let dst = b.add_node(Box::new(Horizons(Rc::clone(&heard))));
+        b.add_node(Box::new(Ticker {
+            dst,
+            period: 1000,
+            count: 10,
+            emitted: 0,
+        }));
+        let mut sim = b.build().unwrap();
+        // A run to its bound hears the bound, even past the last event.
+        sim.run_until(SimTime::from_nanos(2_500));
+        // A stopped run hears the instant before its last event (the
+        // timer at 4 µs; its delivery is still pending).
+        sim.run_until_with(SimTime::from_nanos(10_000), &mut StopAt(7));
+        assert_eq!(sim.now(), SimTime::from_nanos(4_000));
+        // A step is a stopped run too.
+        assert!(sim.step());
+        // A watchdog stop, and the sticky no-op run after it.
+        sim.set_watchdog(Some(10), None);
+        sim.run_until(SimTime::from_nanos(10_000));
+        assert_eq!(sim.now(), SimTime::from_nanos(5_000));
+        sim.run_until(SimTime::from_nanos(10_000));
+        // A drained run to the end of time hears `SimTime::MAX`.
+        sim.set_watchdog(None, None);
+        sim.run_until(SimTime::MAX);
+        assert_eq!(
+            *heard.borrow(),
+            vec![2_500, 3_999, 3_999, 4_999, 4_999, u64::MAX]
+        );
     }
 
     #[test]

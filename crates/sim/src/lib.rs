@@ -17,7 +17,10 @@
 //!   queueing behind cross traffic is exactly the paper's `δ_net`
 //!   disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results. Each
 //!   arrival computes its departure, so a hop costs one event, and a
-//!   router serves open-loop cross traffic of its own without any.
+//!   router serves open-loop cross traffic of its own without any. An
+//!   aggregate's trunk router folds its far-end observer in place
+//!   ([`router::Router::observed`]), so its packets in flight are not
+//!   events either.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses. A
 //!   tap with no next hop is the capture-only endpoint of a path.
@@ -25,7 +28,7 @@
 //!   aggregate-link counterpart: they fold arrivals online into
 //!   fixed-width window statistics (count, byte rate, PIAT moments) in
 //!   `O(windows)` memory, for trunks where storing every timestamp is
-//!   untenable.
+//!   untenable. As a node, an observer is a capture-only endpoint.
 //! * **Fault injection** ([`fault::LossyGate`], [`fault::FaultPlan`])
 //!   drops packets deterministically — i.i.d. or bursty loss laws plus
 //!   scheduled outages — so countermeasure/adversary trade-offs can be

@@ -2,6 +2,7 @@
 
 use crate::engine::Context;
 use crate::packet::Packet;
+use crate::time::SimTime;
 
 /// Index of a node inside one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,6 +68,22 @@ pub trait Node {
     ///
     /// The default is a no-op, which is correct only for stateless nodes.
     fn reset(&mut self) {}
+
+    /// A run segment has ended: every event at or before `horizon` has
+    /// been dispatched, and none after it. The engine calls this on
+    /// every node after each `run_until` segment, with the segment's
+    /// bound, or with 1 ns before the stop instant when a hook or the
+    /// watchdog stopped the run (events at that instant may remain).
+    ///
+    /// A node that settles work later than the events which used to do
+    /// it (the observed trunk [`Router`](crate::router::Router) folds
+    /// far-end arrivals in place) completes that work through `horizon`
+    /// here, so what its handles read after a segment is what the
+    /// per-event wiring would have recorded. There is no [`Context`]:
+    /// the hook cannot schedule, send or draw. The default is a no-op.
+    fn on_horizon(&mut self, horizon: SimTime) {
+        let _ = horizon;
+    }
 
     /// Human-readable label for diagnostics.
     fn label(&self) -> &str {

@@ -20,23 +20,23 @@
 //! independent of the arrival count — so the observer sustains trunks
 //! that would make a store-everything tap reallocate without bound.
 //!
-//! **Information barrier:** the observer sees exactly what a passive
-//! wire tap sees — arrival timestamps and on-the-wire sizes. It never
-//! records packet kinds or flow ids (packets are "perfectly encrypted" in
-//! the threat model), so everything the [`ObserverHandle`] exposes is
-//! legitimately available to the adversary. The one flow id it reads is
-//! the padded flow's ([`FlowId::PADDED`](crate::packet::FlowId::PADDED),
-//! an aggregate's target), and only after recording, to decide whether
-//! the packet goes on: every other flow ends at the observer, because
-//! nothing downstream of an aggregate's trunk reads it.
+//! The observer records only timestamps and on-the-wire sizes, never
+//! packet kinds or flow ids, so everything the [`ObserverHandle`]
+//! exposes is legitimately available to the adversary. A
+//! [`WindowedObserver`] node is a capture-only endpoint. An aggregate's
+//! trunk does not deliver to one: the trunk
+//! [`Router`](crate::router::Router) owns its observer and folds each
+//! packet's far-end arrival in place
+//! ([`Router::observed`](crate::router::Router::observed)).
 
 use crate::engine::Context;
 use crate::fault::OutageSchedule;
-use crate::node::{Node, NodeId};
+use crate::node::Node;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::moments::RunningMoments;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Statistics of one fixed-width observation window.
@@ -203,7 +203,8 @@ impl ObserverState {
 }
 
 /// Shared handle for reading what a [`WindowedObserver`] accumulated,
-/// usable after the simulation has run (the engine owns the node).
+/// usable after the simulation has run (the engine owns the node, or
+/// the observed [`Router`](crate::router::Router) that owns it).
 /// Single-threaded `Rc<RefCell<_>>` sharing, like
 /// [`TapHandle`](crate::tap::TapHandle).
 #[derive(Debug, Clone)]
@@ -308,28 +309,23 @@ impl ObserverHandle {
     }
 }
 
-/// The observer node: records window statistics for **every** packet
-/// crossing it (an aggregate link has no flow filter), forwards packets
-/// of the padded flow ([`FlowId::PADDED`](crate::packet::FlowId::PADDED))
-/// unchanged with zero delay, like a passive splitter, and ends every
-/// other packet once recorded.
+/// The observer node: a capture-only endpoint that records window
+/// statistics for **every** packet reaching it (an aggregate link has no
+/// flow filter) and ends it.
 #[derive(Debug)]
 pub struct WindowedObserver {
     state: Rc<RefCell<ObserverState>>,
     window_nanos: u64,
-    /// Where padded-flow packets go (`None` = capture-only endpoint).
-    next: Option<NodeId>,
-    label: String,
 }
 
 impl WindowedObserver {
-    /// An observer with fixed window width `window`, forwarding the
-    /// padded flow to `next`. Windows are anchored at simulation time
-    /// zero: window `i` covers `[i·window, (i+1)·window)`.
+    /// An observer with fixed window width `window`. Windows are
+    /// anchored at simulation time zero: window `i` covers
+    /// `[i·window, (i+1)·window)`.
     ///
     /// # Panics
     /// Panics if `window` is zero (configuration constant).
-    pub fn new(window: SimDuration, next: Option<NodeId>) -> (ObserverHandle, Self) {
+    pub fn new(window: SimDuration) -> (ObserverHandle, Self) {
         assert!(
             window > SimDuration::ZERO,
             "observer window width must be positive"
@@ -348,28 +344,33 @@ impl WindowedObserver {
             Self {
                 state,
                 window_nanos: window.as_nanos(),
-                next,
-                label: "observer".to_string(),
             },
         )
     }
 
-    /// Builder-style label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
     /// Give the observer a measurement-gap schedule: while the
     /// schedule is down the observer is blind — arrivals are neither
-    /// counted nor timestamped (padded ones still pass through to
-    /// `next`), the PIAT chain restarts after each gap, and every materialized
-    /// window carries its up-time fraction in
+    /// counted nor timestamped, the PIAT chain restarts after each gap,
+    /// and every materialized window carries its up-time fraction in
     /// [`WindowStats::coverage`]. The schedule is configuration and
     /// survives [`ObserverHandle::clear`] and resets.
     pub fn with_gaps(self, gaps: OutageSchedule) -> Self {
         self.state.borrow_mut().gaps = Some(gaps);
         self
+    }
+
+    /// Fold and remove the leading `(instant, size)` arrivals of
+    /// `arrivals` that fall at or before `horizon`, in order, under one
+    /// borrow: the trunk router's in-place far end.
+    pub(crate) fn fold_through(&self, arrivals: &mut VecDeque<(SimTime, u32)>, horizon: SimTime) {
+        let mut st = self.state.borrow_mut();
+        while let Some(&(at, size_bytes)) = arrivals.front() {
+            if at > horizon {
+                break;
+            }
+            st.record(at, size_bytes, self.window_nanos);
+            arrivals.pop_front();
+        }
     }
 }
 
@@ -378,29 +379,14 @@ impl Node for WindowedObserver {
         self.state
             .borrow_mut()
             .record(ctx.now(), packet.size_bytes, self.window_nanos);
-        match self.next {
-            Some(next) if packet.is_padded_flow() => ctx.send_now(next, packet),
-            _ => {}
-        }
     }
 
     fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
         // Burst path: one state borrow for the whole batch.
-        {
-            let mut st = self.state.borrow_mut();
-            let now = ctx.now();
-            for packet in packets.iter() {
-                st.record(now, packet.size_bytes, self.window_nanos);
-            }
-        }
-        if let Some(next) = self.next {
-            for packet in packets.drain(..) {
-                if packet.is_padded_flow() {
-                    ctx.send_now(next, packet);
-                }
-            }
-        } else {
-            packets.clear();
+        let mut st = self.state.borrow_mut();
+        let now = ctx.now();
+        for packet in packets.drain(..) {
+            st.record(now, packet.size_bytes, self.window_nanos);
         }
     }
 
@@ -409,7 +395,7 @@ impl Node for WindowedObserver {
     }
 
     fn label(&self) -> &str {
-        &self.label
+        "observer"
     }
 }
 
@@ -417,8 +403,8 @@ impl Node for WindowedObserver {
 mod tests {
     use super::*;
     use crate::engine::SimBuilder;
+    use crate::node::NodeId;
     use crate::packet::{FlowId, PacketKind};
-    use crate::tap::Tap;
     use linkpad_stats::rng::MasterSeed;
 
     /// Emits one 500-byte packet every `period`.
@@ -442,12 +428,21 @@ mod tests {
         }
     }
 
-    fn run_clocked(period_ms: f64, total: u32, window_ms: f64) -> (ObserverHandle, u32) {
+    fn run_clocked(period_ms: f64, total: u32, window_ms: f64) -> ObserverHandle {
+        run_clocked_with(period_ms, total, window_ms, None)
+    }
+
+    fn run_clocked_with(
+        period_ms: f64,
+        total: u32,
+        window_ms: f64,
+        gaps: Option<OutageSchedule>,
+    ) -> ObserverHandle {
         let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Tap::new(None, None);
-        let sink_id = b.add_node(Box::new(sink));
-        let (obs, node) =
-            WindowedObserver::new(SimDuration::from_millis_f64(window_ms), Some(sink_id));
+        let (obs, mut node) = WindowedObserver::new(SimDuration::from_millis_f64(window_ms));
+        if let Some(gaps) = gaps {
+            node = node.with_gaps(gaps);
+        }
         let obs_id = b.add_node(Box::new(node));
         b.add_node(Box::new(Clock {
             dst: obs_id,
@@ -456,14 +451,13 @@ mod tests {
         }));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::MAX);
-        (obs, sink_handle.count() as u32)
+        obs
     }
 
     #[test]
     fn windows_partition_a_periodic_stream() {
         // 10 ms period, 100 ms windows → 10 arrivals per full window.
-        let (obs, forwarded) = run_clocked(10.0, 100, 100.0);
-        assert_eq!(forwarded, 100, "observer forwards everything");
+        let obs = run_clocked(10.0, 100, 100.0);
         assert_eq!(obs.arrivals(), 100);
         let counts = obs.counts();
         assert_eq!(counts.iter().sum::<f64>(), 100.0);
@@ -480,7 +474,7 @@ mod tests {
 
     #[test]
     fn piat_moments_recover_the_period() {
-        let (obs, _) = run_clocked(10.0, 60, 200.0);
+        let obs = run_clocked(10.0, 60, 200.0);
         let means = obs.piat_means();
         let vars = obs.piat_variances();
         // Full windows: PIAT mean exactly the 10 ms period, zero variance.
@@ -498,7 +492,7 @@ mod tests {
     fn empty_windows_between_bursts_are_materialized() {
         // 400 ms period, 100 ms windows: three of every four windows are
         // empty — they must still exist (the series is a time series).
-        let (obs, _) = run_clocked(400.0, 4, 100.0);
+        let obs = run_clocked(400.0, 4, 100.0);
         let counts = obs.counts();
         assert_eq!(counts.len(), 17); // arrival at 1600 ms → window 16
         assert_eq!(counts.iter().sum::<f64>(), 4.0);
@@ -510,7 +504,7 @@ mod tests {
 
     #[test]
     fn clear_discards_and_observer_keeps_window_config() {
-        let (obs, _) = run_clocked(10.0, 30, 50.0);
+        let obs = run_clocked(10.0, 30, 50.0);
         assert!(obs.windows() > 0 && obs.arrivals() == 30);
         obs.clear();
         assert_eq!(obs.windows(), 0);
@@ -518,67 +512,10 @@ mod tests {
         assert_eq!(obs.window_secs(), 0.050);
     }
 
-    /// Every `period`, sends `flows.len()` packets at one instant, one
-    /// per flow id (a same-instant burst when there is more than one).
-    struct Burst {
-        dst: NodeId,
-        flows: Vec<FlowId>,
-        remaining: u32,
-    }
-    impl Node for Burst {
-        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.schedule_timer(SimDuration::from_millis_f64(1.0), 0);
-        }
-        fn on_timer(&mut self, _t: u64, ctx: &mut Context<'_>) {
-            for &flow in &self.flows {
-                let pkt = ctx.spawn_packet(flow, PacketKind::Dummy, 500);
-                ctx.send_now(self.dst, pkt);
-            }
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                ctx.schedule_timer(SimDuration::from_millis_f64(1.0), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn only_the_padded_flow_goes_on() {
-        // One flow per tick exercises `on_packet`, three flows per tick
-        // the same-instant burst path `on_packets`.
-        for flows in [vec![FlowId(4)], vec![FlowId(4), FlowId::PADDED, FlowId(9)]] {
-            let mut b = SimBuilder::new(MasterSeed::new(2));
-            let (sink_handle, sink) = Tap::new(None, None);
-            let sink_id = b.add_node(Box::new(sink));
-            let (obs, node) =
-                WindowedObserver::new(SimDuration::from_millis_f64(5.0), Some(sink_id));
-            let obs_id = b.add_node(Box::new(node));
-            let padded = flows.iter().filter(|&&f| f == FlowId::PADDED).count();
-            let per_tick = flows.len();
-            b.add_node(Box::new(Burst {
-                dst: obs_id,
-                flows,
-                remaining: 20,
-            }));
-            let mut sim = b.build().unwrap();
-            sim.run_until(SimTime::MAX);
-            assert_eq!(
-                obs.arrivals(),
-                20 * per_tick as u64,
-                "every flow is recorded"
-            );
-            assert_eq!(
-                sink_handle.count(),
-                20 * padded,
-                "only the padded flow goes on"
-            );
-        }
-    }
-
     #[test]
     #[should_panic(expected = "window width must be positive")]
     fn zero_window_panics() {
-        let _ = WindowedObserver::new(SimDuration::ZERO, None);
+        let _ = WindowedObserver::new(SimDuration::ZERO);
     }
 
     /// Fold `(piat, bytes)` observations into one window.
@@ -632,8 +569,8 @@ mod tests {
 
     #[test]
     fn series_merge_handles_ragged_lengths() {
-        let (long, _) = run_clocked(10.0, 100, 100.0); // 11 windows
-        let (short, _) = run_clocked(10.0, 40, 100.0); // 5 windows
+        let long = run_clocked(10.0, 100, 100.0); // 11 windows
+        let short = run_clocked(10.0, 40, 100.0); // 5 windows
         let mut merged = long.window_series();
         merge_window_series(&mut merged, &short.window_series());
         assert_eq!(merged.len(), 11);
@@ -655,38 +592,15 @@ mod tests {
         );
     }
 
-    fn run_clocked_gapped(
-        period_ms: f64,
-        total: u32,
-        window_ms: f64,
-        gaps: OutageSchedule,
-    ) -> (ObserverHandle, u32) {
-        let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (sink_handle, sink) = Tap::new(None, None);
-        let sink_id = b.add_node(Box::new(sink));
-        let (obs, node) =
-            WindowedObserver::new(SimDuration::from_millis_f64(window_ms), Some(sink_id));
-        let obs_id = b.add_node(Box::new(node.with_gaps(gaps)));
-        b.add_node(Box::new(Clock {
-            dst: obs_id,
-            period: SimDuration::from_millis_f64(period_ms),
-            remaining: total,
-        }));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::MAX);
-        (obs, sink_handle.count() as u32)
-    }
-
     #[test]
-    fn gaps_blind_the_observer_but_not_the_wire() {
+    fn gaps_blind_the_observer() {
         // 10 ms period, 100 ms windows; down for the first 100 ms of
         // every 400 ms → every fourth window is fully blind.
         let gaps = OutageSchedule::new(
             SimDuration::from_millis_f64(400.0),
             SimDuration::from_millis_f64(100.0),
         );
-        let (obs, forwarded) = run_clocked_gapped(10.0, 100, 100.0, gaps);
-        assert_eq!(forwarded, 100, "blind arrivals still pass through");
+        let obs = run_clocked_with(10.0, 100, 100.0, Some(gaps));
         let counts = obs.counts();
         let cov = obs.coverages();
         assert_eq!(counts.len(), cov.len());
@@ -714,7 +628,7 @@ mod tests {
             SimDuration::from_millis_f64(400.0),
             SimDuration::from_millis_f64(100.0),
         );
-        let (obs, _) = run_clocked_gapped(10.0, 200, 100.0, gaps);
+        let obs = run_clocked_with(10.0, 200, 100.0, Some(gaps));
         obs.with_windows(|ws| {
             for (i, w) in ws.iter().enumerate() {
                 if let Some(mean) = w.piats.mean() {
@@ -741,7 +655,7 @@ mod tests {
             SimDuration::from_millis_f64(200.0),
             SimDuration::from_millis_f64(30.0),
         );
-        let (obs, _) = run_clocked_gapped(10.0, 100, 100.0, gaps);
+        let obs = run_clocked_with(10.0, 100, 100.0, Some(gaps));
         let cov = obs.coverages();
         assert!((cov[0] - 0.7).abs() < 1e-9, "{cov:?}");
         assert_eq!(cov[1], 1.0);
@@ -757,13 +671,13 @@ mod tests {
             SimDuration::from_millis_f64(400.0),
             SimDuration::from_millis_f64(100.0),
         );
-        let (obs, _) = run_clocked_gapped(10.0, 50, 100.0, gaps);
+        let obs = run_clocked_with(10.0, 50, 100.0, Some(gaps));
         let before = obs.coverages();
         obs.clear();
         assert_eq!(obs.windows(), 0);
         // A cleared observer re-records with the same mask (the node's
         // reset path relies on this).
-        let (obs2, _) = run_clocked_gapped(10.0, 50, 100.0, gaps);
+        let obs2 = run_clocked_with(10.0, 50, 100.0, Some(gaps));
         assert_eq!(obs2.coverages(), before);
     }
 

@@ -23,13 +23,37 @@
 //! it first serves, in arrival order, every cross arrival at or before
 //! `now`, then the packet. A cross arrival at exactly `now` is served
 //! before the arriving packet. Cross traffic costs no events at all.
+//!
+//! An aggregate's trunk is an *observed* router ([`Router::observed`]):
+//! it owns the [`WindowedObserver`] at the far end of its egress and
+//! folds each packet's far-end arrival there itself, so no packet waits
+//! in the event store to be recorded. An arrival's far-end instant
+//! `busy_until + propagation` is known when the packet reaches the
+//! router, and FIFO service with a constant propagation delay makes
+//! those instants arrive in time order. The router keeps the instants
+//! and sizes not yet due in a FIFO, and folds every one at or before
+//! `now` when a packet arrives, or at or before the horizon when a run
+//! segment ends ([`Node::on_horizon`]). The observer therefore folds the
+//! per-event wiring's arrivals in the same order, and its handle reads
+//! the same series after every run segment.
+//!
+//! **Information barrier:** the observer records what a passive wire
+//! tap sees, arrival instants and on-the-wire sizes, never packet kinds
+//! or flow ids (packets are "perfectly encrypted" in the threat model).
+//! The observed router reads one flow id, the padded flow's
+//! ([`FlowId::PADDED`](crate::packet::FlowId::PADDED), an aggregate's
+//! target), and only to decide whether a packet goes on: every other
+//! flow ends at the trunk, because nothing behind an aggregate's trunk
+//! reads it.
 
 use crate::engine::Context;
 use crate::node::{Node, NodeId};
+use crate::observer::WindowedObserver;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::dist::ContinuousDist;
 use linkpad_stats::StatsError;
+use std::collections::VecDeque;
 
 /// Transmit time of `size_bytes` on an egress of `bits_per_sec`, in the
 /// router's integer nanoseconds.
@@ -49,10 +73,29 @@ struct CrossTraffic {
     next_at: SimTime,
 }
 
+/// Where the egress leads.
+#[derive(Debug)]
+enum Egress {
+    /// Every packet goes on to the next hop.
+    Forward(NodeId),
+    /// An observer watches the far end (see the module doc).
+    Observed(FarEnd),
+}
+
+/// The observed far end of a trunk's egress.
+#[derive(Debug)]
+struct FarEnd {
+    observer: WindowedObserver,
+    /// Far-end arrivals not yet folded, `(instant, size)`, in time order.
+    pending: VecDeque<(SimTime, u32)>,
+    /// Where the padded flow goes on; `None` forwards nothing.
+    target: Option<NodeId>,
+}
+
 /// A store-and-forward router with one egress.
 #[derive(Debug)]
 pub struct Router {
-    next: NodeId,
+    egress: Egress,
     bits_per_sec: f64,
     propagation: SimDuration,
     /// When the egress finishes the last packet accepted so far.
@@ -69,12 +112,37 @@ impl Router {
     /// # Panics
     /// Panics on a non-positive bandwidth (topology constant).
     pub fn new(next: NodeId, bits_per_sec: f64, propagation: SimDuration) -> Self {
+        Self::with_egress(Egress::Forward(next), bits_per_sec, propagation)
+    }
+
+    /// An observed trunk router (see the module doc): `observer` records
+    /// every packet's arrival at the far end of the egress, packets of
+    /// the padded flow go on to `target` at that instant, and every
+    /// other packet ends there. With no `target` nothing goes on.
+    ///
+    /// # Panics
+    /// Panics on a non-positive bandwidth (topology constant).
+    pub fn observed(
+        observer: WindowedObserver,
+        target: Option<NodeId>,
+        bits_per_sec: f64,
+        propagation: SimDuration,
+    ) -> Self {
+        let far_end = FarEnd {
+            observer,
+            pending: VecDeque::new(),
+            target,
+        };
+        Self::with_egress(Egress::Observed(far_end), bits_per_sec, propagation)
+    }
+
+    fn with_egress(egress: Egress, bits_per_sec: f64, propagation: SimDuration) -> Self {
         assert!(
             bits_per_sec.is_finite() && bits_per_sec > 0.0,
             "router bandwidth must be positive, got {bits_per_sec}"
         );
         Self {
-            next,
+            egress,
             bits_per_sec,
             propagation,
             busy_until: SimTime::ZERO,
@@ -139,11 +207,20 @@ impl Node for Router {
         }
         self.busy_until =
             self.busy_until.max(now) + transmit_time(packet.size_bytes, self.bits_per_sec);
-        ctx.send_after(
-            (self.busy_until + self.propagation) - now,
-            self.next,
-            packet,
-        );
+        let arrival = self.busy_until + self.propagation;
+        match &mut self.egress {
+            Egress::Forward(next) => ctx.send_after(arrival - now, *next, packet),
+            Egress::Observed(far_end) => {
+                far_end.observer.fold_through(&mut far_end.pending, now);
+                far_end.pending.push_back((arrival, packet.size_bytes));
+                match far_end.target {
+                    Some(target) if packet.is_padded_flow() => {
+                        ctx.send_after(arrival - now, target, packet)
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -158,6 +235,16 @@ impl Node for Router {
         if let Some(cross) = &mut self.cross {
             cross.next_at = SimTime::MAX;
         }
+        if let Egress::Observed(far_end) = &mut self.egress {
+            far_end.pending.clear();
+            far_end.observer.reset();
+        }
+    }
+
+    fn on_horizon(&mut self, horizon: SimTime) {
+        if let Egress::Observed(far_end) = &mut self.egress {
+            far_end.observer.fold_through(&mut far_end.pending, horizon);
+        }
     }
 
     fn label(&self) -> &str {
@@ -169,6 +256,8 @@ impl Node for Router {
 mod tests {
     use super::*;
     use crate::engine::{Sim, SimBuilder};
+    use crate::fault::OutageSchedule;
+    use crate::observer::{ObserverHandle, WindowStats};
     use crate::packet::{FlowId, PacketKind};
     use crate::tap::{Tap, TapHandle};
     use linkpad_stats::dist::{Categorical, Deterministic, Exponential, Pareto};
@@ -218,6 +307,9 @@ mod tests {
     impl Node for FlowLog {
         fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
             self.0.borrow_mut().push((ctx.now(), packet.flow));
+        }
+        fn reset(&mut self) {
+            self.0.borrow_mut().clear();
         }
     }
 
@@ -467,7 +559,7 @@ mod tests {
         }
     }
 
-    /// Emits `remaining` packets of one flow, drawing each packet's size
+    /// Emits `count` packets of one flow, drawing each packet's size
     /// and its gap to the next from the given lists. The packet is
     /// scheduled one gap ahead (`send_after`), so at a shared instant its
     /// delivery can sort before or after a router's completion timer.
@@ -476,7 +568,8 @@ mod tests {
         flow: FlowId,
         sizes: &'static [u32],
         gaps_us: &'static [u64],
-        remaining: u32,
+        count: u32,
+        sent: u32,
     }
 
     fn pick<T: Copy>(ctx: &mut Context<'_>, from: &[T]) -> T {
@@ -485,10 +578,10 @@ mod tests {
 
     impl GridSource {
         fn emit(&mut self, ctx: &mut Context<'_>) {
-            if self.remaining == 0 {
+            if self.sent == self.count {
                 return;
             }
-            self.remaining -= 1;
+            self.sent += 1;
             let size = pick(ctx, self.sizes);
             let gap = SimDuration::from_nanos(1_000 * pick(ctx, self.gaps_us));
             let pkt = ctx.spawn_packet(self.flow, PacketKind::Payload, size);
@@ -504,6 +597,9 @@ mod tests {
         }
         fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
             self.emit(ctx);
+        }
+        fn reset(&mut self) {
+            self.sent = 0;
         }
     }
 
@@ -535,14 +631,16 @@ mod tests {
             flow: FlowId::PADDED,
             sizes: &[500],
             gaps_us: &[2_000],
-            remaining: 1_000,
+            count: 1_000,
+            sent: 0,
         }));
         b.add_node(Box::new(GridSource {
             dst: router,
             flow: FlowId::CROSS,
             sizes: &[64, 550, 1500],
             gaps_us: &[0, 100, 550, 1_000, 1_500, 2_000, 2_500, 4_000],
-            remaining: 1_400,
+            count: 1_400,
+            sent: 0,
         }));
         let mut sim = b.build().unwrap();
         sim.run_until(SimTime::MAX);
@@ -751,6 +849,236 @@ mod tests {
         assert_eq!(
             reference.events_processed() - lazy.events_processed(),
             3 * sent.len() as u64
+        );
+    }
+
+    // ---------------------------------------------- observed far end --
+
+    /// The per-event far end of an observed router: delivers every
+    /// packet to a capture-only observer and the padded flow on to
+    /// `target`, counting the packets it carried.
+    struct FarEndSplit {
+        observer: NodeId,
+        target: NodeId,
+        carried: Rc<Cell<u64>>,
+    }
+
+    impl Node for FarEndSplit {
+        fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
+            bump(&self.carried);
+            ctx.send_now(self.observer, packet);
+            if packet.is_padded_flow() {
+                ctx.send_now(self.target, packet);
+            }
+        }
+        fn reset(&mut self) {
+            self.carried.set(0);
+        }
+    }
+
+    const FAR_SEED: u64 = 17;
+    const FAR_WINDOW_NS: u64 = 20_000_000;
+
+    struct FarEndRun {
+        sim: Sim,
+        observer: ObserverHandle,
+        sink: FlowLog,
+        /// Packets the reference's split carried (`None`: observed).
+        carried: Option<Rc<Cell<u64>>>,
+    }
+
+    /// Three flows through one 8 Mb/s egress with 3 ms of propagation,
+    /// watched at the far end by an observer with 20 ms windows and
+    /// measurement gaps: on an observed router when `observed`, else on
+    /// a plain router in the same node slot feeding a [`FarEndSplit`]
+    /// appended after the sources. A byte takes 1 µs on the wire and
+    /// every gap is whole microseconds; the zero gaps send same-instant
+    /// bursts.
+    fn far_end_run(observed: bool) -> FarEndRun {
+        const BPS: f64 = 8e6;
+        let propagation = SimDuration::from_nanos(3_000_000);
+        let gaps = OutageSchedule::new(
+            SimDuration::from_millis_f64(70.0),
+            SimDuration::from_millis_f64(9.0),
+        );
+        let (observer, node) = WindowedObserver::new(SimDuration::from_nanos(FAR_WINDOW_NS));
+        let node = node.with_gaps(gaps);
+        let mut b = SimBuilder::new(MasterSeed::new(FAR_SEED));
+        let sink = FlowLog::default();
+        let sink_id = b.add_node(Box::new(sink.clone()));
+        let router = b.reserve();
+        let flows: [(FlowId, &'static [u32], &'static [u64], u32); 3] = [
+            (FlowId::PADDED, &[500], &[4_000], 600),
+            (
+                FlowId(3),
+                &[64, 550, 1500],
+                &[0, 0, 100, 550, 1_000, 2_500, 4_000, 6_000],
+                1_500,
+            ),
+            (FlowId(7), &[40, 1500], &[0, 700, 3_000, 5_000], 1_000),
+        ];
+        for (flow, sizes, gaps_us, count) in flows {
+            b.add_node(Box::new(GridSource {
+                dst: router,
+                flow,
+                sizes,
+                gaps_us,
+                count,
+                sent: 0,
+            }));
+        }
+        let carried = if observed {
+            let trunk = Router::observed(node, Some(sink_id), BPS, propagation);
+            b.install(router, Box::new(trunk));
+            None
+        } else {
+            let observer_id = b.add_node(Box::new(node));
+            let carried = Rc::new(Cell::new(0));
+            let split = b.add_node(Box::new(FarEndSplit {
+                observer: observer_id,
+                target: sink_id,
+                carried: Rc::clone(&carried),
+            }));
+            b.install(router, Box::new(Router::new(split, BPS, propagation)));
+            Some(carried)
+        };
+        FarEndRun {
+            sim: b.build().unwrap(),
+            observer,
+            sink,
+            carried,
+        }
+    }
+
+    /// A window series as raw bits: counts, bytes, coverage and the PIAT
+    /// moments, extremes included.
+    fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
+        let opt = |x: Option<f64>| x.map_or(u64::MAX, f64::to_bits);
+        windows
+            .iter()
+            .flat_map(|w| {
+                [
+                    w.count,
+                    w.bytes,
+                    w.coverage.to_bits(),
+                    w.piats.count(),
+                    opt(w.piats.mean()),
+                    opt(w.piats.variance()),
+                    w.piats.min().to_bits(),
+                    w.piats.max().to_bits(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Everything both runs record is equal, and the reference spent
+    /// exactly two dispatches more per packet its split carried (into
+    /// the split, then into the observer).
+    fn assert_far_end_equal(observed: &FarEndRun, reference: &FarEndRun, at: &str) {
+        assert_eq!(
+            series_bits(&observed.observer.window_series()),
+            series_bits(&reference.observer.window_series()),
+            "{at}: window series differ"
+        );
+        assert_eq!(
+            observed.observer.arrivals(),
+            reference.observer.arrivals(),
+            "{at}"
+        );
+        assert_eq!(
+            *observed.sink.0.borrow(),
+            *reference.sink.0.borrow(),
+            "{at}: padded deliveries differ"
+        );
+        let carried = reference.carried.as_ref().unwrap().get();
+        assert_eq!(
+            reference.sim.events_processed() - observed.sim.events_processed(),
+            2 * carried,
+            "{at}"
+        );
+    }
+
+    #[test]
+    fn observed_router_equals_a_plain_router_feeding_an_observer() {
+        let mut observed = far_end_run(true);
+        let mut reference = far_end_run(false);
+        let ns = |secs: f64| SimTime::from_secs_f64(secs);
+        // Unforwarded packets in propagation: the reference holds them as
+        // events, the observed router as pending records.
+        let in_flight = |observed: &FarEndRun, reference: &FarEndRun| {
+            reference.sim.pending_events() > observed.sim.pending_events()
+        };
+        // 0.7001 ms slices, off the microsecond grid: many bounds fall
+        // between a far-end arrival and the next packet to reach the
+        // router, where only the horizon folds it.
+        let mut cut_in_flight = 0;
+        for k in 1..=1_000 {
+            let bound = SimTime::from_nanos(k * 700_100);
+            observed.sim.run_until(bound);
+            reference.sim.run_until(bound);
+            cut_in_flight += u32::from(in_flight(&observed, &reference));
+            assert_far_end_equal(&observed, &reference, &format!("slice to {bound:?}"));
+        }
+        assert!(
+            cut_in_flight > 100,
+            "{cut_in_flight} slices cut a packet in flight"
+        );
+
+        // A reset with packets in flight: nothing pending survives it.
+        assert!(in_flight(&observed, &reference), "before the reset");
+        for run in [&mut observed, &mut reference] {
+            run.sim.reset(MasterSeed::new(FAR_SEED));
+        }
+        let bound = ns(0.6000005);
+        observed.sim.run_until(bound);
+        reference.sim.run_until(bound);
+        assert!(in_flight(&observed, &reference), "after the reset");
+        assert_far_end_equal(&observed, &reference, "after the reset");
+
+        // A watchdog stop: the observed router has folded every arrival
+        // before the stop instant, so the windows the clock fully crossed
+        // equal the reference run to 1 ns before it.
+        observed
+            .sim
+            .set_watchdog(Some(observed.sim.events_processed() + 777), None);
+        let bound = ns(1.5000005);
+        observed.sim.run_until(bound);
+        assert!(observed.sim.watchdog_tripped());
+        let stop = observed.sim.now();
+        assert!(stop < bound);
+        reference
+            .sim
+            .run_until(SimTime::from_nanos(stop.as_nanos() - 1));
+        let complete = (stop.as_nanos() / FAR_WINDOW_NS) as usize;
+        let kept = |run: &FarEndRun| {
+            let mut windows = run.observer.window_series();
+            assert!(windows.len() >= complete, "a quiet window before the stop");
+            windows.truncate(complete);
+            series_bits(&windows)
+        };
+        assert!(complete > 0);
+        assert_eq!(kept(&observed), kept(&reference), "watchdog stop");
+        // Re-armed, the stopped run resumes exactly.
+        observed.sim.set_watchdog(None, None);
+        observed.sim.run_until(bound);
+        reference.sim.run_until(bound);
+        assert_far_end_equal(&observed, &reference, "after the watchdog stop");
+
+        observed.sim.run_until(SimTime::MAX);
+        reference.sim.run_until(SimTime::MAX);
+        assert_eq!(observed.sim.pending_events(), 0, "every packet drained");
+        assert_far_end_equal(&observed, &reference, "drained");
+
+        // The traffic met every case the fold rests on.
+        let sink = observed.sink.0.borrow();
+        assert_eq!(sink.len(), 600, "the padded flow alone goes on");
+        assert!(sink.iter().all(|&(_, flow)| flow == FlowId::PADDED));
+        let carried = reference.carried.as_ref().unwrap().get();
+        assert_eq!(carried, 600 + 1_500 + 1_000);
+        assert!(observed.observer.coverages().iter().any(|&c| c < 1.0));
+        assert!(
+            observed.observer.arrivals() < carried,
+            "gaps blinded the observer"
         );
     }
 }

@@ -223,7 +223,7 @@ mod tests {
     fn sizes_are_clamped_to_at_least_one_byte() {
         let mut b = SimBuilder::new(MasterSeed::new(6));
         // A capture-only observer: one window holds the byte total.
-        let (handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0), None);
+        let (handle, sink) = WindowedObserver::new(SimDuration::from_secs_f64(1.0));
         let sink_id = b.add_node(Box::new(sink));
         b.add_node(Box::new(
             DistSource::new(

@@ -7,28 +7,33 @@
 //!
 //! ```text
 //!  src_0 → GW1_0 → [tap@gw1] ─┐
-//!  src_1 → GW1_1 ─────────────┤
-//!   ...                       ├→ trunk router → [observer@trunk] → [tap@gw2] → GW2_0 → [subnet-b]
-//!  src_N → GW1_N ─────────────┘                  (flows 1..N end here)
+//!  src_1 → GW1_1 ─────────────┤   trunk router
+//!   ...                       ├→ [far-end observer] → [tap@gw2] → GW2_0 → [subnet-b]
+//!  src_N → GW1_N ─────────────┘   (flows 1..N end here)
 //! ```
 //!
 //! Every flow `i` runs its own CIT/VIT padding sender gateway under
 //! `FlowId(i)`; all sender gateways feed one shared **trunk** (a FIFO
-//! router with configurable capacity and propagation). A **trunk
-//! observer** ([`WindowedObserver`], no flow filter) folds the aggregate
+//! router with configurable capacity and propagation). The trunk owns
+//! the **trunk observer** ([`WindowedObserver`], no flow filter) at the
+//! far end of its egress ([`Router::observed`]): it folds the aggregate
 //! arrival process into per-window statistics — the adversary's view of
-//! the shared link, in `O(windows)` memory — and then ends every packet
-//! but the target's: nothing downstream of the trunk reads another
-//! flow. Flow 0 is the fully instrumented *target* flow: it keeps the
-//! lab scenario's sender-egress and receiver-ingress taps and its
-//! receiver gateway, so [`TapPosition`](crate::scenario::TapPosition)
-//! semantics carry over unchanged.
+//! the shared link, in `O(windows)` memory — and ends every packet but
+//! the target's on arrival: nothing downstream of the trunk reads
+//! another flow. Flow 0 is the fully instrumented *target* flow: it
+//! keeps the lab scenario's sender-egress and receiver-ingress taps and
+//! its receiver gateway, so
+//! [`TapPosition`](crate::scenario::TapPosition) semantics carry over
+//! unchanged.
 //!
-//! With thousands of gateways and a long-haul trunk, hundreds of
-//! thousands of events (gateway ticks, source arrivals, in-flight trunk
-//! packets) are pending at any instant — the store-bound regime the
-//! ladder event queue was built for, as a real scenario rather than a
-//! microbench.
+//! With thousands of gateways, tens of thousands of events (about three
+//! per flow: a gateway tick, a payload arrival and its source's timer)
+//! are pending at any instant — linkbench's 10⁴-flow `gateway_trunk`
+//! peaks at 30 010 — the store-bound regime the ladder event queue was
+//! built for, as a real scenario rather than a microbench. The packets
+//! in flight on a long-haul trunk (~10⁵ on that 100 ms trunk) are not
+//! events: the trunk keeps each as a 16-byte far-end record until it
+//! folds it.
 
 use crate::scenario::{
     check_link_bps, AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError,
@@ -122,12 +127,15 @@ pub struct AggregateSpec {
     /// Trunk link capacity, bits/s.
     pub trunk_bps: f64,
     /// Trunk propagation delay, seconds. Long-haul trunks keep many
-    /// packets in flight: the steady-state pending-event population is
-    /// roughly `flows × (2 + propagation/τ)`.
+    /// packets in flight, roughly `flows × propagation/τ`; the trunk
+    /// holds them as far-end records, not pending events, so the
+    /// pending-event population stays near three per per-flow sender
+    /// (30 010 at the peak of 10⁴ flows on a 100 ms trunk); a shard of
+    /// 10⁴ flows in 1024-flow cohorts peaks at ~70.
     pub trunk_propagation: f64,
     /// Width (seconds) of the trunk observer's windows. Every aggregate
-    /// watches its trunk with a [`WindowedObserver`] — `O(windows)`
-    /// memory — whose view lives in
+    /// watches the far end of its trunk with a [`WindowedObserver`] —
+    /// `O(windows)` memory — whose view lives in
     /// [`AggregateHandles::trunk_observer`](crate::scenario::AggregateHandles).
     pub observer_window: f64,
     /// When set, flow 0's payload is driven by a rate-switching source
@@ -143,7 +151,7 @@ pub struct AggregateSpec {
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
     /// [`COHORT_FLOW`](linkpad_sim::cohort::COHORT_FLOW) and, like every
-    /// non-target flow, ends at the trunk observer once recorded.
+    /// non-target flow, ends at the trunk once recorded.
     pub cohort_size: Option<usize>,
     /// Padding-clock phase layout across the flow population.
     pub phases: PhaseSpec,
@@ -289,22 +297,20 @@ pub(crate) fn build_aggregate(
         (payload_sink, receiver, receiver_tap, None)
     };
 
-    // The shared trunk: router → observer. The observer is the
-    // adversary's view of the shared link, in O(windows) memory; it
-    // passes the target flow on to its receiver and ends every other
-    // flow once recorded (an observer-only shard's observer is
-    // capture-only).
-    let (trunk_observer, mut observer) =
-        WindowedObserver::new(SimDuration::from_secs_f64(window), target_next);
+    // The shared trunk, observed at its far end: the observer is the
+    // adversary's view of the shared link, in O(windows) memory. The
+    // trunk passes the target flow on to its receiver and ends every
+    // other flow (an observer-only shard's trunk forwards nothing).
+    let (trunk_observer, mut observer) = WindowedObserver::new(SimDuration::from_secs_f64(window));
     // Measurement gaps: the observer goes blind on the gap schedule's
     // down intervals and stamps per-window coverage.
     if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
         observer = observer.with_gaps(gaps);
     }
-    let observer_id = b.add_node(Box::new(observer.with_label("observer@trunk")));
     let trunk_id = b.add_node(Box::new(
-        Router::new(
-            observer_id,
+        Router::observed(
+            observer,
+            target_next,
             spec.trunk_bps,
             SimDuration::from_secs_f64(spec.trunk_propagation),
         )

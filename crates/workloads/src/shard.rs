@@ -79,7 +79,8 @@ pub struct ShardReport {
     pub flow_range: (usize, usize),
     /// The shard's trunk window series.
     pub windows: Vec<WindowStats>,
-    /// Trunk arrivals the shard's observer folded.
+    /// Trunk arrivals in `windows` (`Σ count`): an interrupted shard
+    /// counts only the arrivals of the windows it kept.
     pub arrivals: u64,
     /// Events the shard's event loop dispatched.
     pub events: u64,
@@ -606,8 +607,8 @@ impl ShardedAggregate {
         Ok(ShardReport {
             shard: s,
             flow_range: self.ranges[s],
+            arrivals: windows.iter().map(|w| w.count).sum(),
             windows,
-            arrivals: observer.arrivals(),
             events: scenario.sim.events_processed(),
             pending_peak,
             interrupted,
@@ -831,8 +832,8 @@ mod tests {
             .run_for_secs(1.55)
             .unwrap();
         assert_eq!(run.counts(), obs.counts());
-        // Only shard 0 carries the target; the other shard's flows end
-        // at its capture-only trunk observer.
+        // Only shard 0 carries the target; the other shard's trunk
+        // forwards nothing.
         assert_eq!(run.shards[0].flow_range, (0, 3));
         assert_eq!(run.shards[1].flow_range, (3, 3));
     }
@@ -907,6 +908,12 @@ mod tests {
         // The surviving prefix is bit-identical to the unbounded run:
         // truncation removed incomplete windows, never corrupted one.
         assert_eq!(run.windows[..], full.windows[..run.windows.len()]);
+        // Each shard reports the arrivals of the windows it kept, not
+        // those of the partial window it discarded.
+        for shard in &run.shards {
+            let kept: u64 = shard.windows.iter().map(|w| w.count).sum();
+            assert_eq!(shard.arrivals, kept, "shard {}", shard.shard);
+        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ fn observer_view_of_cohort_matches_gateway_fanin() {
     let phases = [0u64, 1_000_000, 4_000_000, 9_999_999];
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0), None);
+        let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
         let obs_id = b.add_node(Box::new(node));
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();

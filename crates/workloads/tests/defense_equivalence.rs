@@ -72,7 +72,7 @@ fn observer_run(
     secs: f64,
 ) -> ObserverHandle {
     let mut b = SimBuilder::new(MasterSeed::new(seed));
-    let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0), None);
+    let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0));
     let obs_id = b.add_node(Box::new(node));
     if use_cohort {
         let sd: Vec<SimDuration> = phases_ns

@@ -1,10 +1,13 @@
-//! The trunk observer ends every flow but the target's once it has
-//! recorded it. This test keeps the wiring that carried those flows on —
-//! the observer forwarding every flow to a demux that routes each
-//! per-flow packet to its own receiver and absorbs cohort packets — as
-//! the reference model, and checks in both aggregate modes that the
-//! trunk view and the target flow's receive side are bit-identical to
-//! it, at exactly the dispatches the reference's extra hops add.
+//! An aggregate's trunk router folds every packet's far-end arrival into
+//! its observer in place and forwards only the target flow. This test
+//! keeps the per-event wiring as the reference model — a plain trunk
+//! router delivering every packet to a capture-only observer and to a
+//! demux that routes each per-flow packet to its own receiver and
+//! absorbs cohort packets — and checks in both aggregate modes, after
+//! each of 2 140 run slices whose bounds sweep the tick cycle (many of
+//! them while packets are in propagation), that the trunk view and the
+//! target flow's receive side are bit-identical to it, at exactly the
+//! dispatches the reference's extra hops add.
 
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad_sim::cohort::{CohortJitter, FlowCohort, COHORT_FLOW};
@@ -44,8 +47,8 @@ fn builder(cohorts: bool) -> ScenarioBuilder {
     }
 }
 
-/// Stands in for an observer that forwards every flow: sends each
-/// packet to the capture-only observer, then on to the demux.
+/// The far end of the per-event trunk: sends each packet to the
+/// capture-only observer, then on to the demux.
 struct FanOut {
     observer: NodeId,
     next: NodeId,
@@ -85,11 +88,12 @@ struct Reference {
     fanned: Rc<Cell<u64>>,
 }
 
-/// `builder(cohorts).build()` with the demux wiring: the aggregate
+/// `builder(cohorts).build()` with the per-event wiring: the aggregate
 /// builder's node list, order and labels (node `i` draws RNG stream
-/// `i`), the trunk delivering to a fan-out, and the fan-out, demux and
-/// non-target receivers appended after the builder's last node so that
-/// no builder node changes stream.
+/// `i`), with a plain router in the trunk's slot delivering to a
+/// fan-out, and the non-target receivers, demux, fan-out and observer
+/// appended after the builder's last node so that no builder node
+/// changes stream.
 fn reference(cohorts: bool) -> Reference {
     let builder = builder(cohorts);
     let d = builder.defaults;
@@ -101,8 +105,6 @@ fn reference(cohorts: bool) -> Reference {
     let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
     let (receiver_tap, rtap) = Tap::on_padded_flow(Some(gw2));
     let rtap = b.add_node(Box::new(rtap.with_label("tap@gw2")));
-    let (observer, node) = WindowedObserver::new(SimDuration::from_secs_f64(WINDOW), None);
-    let observer_id = b.add_node(Box::new(node.with_label("observer@trunk")));
     // Installed last: the trunk delivers to the appended fan-out.
     let trunk = b.reserve();
 
@@ -176,6 +178,8 @@ fn reference(cohorts: bool) -> Reference {
         }
     }
     let demux = b.add_node(Box::new(Demux { nexts }));
+    let (observer, node) = WindowedObserver::new(SimDuration::from_secs_f64(WINDOW));
+    let observer_id = b.add_node(Box::new(node));
     let fanned = Rc::new(Cell::new(0));
     let fan_out = b.add_node(Box::new(FanOut {
         observer: observer_id,
@@ -219,58 +223,73 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 }
 
 #[test]
-fn an_observer_ending_non_target_flows_equals_the_demux_wiring() {
-    let until = SimTime::from_secs_f64(1.5);
+fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
+    // 0.7001 ms slices sweep the bounds across every phase of the 10 ms
+    // tick cycle, so they fall while packets are in propagation and
+    // between a far-end arrival and the next packet to reach the trunk.
+    const SLICES: u64 = 2_140;
+    const SLICE_NS: u64 = 700_100;
     for cohorts in [false, true] {
         let mode = if cohorts { "cohort" } else { "per-flow" };
         let mut built = builder(cohorts).build().expect("builds");
         let mut reference = reference(cohorts);
-        // Fan-out, demux and the non-target receivers.
-        let extra = 2 + reference.receivers.len();
+        // Non-target receivers, demux, fan-out and observer.
+        let extra = reference.receivers.len() + 3;
         assert_eq!(
             reference.sim.node_count(),
             built.sim.node_count() + extra,
             "{mode}: node lists differ"
         );
-        built.sim.run_until(until);
-        reference.sim.run_until(until);
-
         let agg = built.aggregate.as_ref().expect("aggregate handles");
-        let got = agg.trunk_observer.as_ref().expect("trunk observer");
-        assert_eq!(
-            series_bits(&got.window_series()),
-            series_bits(&reference.observer.window_series()),
-            "{mode}: trunk window series differ"
+        let got = agg.trunk_observer.clone().expect("trunk observer");
+        let mut cut_in_flight = 0;
+        for k in 1..=SLICES {
+            let until = SimTime::from_nanos(k * SLICE_NS);
+            let secs = until.as_secs_f64();
+            built.sim.run_until(until);
+            reference.sim.run_until(until);
+            // Only the reference holds non-target packets in
+            // propagation as events.
+            if reference.sim.pending_events() > built.sim.pending_events() {
+                cut_in_flight += 1;
+            }
+            assert_eq!(
+                series_bits(&got.window_series()),
+                series_bits(&reference.observer.window_series()),
+                "{mode} at {secs} s: trunk window series differ"
+            );
+            assert_eq!(
+                built.receiver_tap.timestamps(),
+                reference.receiver_tap.timestamps(),
+                "{mode} at {secs} s: tap@gw2 differs"
+            );
+            assert_eq!(
+                built.payload_sink.timestamps(),
+                reference.payload_sink.timestamps(),
+                "{mode} at {secs} s: subnet-b differs"
+            );
+            // Every trunk arrival reached the fan-out. The reference
+            // dispatched each three times more (into the fan-out, then
+            // into the observer and the demux), and each non-target
+            // per-flow packet once more (into its receiver).
+            let fanned = reference.fanned.get();
+            assert_eq!(fanned, got.arrivals(), "{mode} at {secs} s");
+            let received: u64 = reference.receivers.iter().map(|r| r.count() as u64).sum();
+            assert_eq!(
+                reference.sim.events_processed() - built.sim.events_processed(),
+                3 * fanned + received,
+                "{mode} at {secs} s"
+            );
+        }
+        assert!(
+            cut_in_flight > SLICES / 10,
+            "{mode}: {cut_in_flight} slices cut a packet in flight"
         );
         assert!(reference.receiver_tap.count() > 100, "{mode}");
-        assert_eq!(
-            built.receiver_tap.timestamps(),
-            reference.receiver_tap.timestamps(),
-            "{mode}: tap@gw2 differs"
-        );
         assert!(reference.payload_sink.count() > 5, "{mode}");
-        assert_eq!(
-            built.payload_sink.timestamps(),
-            reference.payload_sink.timestamps(),
-            "{mode}: subnet-b differs"
-        );
-
-        // Every trunk arrival reached the fan-out; each non-target flow
-        // reached its own receiver.
-        let fanned = reference.fanned.get();
-        assert!(fanned > 1_000, "{mode}: {fanned} trunk arrivals");
-        assert_eq!(fanned, got.arrivals(), "{mode}");
+        assert!(reference.fanned.get() > 1_000, "{mode}");
         for (i, rx) in reference.receivers.iter().enumerate() {
             assert!(rx.count() > 100, "{mode}: receiver {} starved", i + 1);
         }
-        let received: u64 = reference.receivers.iter().map(|r| r.count() as u64).sum();
-        // The reference dispatched each trunk arrival twice more (into
-        // the fan-out, then into the demux next to the observer), and
-        // each non-target per-flow packet once more (into its receiver).
-        assert_eq!(
-            reference.sim.events_processed() - built.sim.events_processed(),
-            2 * fanned + received,
-            "{mode}"
-        );
     }
 }

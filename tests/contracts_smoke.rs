@@ -9,7 +9,10 @@
 //!    wiring on the same draws: a plain router fed by an eager source
 //!    that replays the router's RNG stream;
 //! 3. a one-shard `ShardedAggregate` ≡ the unsharded sim;
-//! 4. a `FlowCohort` ≡ K gateways, for synchronized CIT.
+//! 4. a `FlowCohort` ≡ K gateways, for synchronized CIT;
+//! 5. an aggregate's trunk, folding its observer in place ≡ the
+//!    per-event wiring: a plain trunk router feeding a capture-only
+//!    observer.
 
 use linkpad::core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad::prelude::*;
@@ -274,7 +277,7 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
     // on an 8 Mb/s router at one instant, which drains them in 4 ms.
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0), None);
+        let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
         let obs_id = b.add_node(Box::new(node));
         let router = b.add_node(Box::new(Router::new(
             obs_id,
@@ -308,4 +311,116 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
         series_bits(&gateways.window_series()),
         "cohort and gateways must load the router identically"
     );
+}
+
+/// The cohort-mode aggregate `builder` builds (synchronized phases,
+/// `flows` flows in cohorts of `k`, a 10 Mb/s trunk with 1 ms of
+/// propagation, 100 ms windows) with the per-event trunk: the builder's
+/// nodes, order and labels (node `i` draws RNG stream `i`), a plain
+/// [`Router`] in the trunk's slot, and the capture-only observer it
+/// feeds appended after the last node. Nothing goes on past the
+/// observer, so the target's receive side stays idle.
+fn per_event_trunk(builder: &ScenarioBuilder, flows: usize, k: usize) -> (Sim, ObserverHandle) {
+    let d = builder.defaults;
+    let mut b = SimBuilder::new(MasterSeed::new(builder.seed()));
+    let subnet_b = b.add_node(Box::new(Tap::new(None, None).1.with_label("subnet-b")));
+    let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
+    b.add_node(Box::new(
+        Tap::on_padded_flow(Some(gw2)).1.with_label("tap@gw2"),
+    ));
+    let trunk = b.reserve();
+    let stap = Tap::on_padded_flow(Some(trunk)).1.with_label("tap@gw1");
+    let stap = b.add_node(Box::new(stap));
+    let schedule = builder.schedule().to_schedule(d.tau).expect("schedule");
+    let (_, gw1) = SenderGateway::new(stap, schedule, d.jitter, d.packet_size);
+    let gw1 = gw1
+        .with_discipline(builder.discipline())
+        .with_flow(FlowId::PADDED)
+        .with_start_phase(SimDuration::ZERO)
+        .with_label("gw1-0");
+    let gw1 = b.add_node(Box::new(gw1));
+    b.add_node(Box::new(DistSource::new(
+        gw1,
+        FlowId::PADDED,
+        PacketKind::Payload,
+        builder.payload().interval_law().expect("payload law"),
+        Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
+    )));
+    let jitter = CohortJitter {
+        base_sigma: d.jitter.base_sigma,
+        blocking_mean: d.jitter.blocking_mean,
+        arrival_prob: builder.payload().rate() * d.tau,
+    };
+    // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / k, clock at phase 0.
+    let members: Vec<usize> = (1..flows).collect();
+    for (g, group) in members.chunks(k).enumerate() {
+        let sched = builder
+            .schedule()
+            .member_schedule(d.tau, group.len() as u32)
+            .expect("member schedule");
+        let phases = vec![SimDuration::ZERO; group.len()];
+        let (_, cohort) = FlowCohort::new(trunk, &phases, d.packet_size, sched);
+        let cohort = cohort.with_jitter(jitter).expect("jitter");
+        b.add_node(Box::new(cohort.with_label(format!("cohort-{g}"))));
+    }
+    let (observer, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0));
+    let observer_id = b.add_node(Box::new(node));
+    let propagation = SimDuration::from_secs_f64(1e-3);
+    let plain = Router::new(observer_id, 10e6, propagation).with_label("trunk");
+    b.install(trunk, Box::new(plain));
+    (b.build().expect("builds"), observer)
+}
+
+#[test]
+fn a_trunk_folding_its_observer_equals_a_plain_trunk_feeding_one() {
+    // Nine synchronized flows put 4.5 kB on a 10 Mb/s trunk every τ:
+    // the trunk drains each burst over 3.6 ms, then 1 ms of propagation.
+    const FLOWS: usize = 9;
+    const K: usize = 4;
+    let builder = ScenarioBuilder::aggregate(63, FLOWS)
+        .with_payload_rate(10.0)
+        .with_trunk(10e6, 1e-3)
+        .with_trunk_observer(0.1)
+        .with_cohorts(K);
+    let mut built = builder.build().expect("builds");
+    let (mut reference, reference_obs) = per_event_trunk(&builder, FLOWS, K);
+    assert_eq!(reference.node_count(), built.sim.node_count() + 1);
+    let got = built
+        .aggregate
+        .as_ref()
+        .and_then(|a| a.trunk_observer.clone())
+        .expect("trunk observer");
+    // 0.7001 ms slices sweep the bounds across every phase of the tick
+    // cycle: mid-burst, mid-propagation, and between a far-end arrival
+    // and the next packet to reach the trunk.
+    let mut cut_in_flight = 0;
+    for k in 1..=2_140 {
+        let until = SimTime::from_nanos(k * 700_100);
+        let secs = until.as_secs_f64();
+        built.sim.run_until(until);
+        reference.run_until(until);
+        if reference.pending_events() > built.sim.pending_events() {
+            cut_in_flight += 1;
+        }
+        assert_eq!(
+            series_bits(&got.window_series()),
+            series_bits(&reference_obs.window_series()),
+            "{secs} s: trunk window series differ"
+        );
+        // The reference dispatched one observer delivery per trunk
+        // arrival; the folded trunk instead carried the target on
+        // through tap@gw2 and GW2 (payload also into subnet-b).
+        let receive_side = 2 * built.receiver_tap.count() + built.payload_sink.count();
+        assert_eq!(
+            reference.events_processed() + receive_side as u64,
+            built.sim.events_processed() + got.arrivals(),
+            "{secs} s"
+        );
+    }
+    assert!(
+        cut_in_flight > 214,
+        "{cut_in_flight} slices cut a packet in flight"
+    );
+    assert!(got.arrivals() > 1_000);
+    assert!(built.receiver_tap.count() > 100);
 }
