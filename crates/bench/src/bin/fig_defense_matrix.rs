@@ -56,7 +56,7 @@ use std::path::PathBuf;
 
 /// The ISSUE gate's N.
 const FLOWS: usize = 10_000;
-/// Flows per cohort node.
+/// Flows per cohort.
 const COHORT: usize = 1_024;
 /// Observer window = 20τ: integer W/interval for CIT (20) and for
 /// constant-rate at 125 pps (25), the rate law's exact regimes.

@@ -60,7 +60,7 @@ use std::path::PathBuf;
 
 /// Flows in the estimation-accuracy table (the ISSUE gate's N).
 const FLOWS: usize = 10_000;
-/// Flows per cohort node.
+/// Flows per cohort.
 const COHORT: usize = 1_024;
 /// Observer window = 20τ: integer W/τ, the rate law's exact regime.
 const WINDOW_OVER_TAU: f64 = 20.0;
@@ -363,10 +363,11 @@ fn main() {
         "retried; merge bit-identical".to_string(),
     ]);
 
-    // A deliberately small per-shard event budget: the watchdog ends
-    // each shard early and the merged series is a bit-identical
-    // *prefix* of the unbounded run's.
-    let budget = clean.events() / shards as u64 / 4;
+    // A deliberately small per-shard event budget: a quarter of the
+    // target shard's run. Cohort service is not an event, so only the
+    // target shard dispatches; the watchdog ends it early and the
+    // merged series is a bit-identical *prefix* of the unbounded run's.
+    let budget = clean.shards[0].events / 4;
     let mut bounded_agg = ShardedAggregate::new(h_builder())
         .expect("sharded configuration valid")
         .with_watchdog(Some(budget), None);
@@ -387,8 +388,8 @@ fn main() {
         bounded.windows.len()
     );
     assert!(
-        bounded.windows.len() < clean.windows.len(),
-        "interrupted run keeps fewer windows ({} vs {})",
+        !bounded.windows.is_empty() && bounded.windows.len() < clean.windows.len(),
+        "interrupted run keeps some but fewer windows ({} vs {})",
         bounded.windows.len(),
         clean.windows.len()
     );

@@ -6,7 +6,7 @@
 //! of thousands to millions of flows; PR 3's honest N-scaling curves
 //! stopped at 10⁴ because every flow was a boxed gateway pair in one
 //! event loop. This experiment runs the cohort + shard execution path —
-//! non-target flows as `FlowCohort` superposition nodes, the population
+//! non-target flows as `FlowCohort`s the trunk draws on demand, the population
 //! split over worker sub-sims, per-shard trunk window series merged by
 //! summing `WindowStats` — and asserts the **rate-law flow-count
 //! estimate stays within ±10 %** at every N (gate), with event-count,
@@ -45,7 +45,7 @@ use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::ShardedAggregate;
 use std::path::PathBuf;
 
-/// Flows per cohort node: 10⁶ flows ≈ 10³ nodes per run.
+/// Flows per cohort: 10⁶ flows ≈ 10³ cohorts per run.
 const COHORT: usize = 1_024;
 /// Observer window = 20τ: integer W/τ, the rate law's exact regime.
 const WINDOW_OVER_TAU: f64 = 20.0;

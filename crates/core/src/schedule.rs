@@ -470,7 +470,7 @@ impl From<AdaptivePadding> for LinkSchedule {
 }
 
 /// Per-member adaptive machines for a flow cohort: member `m`
-/// owns its own Idle/Burst/Gap state, all driven off the cohort node's
+/// owns its own Idle/Burst/Gap state, all driven off the cohort's
 /// single RNG stream in the deterministic pop order of the cohort heap.
 #[derive(Debug)]
 pub struct AdaptiveCohortSchedule {

@@ -47,6 +47,7 @@ pub const RUN_PATH_FILES: &[&str] = &[
     "crates/sim/src/cohort.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",
+    "crates/sim/src/fault.rs",
     "crates/sim/src/hooks.rs",
     "crates/sim/src/observer.rs",
     "crates/sim/src/router.rs",

@@ -1,4 +1,4 @@
-//! Flow cohorts: K padded flows superposed in one node.
+//! Flow cohorts: K padded flows superposed in one generator.
 //!
 //! The aggregate scenario family models every padded flow as its own
 //! sender gateway and payload source — faithful, but two boxed nodes
@@ -12,42 +12,40 @@
 //! the instants are the exact comb `φₖ + j·τ`); VIT laws and adaptive
 //! padding draw their intervals.
 //!
-//! [`FlowCohort`] simulates the superposition of K such clocks in one
-//! node, driven by a [`MemberSchedule`] (an interval *law* shared iid
-//! across members, or per-member machines like adaptive padding). It
-//! keeps a small in-node binary heap of **runs** `(time, first_member,
+//! [`FlowCohort`] generates the superposition of K such clocks, driven
+//! by a [`MemberSchedule`] (an interval *law* shared iid across members,
+//! or per-member machines like adaptive padding). It is not an engine
+//! node and arms no timer: the trunk [`Router`](crate::router::Router)
+//! that carries its traffic owns it and draws its emissions on demand
+//! ([`FlowCohort::fire`]), so a cohort packet is never an event. The
+//! cohort keeps a small binary heap of **runs** `(time, first_member,
 //! run_len)`: the contiguous members `first_member..first_member +
-//! run_len` all fire next at `time`. The engine sees **one pending timer
-//! event per cohort** — the heap minimum — so a K = 1024 cohort costs
-//! the event store the same as one gateway, and a million flows fit in
-//! ~10³ nodes. Each popped member emits one packet, drawing jitter δ,
-//! then wire size, then its next interval, in that order (the
-//! `SenderGateway` order). A popped run stays one entry while its
-//! members draw the first member's next interval; the members after the
-//! first mismatch go back as singletons. A synchronized CIT cohort is
-//! therefore one entry for its whole run, costing one heap pop per
-//! instant; desynchronized phases cost one `O(log K)` pop per emission.
-//! Measured on a 2-vCPU host against a dedicated fixed-period path for
-//! CIT, that cost stayed inside run-to-run noise (+3 % median wall time
-//! on the benchmark's uniform-phase `cohort_defenses` workload, −1 % on
-//! a synchronized 10⁵-flow run), so there is no such fast path.
+//! run_len` all fire next at `time`. Each fired member emits one packet,
+//! drawing jitter δ, then wire size, then its next interval, in that
+//! order (the `SenderGateway` order). A fired run stays one entry while
+//! its members draw the first member's next interval; the members after
+//! the first mismatch go back as singletons. A synchronized CIT cohort
+//! is therefore one entry for its whole run, costing one heap operation
+//! per instant; desynchronized phases cost one `O(log K)` operation per
+//! emission.
 //!
-//! Determinism: runs are disjoint contiguous member ranges popped in
+//! Determinism: runs are disjoint contiguous member ranges fired in
 //! `(time, first_member)` order, so members fire in `(time, member)`
-//! order and every draw comes off the cohort node's single RNG stream
-//! in that order; runs replay bit-identically under `reset(seed)`. With
-//! a `Deterministic` law, no jitter and no size law the cohort makes
-//! **zero RNG draws**, and its emission times are bit-exact nominal
-//! instants — the regime the exactness tests compare against real
-//! `SenderGateway`s. What one RNG stream does *not* preserve is the
-//! gateway fan-in's *stream interleaving*: K real gateways draw from K
-//! independent streams, so with any draw on the emission path the
-//! equivalence is distributional (window count/byte moments), not
-//! bit-exact — see `defense_equivalence.rs` and `DESIGN.md` ("cohort
-//! superposition"), which also lists what this node deliberately
-//! refuses to model: the `Relative` timer discipline (δ feeds back into
-//! the period) and reactive defences (the clock reacts to per-member
-//! payload).
+//! order and every draw comes off the cohort's single RNG stream in that
+//! order; the trunk hands the cohort that stream at start
+//! ([`FlowCohort::start`]), so runs replay bit-identically under
+//! `reset(seed)`. With a `Deterministic` law, no jitter and no size law
+//! the cohort makes **zero RNG draws**, and its emission times are
+//! bit-exact nominal instants — the regime the exactness tests compare
+//! against real `SenderGateway`s. What one RNG stream does *not*
+//! preserve is the gateway fan-in's *stream interleaving*: K real
+//! gateways draw from K independent streams, so with any draw on the
+//! emission path the equivalence is distributional (window count/byte
+//! moments), not bit-exact — see `defense_equivalence.rs` and
+//! `DESIGN.md` ("cohort superposition"), which also lists what a cohort
+//! deliberately refuses to model: the `Relative` timer discipline (δ
+//! feeds back into the period) and reactive defences (the clock reacts
+//! to per-member payload).
 //!
 //! The per-tick disturbance is reproduced by [`CohortJitter`], mirroring
 //! `GatewayJitterModel` (that type lives upstream in `linkpad-core`,
@@ -56,39 +54,28 @@
 //! arrival probability `p = rate·τ`, behind the same 6σ causality
 //! offset.
 
-use crate::engine::Context;
-use crate::node::{Node, NodeId};
-use crate::packet::{FlowId, PacketKind};
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::dist::{ContinuousDist, Exponential};
 use linkpad_stats::normal::Normal;
 use linkpad_stats::rng::Xoshiro256StarStar;
 use linkpad_stats::StatsError;
 use rand_core::RngCore;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-/// Conventional wire flow id for cohort-generated traffic. Cohort
-/// members are indistinguishable on the wire (constant size, encrypted),
-/// so they share one id; aggregate scenarios end it at the trunk
-/// instrument that records it instead of fanning out per-flow branches.
-pub const COHORT_FLOW: FlowId = FlowId(u32::MAX);
-
-const TICK: u64 = 0;
-
 /// Per-member interval source of a cohort: `member` is the within-cohort
 /// index (position in the sorted phase vector). Called once per member
 /// (in member order) at start to seed the heap, then once per emission
-/// in the deterministic `(time, member)` pop order.
+/// in the deterministic `(time, member)` fire order.
 pub trait MemberSchedule: std::fmt::Debug {
     /// Draw member `member`'s next inter-emission interval, seconds.
     /// Must be positive (the cohort floors to 1 ns defensively).
     fn next_interval_secs(&mut self, member: u32, rng: &mut dyn RngCore) -> f64;
 
     /// Return any machine state to its initial value (the next
-    /// `on_start` re-seeds the heap from a fresh RNG stream).
+    /// [`FlowCohort::start`] re-seeds the heap from a fresh RNG stream).
     fn reset(&mut self);
 }
 
@@ -191,23 +178,18 @@ impl JitterSamplers {
     }
 }
 
-#[derive(Debug, Default)]
-struct CohortStats {
-    emitted: u64,
-}
-
 /// Read handle for cohort instrumentation (single-threaded shared state,
 /// like the gateway handles).
 #[derive(Debug, Clone)]
 pub struct CohortHandle {
-    stats: Rc<RefCell<CohortStats>>,
+    emitted: Rc<Cell<u64>>,
     flows: u32,
 }
 
 impl CohortHandle {
     /// Packets emitted so far (over all member flows).
     pub fn emitted(&self) -> u64 {
-        self.stats.borrow().emitted
+        self.emitted.get()
     }
 
     /// Number of member flows this cohort superposes.
@@ -216,11 +198,10 @@ impl CohortHandle {
     }
 }
 
-/// A node emitting the superposed arrival process of K padded flows
-/// from one next-fire heap of member runs (see the module docs).
+/// The superposed emission process of K padded flows, generated from
+/// one next-fire heap of member runs (see the module docs).
+#[derive(Debug)]
 pub struct FlowCohort {
-    next: NodeId,
-    flow: FlowId,
     packet_size: u32,
     /// Wire-size law for variable-payload defences (`None` → every
     /// packet is exactly `packet_size`, zero RNG draws).
@@ -231,54 +212,49 @@ pub struct FlowCohort {
     /// index is the position in this vector).
     phases: Vec<SimDuration>,
     /// `(next nominal fire time, first member, run length)` —
-    /// `Reverse` turns the std max-heap into a min-heap popping in
+    /// `Reverse` turns the std max-heap into a min-heap firing in
     /// `(time, first member)` order.
     heap: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
-    stats: Rc<RefCell<CohortStats>>,
-    label: String,
+    /// Members a firing run sheds, `(next fire, member)`: pushed back
+    /// as singletons once the run's own entry is back in place.
+    shed: Vec<(SimTime, u32)>,
+    /// The stream every draw comes from, handed over by `start`.
+    rng: Xoshiro256StarStar,
+    emitted: Rc<Cell<u64>>,
 }
 
 impl FlowCohort {
-    /// A cohort of `phases.len()` flows sending every emission to
-    /// `next`, their clocks driven by `schedule`. Member `m` is the m-th
-    /// entry of the sorted phase vector; its first emission lands at
-    /// `phase_m + T₁(m)` where `T₁` is the member's first interval draw,
-    /// matching a `SenderGateway` built `with_start_phase(phase_m)`,
-    /// whose first tick fires at `start_phase + T₁`. An empty cohort
-    /// arms no timer.
+    /// A cohort of `phases.len()` flows whose clocks are driven by
+    /// `schedule`. Member `m` is the m-th entry of the sorted phase
+    /// vector; its first emission lands at `phase_m + T₁(m)` where `T₁`
+    /// is the member's first interval draw, matching a `SenderGateway`
+    /// built `with_start_phase(phase_m)`, whose first tick fires at
+    /// `start_phase + T₁`. An empty cohort never fires.
     pub fn new(
-        next: NodeId,
         phases: &[SimDuration],
         packet_size: u32,
         schedule: Box<dyn MemberSchedule>,
     ) -> (CohortHandle, Self) {
         let mut phases = phases.to_vec();
         phases.sort_unstable();
-        let stats = Rc::new(RefCell::new(CohortStats::default()));
+        let emitted = Rc::new(Cell::new(0));
         (
             CohortHandle {
-                stats: Rc::clone(&stats),
+                emitted: Rc::clone(&emitted),
                 flows: phases.len() as u32,
             },
             Self {
-                next,
-                flow: COHORT_FLOW,
                 packet_size,
                 size_law: None,
                 jitter: None,
                 sched: schedule,
                 heap: BinaryHeap::with_capacity(phases.len()),
+                shed: Vec::new(),
                 phases,
-                stats,
-                label: "cohort".to_string(),
+                rng: Xoshiro256StarStar::from_u64(0),
+                emitted,
             },
         )
-    }
-
-    /// Emit under a specific wire flow id (default [`COHORT_FLOW`]).
-    pub fn with_flow(mut self, flow: FlowId) -> Self {
-        self.flow = flow;
-        self
     }
 
     /// Enable the per-emission disturbance model (default: none — exact
@@ -293,12 +269,6 @@ impl FlowCohort {
         Ok(self)
     }
 
-    /// Builder-style label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
     /// Install a wire-size law for variable-payload defences: each
     /// emission samples its size (floored to whole bytes, min 1).
     /// Deterministic laws make zero RNG draws, preserving bit-exactness.
@@ -307,50 +277,17 @@ impl FlowCohort {
         self
     }
 
-    /// Member `member`'s next interval, floored to a nonzero duration so
-    /// the re-armed timer always advances sim time (no same-instant
-    /// livelock).
-    #[inline]
-    fn next_interval(&mut self, member: u32, rng: &mut Xoshiro256StarStar) -> SimDuration {
-        let d = SimDuration::from_secs_f64(self.sched.next_interval_secs(member, rng));
-        SimDuration::from_nanos(d.as_nanos().max(1))
-    }
-
-    /// Emit one member's packet: jitter δ, then wire size.
-    #[inline]
-    fn emit(&self, ctx: &mut Context<'_>) {
-        let delay = self.jitter.as_ref().map(|j| j.sample_send_delay(ctx.rng));
-        let size = match &self.size_law {
-            Some(law) => law.sample(ctx.rng).floor().max(1.0) as u32,
-            None => self.packet_size,
-        };
-        let pkt = ctx.spawn_packet(self.flow, PacketKind::Dummy, size);
-        match delay {
-            Some(d) => ctx.send_after(SimDuration::from_secs_f64(d), self.next, pkt),
-            None => ctx.send_now(self.next, pkt),
-        }
-    }
-
-    /// Arm the one engine timer at the heap minimum (none when empty).
-    fn arm(&self, ctx: &mut Context<'_>) {
-        if let Some(&Reverse((t, _, _))) = self.heap.peek() {
-            ctx.schedule_timer(t.saturating_since(ctx.now()), TICK);
-        }
-    }
-}
-
-impl Node for FlowCohort {
-    fn on_packet(&mut self, _packet: crate::packet::Packet, _ctx: &mut Context<'_>) {
-        debug_assert!(false, "cohorts generate traffic; nothing routes to them");
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Seed every member's first fire time in member order (one
-        // interval draw each), merging consecutive equal times into runs.
+    /// Start every member clock at time zero, drawing from `rng` from
+    /// now on: each member draws its first interval, in member order,
+    /// and consecutive equal first fire times merge into runs.
+    pub fn start(&mut self, rng: Xoshiro256StarStar) {
+        self.rng = rng;
         self.heap.clear();
         let mut run: Option<(SimTime, u32, u32)> = None;
         for m in 0..self.phases.len() as u32 {
-            let t = SimTime::ZERO + self.phases[m as usize] + self.next_interval(m, ctx.rng);
+            let t = SimTime::ZERO
+                + self.phases[m as usize]
+                + next_interval(&mut *self.sched, m, &mut self.rng);
             match &mut run {
                 Some((at, _, len)) if *at == t => *len += 1,
                 _ => {
@@ -363,58 +300,100 @@ impl Node for FlowCohort {
         if let Some(done) = run {
             self.heap.push(Reverse(done));
         }
-        self.arm(ctx);
     }
 
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
-        debug_assert_eq!(tag, TICK);
-        let now = ctx.now();
-        let mut emitted = 0u64;
-        while let Some(&Reverse((t, first, len))) = self.heap.peek() {
+    /// When the next member fires, or `None` for an empty or unstarted
+    /// cohort.
+    #[inline]
+    pub fn next_fire(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    }
+
+    /// Fire every member due at [`FlowCohort::next_fire`], in member
+    /// order. Each emits one packet, handing `emit` its arrival instant
+    /// (the fire instant shifted by the member's jitter δ) and wire
+    /// size, then draws its next interval.
+    pub fn fire(&mut self, mut emit: impl FnMut(SimTime, u32)) {
+        let Some(now) = self.next_fire() else {
+            return;
+        };
+        let Self {
+            packet_size,
+            size_law,
+            jitter,
+            sched,
+            heap,
+            shed,
+            rng,
+            emitted,
+            ..
+        } = self;
+        let mut fired = 0u64;
+        loop {
+            let Some(mut top) = heap.peek_mut() else {
+                break;
+            };
+            let Reverse((t, first, len)) = *top;
             if t > now {
                 break;
             }
-            self.heap.pop();
             // The run keeps its first `kept` members while they draw the
             // first member's interval; later members go back alone.
             let (mut step, mut kept) = (SimDuration::ZERO, 0);
             for m in first..first + len {
-                self.emit(ctx);
-                let d = self.next_interval(m, ctx.rng);
+                // One emission: jitter δ, then wire size, then the
+                // member's next interval.
+                let delay = jitter.as_ref().map(|j| j.sample_send_delay(rng));
+                let size = match size_law {
+                    Some(law) => law.sample(rng).floor().max(1.0) as u32,
+                    None => *packet_size,
+                };
+                emit(delay.map_or(t, |d| t + SimDuration::from_secs_f64(d)), size);
+                let d = next_interval(&mut **sched, m, rng);
                 if kept == m - first && (kept == 0 || d == step) {
                     step = d;
                     kept += 1;
                 } else {
-                    self.heap.push(Reverse((t + d, m, 1)));
+                    shed.push((t + d, m));
                 }
             }
-            self.heap.push(Reverse((t + step, first, kept)));
-            emitted += u64::from(len);
+            *top = Reverse((t + step, first, kept));
+            drop(top);
+            for (at, m) in shed.drain(..) {
+                heap.push(Reverse((at, m, 1)));
+            }
+            fired += u64::from(len);
         }
-        self.stats.borrow_mut().emitted += emitted;
-        self.arm(ctx);
+        emitted.set(emitted.get() + fired);
     }
 
-    fn reset(&mut self) {
+    /// Return to the as-built state: no member scheduled, schedule
+    /// machines and counters reset. [`FlowCohort::start`] must follow
+    /// before the cohort fires again.
+    pub fn reset(&mut self) {
         self.heap.clear();
         self.sched.reset();
-        *self.stats.borrow_mut() = CohortStats::default();
+        self.emitted.set(0);
     }
+}
 
-    fn label(&self) -> &str {
-        &self.label
-    }
+/// Member `member`'s next interval, floored to a nonzero duration so
+/// every fire advances sim time (no same-instant livelock).
+#[inline]
+fn next_interval(
+    sched: &mut dyn MemberSchedule,
+    member: u32,
+    rng: &mut Xoshiro256StarStar,
+) -> SimDuration {
+    let d = SimDuration::from_secs_f64(sched.next_interval_secs(member, rng));
+    SimDuration::from_nanos(d.as_nanos().max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimBuilder;
-    use crate::observer::WindowedObserver;
-    use crate::tap::Tap;
     use linkpad_stats::dist::{Categorical, Deterministic};
     use linkpad_stats::rng::MasterSeed;
-    use std::cell::Cell;
 
     const TAU: SimDuration = SimDuration::from_nanos(10_000_000); // 10 ms
 
@@ -431,108 +410,83 @@ mod tests {
         Box::new(LawSchedule::new(Box::new(d)))
     }
 
+    /// Starts `cohort` on stream `seed` and fires it through `until`,
+    /// returning every `(arrival, size)` it emitted there (arrivals of
+    /// fires at or before `until` that land after it included) and the
+    /// largest heap it held.
+    fn drain(cohort: &mut FlowCohort, seed: u64, until: SimTime) -> (Vec<(SimTime, u32)>, usize) {
+        cohort.start(MasterSeed::new(seed).stream(0));
+        let mut out = Vec::new();
+        let mut peak = cohort.heap.len();
+        while cohort.next_fire().is_some_and(|t| t <= until) {
+            cohort.fire(|at, size| out.push((at, size)));
+            peak = peak.max(cohort.heap.len());
+        }
+        (out, peak)
+    }
+
+    fn nanos(arrivals: &[(SimTime, u32)]) -> Vec<u64> {
+        arrivals.iter().map(|a| a.0.as_nanos()).collect()
+    }
+
     #[test]
     fn comb_times_are_exact_nominal_instants() {
-        let mut b = SimBuilder::new(MasterSeed::new(1));
-        let (tap, node) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, &[ms(0.0), ms(2.0), ms(5.0)], 500, cit());
-        b.add_node(Box::new(cohort));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(0.0255));
+        let (handle, mut cohort) = FlowCohort::new(&[ms(0.0), ms(2.0), ms(5.0)], 500, cit());
+        let (out, _) = drain(&mut cohort, 1, SimTime::from_secs_f64(0.0255));
         // Flows at phases {0, 2, 5} ms: emissions at 10, 12, 15, 20, 22,
         // 25 ms — exactly, to the nanosecond (no jitter → no RNG).
-        let nanos: Vec<u64> = tap.timestamps().iter().map(|t| t.as_nanos()).collect();
         assert_eq!(
-            nanos,
+            nanos(&out),
             vec![10_000_000, 12_000_000, 15_000_000, 20_000_000, 22_000_000, 25_000_000]
         );
+        assert!(out.iter().all(|&(_, size)| size == 500));
         assert_eq!(handle.emitted(), 6);
         assert_eq!(handle.flows(), 3);
     }
 
-    /// Forwards to a cohort and records its largest heap size after
-    /// every handler call.
-    struct HeapWatch {
-        cohort: FlowCohort,
-        max_entries: Rc<Cell<usize>>,
-    }
-
-    impl Node for HeapWatch {
-        fn on_packet(&mut self, packet: crate::packet::Packet, ctx: &mut Context<'_>) {
-            self.cohort.on_packet(packet, ctx);
-        }
-
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            self.cohort.on_start(ctx);
-            self.max_entries
-                .set(self.max_entries.get().max(self.cohort.heap.len()));
-        }
-
-        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
-            self.cohort.on_timer(tag, ctx);
-            self.max_entries
-                .set(self.max_entries.get().max(self.cohort.heap.len()));
-        }
+    #[test]
+    fn an_empty_or_unstarted_cohort_never_fires() {
+        let (_, mut empty) = FlowCohort::new(&[], 500, cit());
+        assert_eq!(drain(&mut empty, 1, SimTime::MAX).0, vec![]);
+        let (_, unstarted) = FlowCohort::new(&[ms(1.0)], 500, cit());
+        assert_eq!(unstarted.next_fire(), None);
     }
 
     #[test]
     fn synchronized_phases_collapse_into_bursts() {
-        let mut b = SimBuilder::new(MasterSeed::new(2));
-        let (tap, node) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, &[SimDuration::ZERO; 64], 500, cit());
-        let max_entries = Rc::new(Cell::new(0));
-        b.add_node(Box::new(HeapWatch {
-            cohort,
-            max_entries: Rc::clone(&max_entries),
-        }));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(0.05));
+        let (handle, mut cohort) = FlowCohort::new(&[SimDuration::ZERO; 64], 500, cit());
+        let (out, peak) = drain(&mut cohort, 2, SimTime::from_secs_f64(0.05));
         // 5 periods × 64 flows, all at exact multiples of τ, from one
         // heap entry for the whole run.
-        assert_eq!(max_entries.get(), 1, "64 coincident members, one run");
+        assert_eq!(peak, 1, "64 coincident members, one run");
         assert_eq!(handle.emitted(), 5 * 64);
-        assert_eq!(tap.count(), 5 * 64);
-        tap.with_timestamps(|ts| {
-            assert!(ts.iter().all(|t| t.as_nanos() % TAU.as_nanos() == 0));
-        });
+        assert_eq!(out.len(), 5 * 64);
+        assert!(out.iter().all(|a| a.0.as_nanos() % TAU.as_nanos() == 0));
     }
 
     #[test]
     fn window_counts_match_flows_times_windows_over_tau() {
-        let mut b = SimBuilder::new(MasterSeed::new(3));
-        let (obs, node) = WindowedObserver::new(ms(100.0));
-        let obs_id = b.add_node(Box::new(node));
         let phases: Vec<SimDuration> = (0..40).map(|k| ms(0.25 * k as f64)).collect();
-        let (_, cohort) = FlowCohort::new(obs_id, &phases, 500, cit());
-        b.add_node(Box::new(cohort));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(1.0));
-        // Full windows hold flows × W/τ = 40 × 10 arrivals.
-        let counts = obs.counts();
-        assert!(counts.len() >= 9);
+        let (_, mut cohort) = FlowCohort::new(&phases, 500, cit());
+        let (out, _) = drain(&mut cohort, 3, SimTime::from_secs_f64(1.0));
+        // Full 100 ms windows hold flows × W/τ = 40 × 10 arrivals.
+        let mut counts = [0u32; 10];
+        for (at, _) in out {
+            counts[(at.as_nanos() / 100_000_000).min(9) as usize] += 1;
+        }
         for &c in &counts[1..8] {
-            assert_eq!(c, 400.0, "{counts:?}");
+            assert_eq!(c, 400, "{counts:?}");
         }
     }
 
     #[test]
     fn jitter_shifts_sends_without_changing_counts() {
         let run = |jitter: Option<CohortJitter>| {
-            let mut b = SimBuilder::new(MasterSeed::new(4));
-            let (tap, node) = Tap::new(None, None);
-            let tap_id = b.add_node(Box::new(node));
-            let (_, mut cohort) = FlowCohort::new(tap_id, &[ms(0.0), ms(4.0)], 500, cit());
+            let (_, mut cohort) = FlowCohort::new(&[ms(0.0), ms(4.0)], 500, cit());
             if let Some(j) = jitter {
                 cohort = cohort.with_jitter(j).unwrap();
             }
-            b.add_node(Box::new(cohort));
-            let mut sim = b.build().unwrap();
-            // Stop mid-period so a µs jitter shift cannot push the last
-            // emission past the run bound.
-            sim.run_until(SimTime::from_secs_f64(0.9995));
-            tap.timestamps()
+            drain(&mut cohort, 4, SimTime::from_secs_f64(0.9995)).0
         };
         let exact = run(None);
         let jittered = run(Some(CohortJitter {
@@ -542,7 +496,7 @@ mod tests {
         }));
         assert_eq!(exact.len(), jittered.len(), "jitter never drops a tick");
         for (e, j) in exact.iter().zip(&jittered) {
-            let shift = j.saturating_since(*e).as_secs_f64();
+            let shift = j.0.saturating_since(e.0).as_secs_f64();
             assert!(
                 (0.0..100e-6).contains(&shift),
                 "µs-scale causal shift, got {shift}"
@@ -551,33 +505,27 @@ mod tests {
     }
 
     #[test]
-    fn reset_replays_bit_identically() {
-        let mut b = SimBuilder::new(MasterSeed::new(5));
-        let (tap, node) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(node));
-        let (handle, cohort) = FlowCohort::new(tap_id, &[ms(1.0), ms(7.0)], 500, cit());
+    fn reset_then_restart_replays_bit_identically() {
+        let (handle, cohort) = FlowCohort::new(&[ms(1.0), ms(7.0)], 500, cit());
         let jitter = CohortJitter {
             base_sigma: 6e-6,
             blocking_mean: 6e-6,
             arrival_prob: 0.4,
         };
-        b.add_node(Box::new(cohort.with_jitter(jitter).unwrap()));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        let first = tap.timestamps();
+        let mut cohort = cohort.with_jitter(jitter).unwrap();
+        let until = SimTime::from_secs_f64(0.5);
+        let (first, _) = drain(&mut cohort, 5, until);
         assert!(handle.emitted() > 0);
-        sim.reset(MasterSeed::new(5));
+        cohort.reset();
         assert_eq!(handle.emitted(), 0, "reset clears instrumentation");
-        sim.run_until(SimTime::from_secs_f64(0.5));
-        assert_eq!(tap.timestamps(), first);
+        assert_eq!(cohort.next_fire(), None, "reset unschedules every member");
+        assert_eq!(drain(&mut cohort, 5, until).0, first);
     }
 
     #[test]
     fn invalid_jitter_is_a_typed_error() {
-        let mut b = SimBuilder::new(MasterSeed::new(6));
-        let id = b.reserve();
         let jitter = |base_sigma, arrival_prob| {
-            FlowCohort::new(id, &[ms(1.0)], 500, cit())
+            FlowCohort::new(&[ms(1.0)], 500, cit())
                 .1
                 .with_jitter(CohortJitter {
                     base_sigma,
@@ -602,23 +550,19 @@ mod tests {
         // two-point law, whose runs form and split as members draw.
         let spread: Vec<SimDuration> = (0..16).map(|k| ms(0.5 * k as f64)).collect();
         let two_point = || Categorical::new(&[(0.008, 0.5), (0.012, 0.5)]).unwrap();
+        let until = SimTime::from_secs_f64(0.5);
         for (phases, sched) in [
             (spread, law(Exponential::new(0.010).unwrap())),
             (vec![SimDuration::ZERO; 16], law(two_point())),
         ] {
-            let mut b = SimBuilder::new(MasterSeed::new(12));
-            let (tap, node) = Tap::new(None, None);
-            let tap_id = b.add_node(Box::new(node));
-            let (handle, cohort) = FlowCohort::new(tap_id, &phases, 500, sched);
-            b.add_node(Box::new(cohort));
-            let mut sim = b.build().unwrap();
-            sim.run_until(SimTime::from_secs_f64(0.5));
-            let first = tap.timestamps();
+            let (handle, mut cohort) = FlowCohort::new(&phases, 500, sched);
+            let (first, _) = drain(&mut cohort, 12, until);
             assert!(handle.emitted() > 0);
-            sim.reset(MasterSeed::new(12));
+            // Fire order is `(time, member)`: instants never go back.
+            assert!(first.windows(2).all(|w| w[0].0 <= w[1].0));
+            cohort.reset();
             assert_eq!(handle.emitted(), 0);
-            sim.run_until(SimTime::from_secs_f64(0.5));
-            assert_eq!(tap.timestamps(), first);
+            assert_eq!(drain(&mut cohort, 12, until).0, first);
         }
     }
 
@@ -626,18 +570,12 @@ mod tests {
     fn stochastic_heap_rate_matches_the_law_mean() {
         // 32 members with exponential interval law of mean τ emit at
         // ~32/τ packets per second in steady state.
-        let mut b = SimBuilder::new(MasterSeed::new(13));
-        let (tap, node) = Tap::new(None, None);
-        let tap_id = b.add_node(Box::new(node));
         let phases: Vec<SimDuration> = (0..32).map(|k| ms(0.25 * k as f64)).collect();
-        let (_, cohort) =
-            FlowCohort::new(tap_id, &phases, 500, law(Exponential::new(0.010).unwrap()));
-        b.add_node(Box::new(cohort));
-        let mut sim = b.build().unwrap();
+        let (_, mut cohort) = FlowCohort::new(&phases, 500, law(Exponential::new(0.010).unwrap()));
         let secs = 20.0;
-        sim.run_until(SimTime::from_secs_f64(secs));
+        let (out, _) = drain(&mut cohort, 13, SimTime::from_secs_f64(secs));
         let expected = 32.0 * secs / 0.010;
-        let got = tap.count() as f64;
+        let got = out.len() as f64;
         assert!(
             (got - expected).abs() / expected < 0.03,
             "got {got}, expected ~{expected}"
@@ -646,20 +584,13 @@ mod tests {
 
     #[test]
     fn size_law_draws_variable_wire_sizes() {
-        let mut b = SimBuilder::new(MasterSeed::new(14));
-        let (obs, node) = WindowedObserver::new(ms(100.0));
-        let obs_id = b.add_node(Box::new(node));
-        let (_, cohort) = FlowCohort::new(obs_id, &[ms(0.0), ms(3.0)], 500, cit());
+        let (_, cohort) = FlowCohort::new(&[ms(0.0), ms(3.0)], 500, cit());
         let law = Box::new(linkpad_stats::dist::Uniform::new(300.0, 901.0).unwrap());
-        b.add_node(Box::new(cohort.with_packet_size_law(law)));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::from_secs_f64(2.0));
-        let series = obs.window_series();
-        let (count, bytes) = series
-            .iter()
-            .fold((0u64, 0u64), |(c, by), w| (c + w.count, by + w.bytes));
-        assert!(count > 100);
-        let mean = bytes as f64 / count as f64;
+        let mut cohort = cohort.with_packet_size_law(law);
+        let (out, _) = drain(&mut cohort, 14, SimTime::from_secs_f64(2.0));
+        assert!(out.len() > 100);
+        let bytes: u64 = out.iter().map(|&(_, size)| u64::from(size)).sum();
+        let mean = bytes as f64 / out.len() as f64;
         // U[300, 901) floored to whole bytes has mean ≈ 600.
         assert!((mean - 600.0).abs() < 25.0, "mean wire size {mean}");
     }

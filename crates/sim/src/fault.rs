@@ -14,28 +14,27 @@
 //!   coverage integral, shared by link outages (packets dropped while
 //!   down) and observer measurement gaps (arrivals unrecorded while
 //!   down; see [`WindowedObserver::with_gaps`](crate::observer::WindowedObserver::with_gaps)).
-//! * [`LossyGate`] — the loss-capable hop: a zero-delay pass-through
-//!   node that drops packets per its loss model and outage schedule and
-//!   forwards survivors unchanged.
+//! * [`LossyGate`] — the drop decision of a lossy trunk: the trunk
+//!   [`Router`](crate::router::Router) that owns it
+//!   ([`Router::with_gate`](crate::router::Router::with_gate)) asks it
+//!   about every arrival, in service order, before the arrival joins the
+//!   egress queue.
 //! * [`FaultPlan`] — the scenario-level bundle wiring the three fault
 //!   axes through `ScenarioBuilder`/`AggregateSpec` in
 //!   `linkpad-workloads`.
 //!
 //! **Determinism contract.** Faults are as reproducible as everything
 //! else: the gate's drop pattern is fully determined by
-//! `(FaultPlan::seed, run seed, topology)`. At `on_start` the gate
-//! derives a private RNG by mixing the plan seed with one draw from its
-//! per-node stream — the same derivation `Sim::reset` re-runs — so
-//! `reset(seed)` replays the exact drop pattern a fresh build at that
-//! seed would produce, while changing `FaultPlan::seed` re-randomizes
-//! the fault realization without touching traffic generation.
+//! `(FaultPlan::seed, run seed, topology)`. When its router starts, the
+//! gate derives a private RNG by mixing the plan seed with one draw from
+//! the router's stream — the same derivation a run after `Sim::reset`
+//! repeats — so `reset(seed)` replays the exact drop pattern a fresh
+//! build at that seed would produce, while changing `FaultPlan::seed`
+//! re-randomizes the fault realization without touching traffic
+//! generation.
 
-use crate::engine::Context;
-use crate::node::{Node, NodeId};
-use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::rng::{splitmix64_mix, Xoshiro256StarStar};
-use rand_core::RngCore;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -244,19 +243,10 @@ impl FaultPlan {
         self
     }
 
-    /// Does the plan require a [`LossyGate`] in front of the trunk?
-    /// (Observer gaps live inside the observer; loss and outages need
-    /// the gate hop.)
+    /// Does the plan need a [`LossyGate`] on the trunk? (Observer gaps
+    /// live inside the observer; loss and outages need the gate.)
     pub fn affects_trunk(&self) -> bool {
         self.trunk_loss.is_some() || self.trunk_outage.is_some()
-    }
-
-    /// Validate every probability in the plan.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        if let Some(loss) = &self.trunk_loss {
-            loss.validate()?;
-        }
-        Ok(())
     }
 }
 
@@ -270,14 +260,14 @@ struct GateStats {
 }
 
 /// Read-side handle to a [`LossyGate`]'s drop counters, usable after
-/// the simulation has run (the engine owns the node).
+/// the simulation has run (the trunk router owns the gate).
 #[derive(Debug, Clone)]
 pub struct FaultGateHandle {
     state: Rc<RefCell<GateStats>>,
 }
 
 impl FaultGateHandle {
-    /// Packets forwarded downstream.
+    /// Packets that passed the gate into the trunk's queue.
     pub fn passed(&self) -> u64 {
         self.state.borrow().passed
     }
@@ -312,14 +302,13 @@ impl FaultGateHandle {
     }
 }
 
-/// The loss-capable hop: drops packets per an optional
+/// The drop decision of a lossy trunk: drops arrivals per an optional
 /// [`OutageSchedule`] (checked first — a down link loses everything)
-/// and an optional [`LossModel`], forwarding survivors to `next` with
-/// zero delay (the gate models loss, not queueing; put a
-/// [`Router`](crate::router::Router) behind it for that).
+/// and an optional [`LossModel`]. Not a node: the trunk
+/// [`Router`](crate::router::Router) that owns it asks it about every
+/// arrival, in service order, and serves the survivors.
 #[derive(Debug)]
 pub struct LossyGate {
-    next: NodeId,
     loss: Option<LossModel>,
     outage: Option<OutageSchedule>,
     plan_seed: u64,
@@ -327,58 +316,65 @@ pub struct LossyGate {
     /// Gilbert–Elliott chain state (`true` = bad). Always starts good.
     bad: bool,
     state: Rc<RefCell<GateStats>>,
-    label: String,
 }
 
 impl LossyGate {
-    /// A gate forwarding to `next`, dropping per `loss` and `outage`
-    /// under the given plan seed. With both `None` the gate passes
-    /// everything (zero drops, still one virtual-dispatch hop — the
-    /// scenario builders skip the node entirely in that case).
+    /// A gate dropping per `loss` and `outage` under the given plan
+    /// seed. With both `None` the gate passes everything (the scenario
+    /// builders then build no gate at all).
     ///
-    /// # Panics
-    /// Panics if the loss model fails [`LossModel::validate`]
-    /// (configuration constant; scenario builders validate first and
-    /// return typed errors).
+    /// # Errors
+    /// The reason [`LossModel::validate`] gives for an invalid loss
+    /// model.
     pub fn new(
-        next: NodeId,
         loss: Option<LossModel>,
         outage: Option<OutageSchedule>,
         plan_seed: u64,
-    ) -> (FaultGateHandle, Self) {
+    ) -> Result<(FaultGateHandle, Self), &'static str> {
         if let Some(l) = &loss {
-            if let Err(msg) = l.validate() {
-                panic!("invalid loss model: {msg}");
-            }
+            l.validate()?;
         }
         let state = Rc::new(RefCell::new(GateStats::default()));
-        (
+        Ok((
             FaultGateHandle {
                 state: Rc::clone(&state),
             },
             Self {
-                next,
                 loss,
                 outage,
                 plan_seed,
                 rng: Xoshiro256StarStar::from_u64(splitmix64_mix(plan_seed)),
                 bad: false,
                 state,
-                label: "lossy-gate".to_string(),
             },
-        )
+        ))
     }
 
-    /// Builder-style label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
+    /// Start the gate's private RNG from `draw`, one draw of the owning
+    /// router's per-(run seed, node index) stream, mixed with the plan
+    /// seed: changing either seed re-randomizes the drop pattern, and a
+    /// run after `Sim::reset` re-derives the stream, so reset replays it
+    /// bit-identically.
+    pub(crate) fn start(&mut self, draw: u64) {
+        self.rng = Xoshiro256StarStar::from_u64(splitmix64_mix(self.plan_seed) ^ draw);
+        self.bad = false;
     }
 
-    /// One per-packet drop decision. Outage first (a down link loses
-    /// everything without consuming RNG draws), then the loss law.
+    /// Restore the construction-time RNG placeholder, chain state and
+    /// counters, so a never-started router is also bit-identical to a
+    /// fresh build.
+    pub(crate) fn reset(&mut self) {
+        self.rng = Xoshiro256StarStar::from_u64(splitmix64_mix(self.plan_seed));
+        self.bad = false;
+        *self.state.borrow_mut() = GateStats::default();
+    }
+
+    /// One per-packet drop decision for an arrival at `now`. Outage
+    /// first (a down link loses everything without consuming RNG
+    /// draws), then the loss law.
     #[inline]
-    fn passes(&mut self, now: SimTime, st: &mut GateStats) -> bool {
+    pub(crate) fn passes(&mut self, now: SimTime) -> bool {
+        let mut st = self.state.borrow_mut();
         if let Some(outage) = &self.outage {
             if outage.is_down(now) {
                 st.dropped_outage += 1;
@@ -423,63 +419,11 @@ impl LossyGate {
     }
 }
 
-impl Node for LossyGate {
-    fn on_start(&mut self, ctx: &mut Context<'_>) {
-        // Mix the dedicated fault seed with one draw from this node's
-        // per-(run seed, node index) stream: changing either the plan
-        // seed or the run seed re-randomizes the drop pattern, and
-        // `Sim::reset` re-derives the stream so reset replays it
-        // bit-identically.
-        self.rng =
-            Xoshiro256StarStar::from_u64(splitmix64_mix(self.plan_seed) ^ ctx.rng.next_u64());
-        self.bad = false;
-    }
-
-    fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        let now = ctx.now();
-        let pass = {
-            let state = Rc::clone(&self.state);
-            let mut st = state.borrow_mut();
-            self.passes(now, &mut st)
-        };
-        if pass {
-            ctx.send_now(self.next, packet);
-        }
-    }
-
-    fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
-        // Burst path: one state borrow, decisions in arrival order.
-        let now = ctx.now();
-        let state = Rc::clone(&self.state);
-        let mut st = state.borrow_mut();
-        for packet in packets.drain(..) {
-            if self.passes(now, &mut st) {
-                ctx.send_now(self.next, packet);
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        // `on_start` re-derives the RNG; restore the construction-time
-        // placeholder and chain state so a never-started sim is also
-        // bit-identical to a fresh build.
-        self.rng = Xoshiro256StarStar::from_u64(splitmix64_mix(self.plan_seed));
-        self.bad = false;
-        *self.state.borrow_mut() = GateStats::default();
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::SimBuilder;
-    use crate::packet::{FlowId, PacketKind};
-    use crate::tap::{Tap, TapHandle};
     use linkpad_stats::rng::MasterSeed;
+    use rand_core::RngCore;
 
     fn dur(secs: f64) -> SimDuration {
         SimDuration::from_secs_f64(secs)
@@ -547,55 +491,29 @@ mod tests {
         .is_err());
     }
 
-    /// Emits one 500-byte packet every `period` through a gate.
-    struct Clock {
-        dst: NodeId,
-        period: SimDuration,
-        remaining: u32,
-    }
-    impl Node for Clock {
-        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-        fn on_start(&mut self, ctx: &mut Context<'_>) {
-            ctx.schedule_timer(self.period, 0);
-        }
-        fn on_timer(&mut self, _t: u64, ctx: &mut Context<'_>) {
-            let pkt = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 500);
-            ctx.send_now(self.dst, pkt);
-            self.remaining -= 1;
-            if self.remaining > 0 {
-                ctx.schedule_timer(self.period, 0);
-            }
-        }
-    }
-
+    /// Offers `total` arrivals, one per millisecond from 1 ms on, to a
+    /// gate started the way its router starts it (one draw of stream
+    /// 0 under `seed`), and returns the gate's counters.
     fn run_gated(
         seed: u64,
-        total: u32,
+        total: u64,
         loss: Option<LossModel>,
         outage: Option<OutageSchedule>,
         plan_seed: u64,
-    ) -> (FaultGateHandle, TapHandle) {
-        let mut b = SimBuilder::new(MasterSeed::new(seed));
-        let (sink_handle, sink) = Tap::new(None, None);
-        let sink_id = b.add_node(Box::new(sink));
-        let (gate_handle, gate) = LossyGate::new(sink_id, loss, outage, plan_seed);
-        let gate_id = b.add_node(Box::new(gate));
-        b.add_node(Box::new(Clock {
-            dst: gate_id,
-            period: SimDuration::from_millis_f64(1.0),
-            remaining: total,
-        }));
-        let mut sim = b.build().unwrap();
-        sim.run_until(SimTime::MAX);
-        (gate_handle, sink_handle)
+    ) -> FaultGateHandle {
+        let (handle, mut gate) = LossyGate::new(loss, outage, plan_seed).unwrap();
+        gate.start(MasterSeed::new(seed).stream(0).next_u64());
+        for k in 1..=total {
+            gate.passes(SimTime::from_nanos(k * 1_000_000));
+        }
+        handle
     }
 
     #[test]
     fn bernoulli_gate_drops_at_the_configured_rate() {
         let p = 0.05;
-        let (gate, sink) = run_gated(3, 20_000, Some(LossModel::Bernoulli { p }), None, 11);
+        let gate = run_gated(3, 20_000, Some(LossModel::Bernoulli { p }), None, 11);
         assert_eq!(gate.offered(), 20_000);
-        assert_eq!(gate.passed(), sink.count() as u64);
         assert_eq!(gate.dropped_outage(), 0);
         let rate = gate.dropped_loss() as f64 / gate.offered() as f64;
         assert!((rate - p).abs() < 0.01, "realized loss {rate} vs p={p}");
@@ -609,7 +527,7 @@ mod tests {
             loss_good: 0.0,
             loss_bad: 0.9,
         };
-        let (gate, _) = run_gated(5, 50_000, Some(ge), None, 29);
+        let gate = run_gated(5, 50_000, Some(ge), None, 29);
         let rate = gate.drop_fraction();
         let want = ge.mean_loss();
         assert!(
@@ -624,9 +542,9 @@ mod tests {
         // is an outage drop and the realized drop fraction matches the
         // down fraction.
         let outage = OutageSchedule::new(dur(1.0), dur(0.2));
-        let (gate, sink) = run_gated(7, 10_000, None, Some(outage), 0);
+        let gate = run_gated(7, 10_000, None, Some(outage), 0);
         assert_eq!(gate.dropped_loss(), 0);
-        assert_eq!(gate.passed(), sink.count() as u64);
+        assert_eq!(gate.passed() + gate.dropped(), gate.offered());
         let frac = gate.dropped_outage() as f64 / gate.offered() as f64;
         assert!((frac - 0.2).abs() < 0.01, "outage drop fraction {frac}");
     }
@@ -634,12 +552,12 @@ mod tests {
     #[test]
     fn same_seeds_reproduce_the_exact_drop_pattern() {
         let loss = Some(LossModel::Bernoulli { p: 0.1 });
-        let (a, _) = run_gated(9, 5_000, loss, None, 77);
-        let (b, _) = run_gated(9, 5_000, loss, None, 77);
+        let a = run_gated(9, 5_000, loss, None, 77);
+        let b = run_gated(9, 5_000, loss, None, 77);
         assert_eq!(a.dropped_loss(), b.dropped_loss());
         assert_eq!(a.passed(), b.passed());
         // Different plan seed, same run seed → different realization.
-        let (c, _) = run_gated(9, 5_000, loss, None, 78);
+        let c = run_gated(9, 5_000, loss, None, 78);
         assert_ne!(
             a.dropped_loss(),
             c.dropped_loss(),
@@ -648,16 +566,42 @@ mod tests {
     }
 
     #[test]
-    fn plan_builder_and_validation() {
+    fn plan_builder_and_gate_validation() {
         let plan = FaultPlan::new(42)
             .with_trunk_loss(LossModel::Bernoulli { p: 0.05 })
             .with_trunk_outage(OutageSchedule::new(dur(1.0), dur(0.25)))
             .with_observer_gaps(OutageSchedule::new(dur(2.0), dur(0.5)));
         assert!(plan.affects_trunk());
-        assert!(plan.validate().is_ok());
+        assert!(LossyGate::new(plan.trunk_loss, plan.trunk_outage, plan.seed).is_ok());
         assert!(!FaultPlan::new(1).affects_trunk());
-        let bad = FaultPlan::new(1).with_trunk_loss(LossModel::Bernoulli { p: -0.1 });
-        assert!(bad.validate().is_err());
+        // An invalid loss model is a typed error, not a panic.
+        let bad = Some(LossModel::Bernoulli { p: -0.1 });
+        assert_eq!(
+            LossyGate::new(bad, None, 1).err(),
+            Some("Bernoulli loss probability must be in [0, 1]")
+        );
+    }
+
+    #[test]
+    fn reset_then_restart_replays_the_drop_pattern() {
+        let ge = LossModel::GilbertElliott {
+            p_good_to_bad: 0.05,
+            p_bad_to_good: 0.3,
+            loss_good: 0.01,
+            loss_bad: 0.6,
+        };
+        let (handle, mut gate) = LossyGate::new(Some(ge), None, 5).unwrap();
+        let pattern = |gate: &mut LossyGate| -> Vec<bool> {
+            gate.start(0xC0FFEE);
+            (1..=2_000)
+                .map(|k| gate.passes(SimTime::from_nanos(k)))
+                .collect()
+        };
+        let first = pattern(&mut gate);
+        assert!(handle.dropped() > 0);
+        gate.reset();
+        assert_eq!(handle.offered(), 0, "reset clears the counters");
+        assert_eq!(pattern(&mut gate), first);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   queueing behind cross traffic is exactly the paper's `δ_net`
 //!   disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results. Each
 //!   arrival computes its departure, so a hop costs one event, and a
-//!   router serves open-loop cross traffic of its own without any. An
-//!   aggregate's trunk router folds its far-end observer in place
+//!   router serves open-loop traffic of its own (lab cross traffic, an
+//!   aggregate trunk's flow cohorts) without any. An aggregate's trunk
+//!   router folds its far-end observer in place
 //!   ([`router::Router::observed`]), so its packets in flight are not
 //!   events either.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
@@ -30,13 +31,14 @@
 //!   `O(windows)` memory, for trunks where storing every timestamp is
 //!   untenable. As a node, an observer is a capture-only endpoint.
 //! * **Fault injection** ([`fault::LossyGate`], [`fault::FaultPlan`])
-//!   drops packets deterministically — i.i.d. or bursty loss laws plus
-//!   scheduled outages — so countermeasure/adversary trade-offs can be
-//!   measured under imperfect links and partial observation.
-//! * **Flow cohorts** ([`cohort::FlowCohort`]) superpose K padded
-//!   flows' combined arrival process in one node — an in-node next-fire
-//!   heap of member runs and a single pending timer instead of K
-//!   gateways — which is what takes aggregate scenarios from ~10⁴ to
+//!   drops trunk arrivals deterministically — i.i.d. or bursty loss
+//!   laws plus scheduled outages — so countermeasure/adversary
+//!   trade-offs can be measured under imperfect links and partial
+//!   observation.
+//! * **Flow cohorts** ([`cohort::FlowCohort`]) generate K padded
+//!   flows' combined arrival process from one next-fire heap of member
+//!   runs, which the trunk router draws on demand instead of K gateways
+//!   and no event at all — what takes aggregate scenarios from ~10⁴ to
 //!   10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
 //!   inter-arrival and packet-size laws from `linkpad-stats`.
@@ -70,9 +72,7 @@ pub mod tap;
 pub mod time;
 
 pub use attr::{AttributionReport, AttributionRow, AttributionSampler};
-pub use cohort::{
-    CohortHandle, CohortJitter, FlowCohort, LawSchedule, MemberSchedule, COHORT_FLOW,
-};
+pub use cohort::{CohortHandle, CohortJitter, FlowCohort, LawSchedule, MemberSchedule};
 pub use engine::{Context, RunStats, Sim, SimBuilder};
 pub use equeue::EventQueue;
 pub use fault::{FaultGateHandle, FaultPlan, LossModel, LossyGate, OutageSchedule};

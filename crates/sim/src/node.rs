@@ -76,11 +76,13 @@ pub trait Node {
     /// watchdog stopped the run (events at that instant may remain).
     ///
     /// A node that settles work later than the events which used to do
-    /// it (the observed trunk [`Router`](crate::router::Router) folds
-    /// far-end arrivals in place) completes that work through `horizon`
-    /// here, so what its handles read after a segment is what the
-    /// per-event wiring would have recorded. There is no [`Context`]:
-    /// the hook cannot schedule, send or draw. The default is a no-op.
+    /// it completes that work through `horizon` here, so what its
+    /// handles read after a segment is what the per-event wiring would
+    /// have recorded. The trunk [`Router`](crate::router::Router) serves
+    /// its cohort traffic through `horizon`, drawing from the streams its
+    /// cohorts own, and folds its far-end arrivals. There is no
+    /// [`Context`]: the hook cannot schedule, send or draw from the
+    /// node's engine stream. The default is a no-op.
     fn on_horizon(&mut self, horizon: SimTime) {
         let _ = horizon;
     }

@@ -15,14 +15,30 @@
 //! packet on to arrive at `busy_until + propagation`. Packets waiting for
 //! the wire sit in the event store, not in a node-local queue.
 //!
-//! A router may also serve open-loop *cross traffic* of its own
-//! ([`Router::with_cross_traffic`]): a renewal process of arrivals that
-//! occupy the egress and go nowhere. Because the process is open-loop,
-//! the backlog a packet meets depends only on the cross arrivals before
-//! it, so the router draws them lazily: when a packet arrives at `now`,
-//! it first serves, in arrival order, every cross arrival at or before
-//! `now`, then the packet. A cross arrival at exactly `now` is served
-//! before the arriving packet. Cross traffic costs no events at all.
+//! A router may also serve open-loop traffic of its own, which occupies
+//! the egress and goes nowhere. Because that traffic is open-loop, the
+//! backlog a packet meets depends only on the arrivals before it, so the
+//! router draws them lazily: when a packet arrives at `now`, it first
+//! serves, in arrival order, every arrival of its own at or before
+//! `now`, then the packet. An arrival of its own at exactly `now` is
+//! served before the arriving packet. Such traffic costs no events at
+//! all. It comes in two kinds, and a router serves one or the other:
+//!
+//! * *cross traffic* ([`Router::with_cross_traffic`]), a lab hop's
+//!   renewal process of arrivals, already in arrival order;
+//! * *cohort traffic* ([`Router::with_cohort`]), an aggregate trunk's
+//!   [`FlowCohort`]s. Their fires come in `(emission instant, cohort,
+//!   member)` order, each fire's arrival is shifted by its jitter δ ≥ 0,
+//!   and the shifted arrivals wait in a small heap keyed by `(arrival
+//!   instant, draw sequence)` until the router serves them: every
+//!   arrival at or before the next fire instant is final. The router
+//!   also serves cohort arrivals at or before the horizon when a run
+//!   segment ends ([`Node::on_horizon`]), so a trunk that no engine
+//!   packet reaches still carries its cohorts.
+//!
+//! A trunk's fault gate ([`Router::with_gate`]) decides every arrival's
+//! fate, its own traffic's and engine-delivered packets alike, in
+//! service order before it joins the queue.
 //!
 //! An aggregate's trunk is an *observed* router ([`Router::observed`]):
 //! it owns the [`WindowedObserver`] at the far end of its egress and
@@ -33,9 +49,9 @@
 //! those instants arrive in time order. The router keeps the instants
 //! and sizes not yet due in a FIFO, and folds every one at or before
 //! `now` when a packet arrives, or at or before the horizon when a run
-//! segment ends ([`Node::on_horizon`]). The observer therefore folds the
-//! per-event wiring's arrivals in the same order, and its handle reads
-//! the same series after every run segment.
+//! segment ends. The observer therefore folds the per-event wiring's
+//! arrivals in the same order, and its handle reads the same series
+//! after every run segment.
 //!
 //! **Information barrier:** the observer records what a passive wire
 //! tap sees, arrival instants and on-the-wire sizes, never packet kinds
@@ -46,19 +62,45 @@
 //! flow ends at the trunk, because nothing behind an aggregate's trunk
 //! reads it.
 
+use crate::cohort::FlowCohort;
 use crate::engine::Context;
+use crate::fault::LossyGate;
 use crate::node::{Node, NodeId};
 use crate::observer::WindowedObserver;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::dist::ContinuousDist;
+use linkpad_stats::rng::Xoshiro256StarStar;
 use linkpad_stats::StatsError;
-use std::collections::VecDeque;
+use rand_core::RngCore;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Transmit time of `size_bytes` on an egress of `bits_per_sec`, in the
 /// router's integer nanoseconds.
 fn transmit_time(size_bytes: u32, bits_per_sec: f64) -> SimDuration {
     SimDuration::from_secs_f64(f64::from(size_bytes) * 8.0 / bits_per_sec)
+}
+
+/// The egress link: FIFO service at a fixed rate, then a fixed
+/// propagation delay to the far end.
+#[derive(Debug)]
+struct Wire {
+    bits_per_sec: f64,
+    propagation: SimDuration,
+    /// When the egress finishes the last packet accepted so far.
+    busy_until: SimTime,
+}
+
+impl Wire {
+    /// Queue a packet of `size_bytes` arriving at `at` behind every
+    /// packet accepted so far; returns the instant it reaches the far
+    /// end.
+    #[inline]
+    fn accept(&mut self, at: SimTime, size_bytes: u32) -> SimTime {
+        self.busy_until = self.busy_until.max(at) + transmit_time(size_bytes, self.bits_per_sec);
+        self.busy_until + self.propagation
+    }
 }
 
 /// An open-loop cross-traffic process served on a router's egress.
@@ -71,6 +113,80 @@ struct CrossTraffic {
     /// When the next cross packet arrives; `SimTime::MAX` until
     /// `on_start` draws the first gap.
     next_at: SimTime,
+}
+
+/// The cohorts a router serves, drawn on demand (see the module doc).
+#[derive(Debug, Default)]
+struct CohortFeed {
+    cohorts: Vec<FlowCohort>,
+    /// `(next fire instant, cohort index)` of every started, non-empty
+    /// cohort: the merge that fires cohorts in `(instant, cohort)` order.
+    fires: BinaryHeap<Reverse<(SimTime, u32)>>,
+    /// Fired arrivals not yet served, `(instant, draw sequence, size)`.
+    arrivals: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    /// Arrivals drawn since start: the next one's draw sequence.
+    drawn: u64,
+}
+
+impl CohortFeed {
+    /// Start every cohort on a stream of its own, seeded by one draw of
+    /// `rng` per cohort in cohort order. The feed is as built: fresh, or
+    /// reset since its last run.
+    fn start(&mut self, rng: &mut Xoshiro256StarStar) {
+        for (i, cohort) in self.cohorts.iter_mut().enumerate() {
+            cohort.start(Xoshiro256StarStar::from_u64(rng.next_u64()));
+            if let Some(t) = cohort.next_fire() {
+                self.fires.push(Reverse((t, i as u32)));
+            }
+        }
+    }
+
+    /// The next cohort arrival at or before `bound` in service order,
+    /// firing cohorts until no later fire can precede it.
+    #[inline]
+    fn next_through(&mut self, bound: SimTime) -> Option<(SimTime, u32)> {
+        loop {
+            let next_fire = self.fires.peek().map(|f| f.0 .0);
+            if let Some(&Reverse((at, _, size))) = self.arrivals.peek() {
+                // A later fire arrives at or after its fire instant, and
+                // ties go by draw sequence, so this arrival is next.
+                if at <= bound && next_fire.is_none_or(|f| at <= f) {
+                    self.arrivals.pop();
+                    return Some((at, size));
+                }
+            }
+            if next_fire.is_none_or(|f| f > bound) {
+                return None;
+            }
+            self.fire_next();
+        }
+    }
+
+    /// Fire the cohort that fires next, queueing its arrivals.
+    fn fire_next(&mut self) {
+        let Some(mut next) = self.fires.peek_mut() else {
+            return;
+        };
+        let cohort = &mut self.cohorts[next.0 .1 as usize];
+        let (arrivals, drawn) = (&mut self.arrivals, &mut self.drawn);
+        cohort.fire(|at, size| {
+            arrivals.push(Reverse((at, *drawn, size)));
+            *drawn += 1;
+        });
+        // A started member always fires again.
+        if let Some(t) = cohort.next_fire() {
+            next.0 .0 = t;
+        }
+    }
+
+    fn reset(&mut self) {
+        for cohort in &mut self.cohorts {
+            cohort.reset();
+        }
+        self.fires.clear();
+        self.arrivals.clear();
+        self.drawn = 0;
+    }
 }
 
 /// Where the egress leads.
@@ -92,16 +208,30 @@ struct FarEnd {
     target: Option<NodeId>,
 }
 
+impl Egress {
+    /// Note a packet of `size_bytes` that reached the egress at `at` and
+    /// reaches the far end at `far`: an observed far end folds what is
+    /// due by `at` and keeps the new arrival until it is due.
+    #[inline]
+    fn record(&mut self, at: SimTime, far: SimTime, size_bytes: u32) {
+        if let Egress::Observed(far_end) = self {
+            far_end.observer.fold_through(&mut far_end.pending, at);
+            far_end.pending.push_back((far, size_bytes));
+        }
+    }
+}
+
 /// A store-and-forward router with one egress.
 #[derive(Debug)]
 pub struct Router {
+    wire: Wire,
     egress: Egress,
-    bits_per_sec: f64,
-    propagation: SimDuration,
-    /// When the egress finishes the last packet accepted so far.
-    busy_until: SimTime,
     /// Cross traffic served on the egress, drawn lazily.
     cross: Option<CrossTraffic>,
+    /// Cohort traffic served on the egress, drawn on demand.
+    cohorts: CohortFeed,
+    /// Decides every arrival's fate before it joins the queue.
+    gate: Option<LossyGate>,
     label: String,
 }
 
@@ -142,11 +272,15 @@ impl Router {
             "router bandwidth must be positive, got {bits_per_sec}"
         );
         Self {
+            wire: Wire {
+                bits_per_sec,
+                propagation,
+                busy_until: SimTime::ZERO,
+            },
             egress,
-            bits_per_sec,
-            propagation,
-            busy_until: SimTime::ZERO,
             cross: None,
+            cohorts: CohortFeed::default(),
+            gate: None,
             label: "router".to_string(),
         }
     }
@@ -184,10 +318,45 @@ impl Router {
         Ok(self)
     }
 
+    /// Builder-style cohort traffic: `cohort`'s emissions are served on
+    /// the egress, recorded at an observed far end, and end there. At
+    /// start the router hands each cohort, in the order they were added,
+    /// a stream seeded by one draw of its own stream (after the gate's).
+    pub fn with_cohort(mut self, cohort: FlowCohort) -> Self {
+        self.cohorts.cohorts.push(cohort);
+        self
+    }
+
+    /// Builder-style fault gate: every arrival, cohort traffic included,
+    /// meets `gate` before the queue, and only survivors are served. At
+    /// start the gate's RNG takes the first draw of the router's stream.
+    pub fn with_gate(mut self, gate: LossyGate) -> Self {
+        self.gate = Some(gate);
+        self
+    }
+
     /// Builder-style label.
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self
+    }
+
+    /// Serve every cohort arrival at or before `bound`, in order.
+    #[inline]
+    fn serve_cohorts(&mut self, bound: SimTime) {
+        let Self {
+            wire,
+            egress,
+            cohorts,
+            gate,
+            ..
+        } = self;
+        while let Some((at, size)) = cohorts.next_through(bound) {
+            if gate.as_mut().is_none_or(|g| g.passes(at)) {
+                let far = wire.accept(at, size);
+                egress.record(at, far, size);
+            }
+        }
     }
 }
 
@@ -199,27 +368,25 @@ impl Node for Router {
         if let Some(cross) = &mut self.cross {
             while cross.next_at <= now {
                 let size = cross.size.sample(ctx.rng).round().max(1.0) as u32;
-                self.busy_until =
-                    cross.next_at.max(self.busy_until) + transmit_time(size, self.bits_per_sec);
+                self.wire.accept(cross.next_at, size);
                 cross.next_at +=
                     SimDuration::from_secs_f64(cross.interval.sample(ctx.rng).max(0.0));
             }
         }
-        self.busy_until =
-            self.busy_until.max(now) + transmit_time(packet.size_bytes, self.bits_per_sec);
-        let arrival = self.busy_until + self.propagation;
-        match &mut self.egress {
-            Egress::Forward(next) => ctx.send_after(arrival - now, *next, packet),
-            Egress::Observed(far_end) => {
-                far_end.observer.fold_through(&mut far_end.pending, now);
-                far_end.pending.push_back((arrival, packet.size_bytes));
-                match far_end.target {
-                    Some(target) if packet.is_padded_flow() => {
-                        ctx.send_after(arrival - now, target, packet)
-                    }
-                    _ => {}
-                }
+        self.serve_cohorts(now);
+        if let Some(gate) = &mut self.gate {
+            if !gate.passes(now) {
+                return;
             }
+        }
+        let arrival = self.wire.accept(now, packet.size_bytes);
+        self.egress.record(now, arrival, packet.size_bytes);
+        let next = match &self.egress {
+            Egress::Forward(next) => Some(*next),
+            Egress::Observed(far_end) => far_end.target.filter(|_| packet.is_padded_flow()),
+        };
+        if let Some(next) = next {
+            ctx.send_after(arrival - now, next, packet);
         }
     }
 
@@ -228,12 +395,20 @@ impl Node for Router {
             let gap = cross.interval.sample(ctx.rng).max(0.0);
             cross.next_at = ctx.now() + SimDuration::from_secs_f64(gap);
         }
+        if let Some(gate) = &mut self.gate {
+            gate.start(ctx.rng.next_u64());
+        }
+        self.cohorts.start(ctx.rng);
     }
 
     fn reset(&mut self) {
-        self.busy_until = SimTime::ZERO;
+        self.wire.busy_until = SimTime::ZERO;
         if let Some(cross) = &mut self.cross {
             cross.next_at = SimTime::MAX;
+        }
+        self.cohorts.reset();
+        if let Some(gate) = &mut self.gate {
+            gate.reset();
         }
         if let Egress::Observed(far_end) = &mut self.egress {
             far_end.pending.clear();
@@ -242,6 +417,7 @@ impl Node for Router {
     }
 
     fn on_horizon(&mut self, horizon: SimTime) {
+        self.serve_cohorts(horizon);
         if let Egress::Observed(far_end) = &mut self.egress {
             far_end.observer.fold_through(&mut far_end.pending, horizon);
         }
@@ -255,8 +431,9 @@ impl Node for Router {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cohort::{CohortJitter, LawSchedule};
     use crate::engine::{Sim, SimBuilder};
-    use crate::fault::OutageSchedule;
+    use crate::fault::{FaultGateHandle, LossModel, OutageSchedule};
     use crate::observer::{ObserverHandle, WindowStats};
     use crate::packet::{FlowId, PacketKind};
     use crate::tap::{Tap, TapHandle};
@@ -1080,5 +1257,293 @@ mod tests {
             observed.observer.arrivals() < carried,
             "gaps blinded the observer"
         );
+    }
+
+    // --------------------------------------------- lazy cohort traffic --
+
+    const COHORT_SEED: u64 = 18;
+    const COHORT_WINDOW_NS: u64 = 20_000_000;
+    const COHORT_PROPAGATION_NS: u64 = 3_000_000;
+    /// The target's period, and the grid its packets and the untimed
+    /// cohorts' fires share.
+    const TARGET_PERIOD_NS: u64 = 2_000_000;
+    /// No run below goes past this instant, so the eager feeders schedule
+    /// every arrival up to it.
+    const COHORT_UNTIL: SimTime = SimTime::from_nanos(1_000_000_000);
+
+    /// The cohorts both runs carry, all on a 10 ms clock unless noted:
+    /// three synchronized members, and five at phases spread over the
+    /// period on the target's grid, both with sizes drawn from {64, 550,
+    /// 1500} B and no jitter, so same-instant arrivals of different sizes
+    /// tie at the trunk, with each other and with the target; and three
+    /// members with exponential intervals of mean 10 ms and jitter, whose
+    /// arrivals land later than other cohorts' later fires.
+    fn trunk_cohorts() -> Vec<FlowCohort> {
+        let ms = SimDuration::from_millis_f64;
+        let cit = || {
+            Box::new(LawSchedule::new(Box::new(
+                Deterministic::new(0.010).unwrap(),
+            )))
+        };
+        let sizes = || -> Box<dyn ContinuousDist> {
+            Box::new(Categorical::new(&[(64.0, 1.0), (550.0, 1.0), (1500.0, 1.0)]).unwrap())
+        };
+        let synchronized = FlowCohort::new(&[SimDuration::ZERO; 3], 500, cit())
+            .1
+            .with_packet_size_law(sizes());
+        let spread = [0.0, 2.0, 4.6, 7.2, 9.0].map(ms);
+        let spread = FlowCohort::new(&spread, 500, cit())
+            .1
+            .with_packet_size_law(sizes());
+        let exponential = Box::new(LawSchedule::new(Box::new(Exponential::new(0.010).unwrap())));
+        let jittered = FlowCohort::new(&[ms(1.0), ms(3.3), ms(7.7)], 500, exponential)
+            .1
+            .with_jitter(CohortJitter {
+                base_sigma: 20e-6,
+                blocking_mean: 50e-6,
+                arrival_prob: 0.3,
+            })
+            .unwrap();
+        vec![synchronized, spread, jittered]
+    }
+
+    /// A padded 500 B packet every [`TARGET_PERIOD_NS`], each sent from
+    /// a timer at the instant it reaches the trunk.
+    struct Target {
+        trunk: NodeId,
+    }
+
+    impl Node for Target {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            ctx.schedule_timer(SimDuration::from_nanos(TARGET_PERIOD_NS), 0);
+        }
+        fn on_timer(&mut self, _tag: u64, ctx: &mut Context<'_>) {
+            let pkt = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 500);
+            ctx.send_now(self.trunk, pkt);
+            ctx.schedule_timer(SimDuration::from_nanos(TARGET_PERIOD_NS), 0);
+        }
+    }
+
+    /// `(fire, arrival, size)` of every packet the eager feeders sent.
+    type Sent = Rc<RefCell<Vec<(SimTime, SimTime, u32)>>>;
+
+    /// One cohort as engine events: at start it fires the cohort on the
+    /// stream the lazy trunk would hand it, through [`COHORT_UNTIL`], and
+    /// schedules every arrival as a delivery to the trunk, ahead of its
+    /// instant. Same-instant deliveries therefore pop in feeder order,
+    /// then fire order, and before any packet sent at that instant: the
+    /// lazy trunk's tie rules.
+    struct EagerCohort {
+        trunk: NodeId,
+        cohort: FlowCohort,
+        rng: Xoshiro256StarStar,
+        sent: Sent,
+    }
+
+    impl Node for EagerCohort {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.cohort.start(self.rng.clone());
+            let trunk = self.trunk;
+            let mut sent = self.sent.borrow_mut();
+            while let Some(fire) = self.cohort.next_fire().filter(|&t| t <= COHORT_UNTIL) {
+                self.cohort.fire(|at, size| {
+                    if at <= COHORT_UNTIL {
+                        let pkt = ctx.spawn_packet(FlowId::CROSS, PacketKind::Dummy, size);
+                        ctx.send_after(at - ctx.now(), trunk, pkt);
+                        sent.push((fire, at, size));
+                    }
+                });
+            }
+        }
+        fn reset(&mut self) {
+            self.cohort.reset();
+            self.sent.borrow_mut().clear();
+        }
+    }
+
+    struct CohortRun {
+        sim: Sim,
+        observer: ObserverHandle,
+        gate: FaultGateHandle,
+        sink: FlowLog,
+        /// What the eager feeders sent (`None`: the lazy trunk).
+        sent: Option<Sent>,
+    }
+
+    /// The target and [`trunk_cohorts`] through one 16 Mb/s observed
+    /// trunk with a Gilbert–Elliott gate, 3 ms of propagation and an
+    /// observer with 20 ms windows and measurement gaps: the trunk serves
+    /// the cohorts itself when `lazy`, else [`EagerCohort`] feeders
+    /// appended after the target deliver them. Two bytes take 1 µs on the
+    /// wire, so every transmit time is whole nanoseconds.
+    fn cohort_run(lazy: bool) -> CohortRun {
+        let gaps = OutageSchedule::new(
+            SimDuration::from_millis_f64(70.0),
+            SimDuration::from_millis_f64(9.0),
+        );
+        let (observer, node) = WindowedObserver::new(SimDuration::from_nanos(COHORT_WINDOW_NS));
+        let loss = LossModel::GilbertElliott {
+            p_good_to_bad: 0.02,
+            p_bad_to_good: 0.3,
+            loss_good: 0.01,
+            loss_bad: 0.5,
+        };
+        let (gate, lossy) = LossyGate::new(Some(loss), None, 9).unwrap();
+        let mut b = SimBuilder::new(MasterSeed::new(COHORT_SEED));
+        let sink = FlowLog::default();
+        let sink_id = b.add_node(Box::new(sink.clone()));
+        let trunk_id = b.reserve();
+        b.add_node(Box::new(Target { trunk: trunk_id }));
+        let propagation = SimDuration::from_nanos(COHORT_PROPAGATION_NS);
+        let mut trunk = Router::observed(node.with_gaps(gaps), Some(sink_id), 16e6, propagation)
+            .with_gate(lossy);
+        let sent = if lazy {
+            for cohort in trunk_cohorts() {
+                trunk = trunk.with_cohort(cohort);
+            }
+            None
+        } else {
+            // The lazy trunk's cohort streams: one draw each of its own
+            // stream, after the gate's.
+            let mut stream = MasterSeed::new(COHORT_SEED).stream(trunk_id.index() as u64);
+            stream.next_u64();
+            let sent = Sent::default();
+            for cohort in trunk_cohorts() {
+                b.add_node(Box::new(EagerCohort {
+                    trunk: trunk_id,
+                    cohort,
+                    rng: Xoshiro256StarStar::from_u64(stream.next_u64()),
+                    sent: Rc::clone(&sent),
+                }));
+            }
+            Some(sent)
+        };
+        b.install(trunk_id, Box::new(trunk));
+        CohortRun {
+            sim: b.build().unwrap(),
+            observer,
+            gate,
+            sink,
+            sent,
+        }
+    }
+
+    /// Everything both runs record is equal, and the eager run spent
+    /// exactly one dispatch more per cohort packet it delivered.
+    fn assert_cohort_runs_equal(lazy: &CohortRun, eager: &CohortRun, at: &str) {
+        assert_eq!(
+            series_bits(&lazy.observer.window_series()),
+            series_bits(&eager.observer.window_series()),
+            "{at}: window series differ"
+        );
+        assert_eq!(lazy.observer.arrivals(), eager.observer.arrivals(), "{at}");
+        assert_eq!(
+            (lazy.gate.passed(), lazy.gate.dropped()),
+            (eager.gate.passed(), eager.gate.dropped()),
+            "{at}: gate decisions differ"
+        );
+        assert_eq!(
+            *lazy.sink.0.borrow(),
+            *eager.sink.0.borrow(),
+            "{at}: target deliveries differ"
+        );
+        let now = eager.sim.now();
+        let sent = eager.sent.as_ref().unwrap().borrow();
+        let delivered = sent.iter().filter(|s| s.1 <= now).count() as u64;
+        assert_eq!(
+            eager.sim.events_processed() - lazy.sim.events_processed(),
+            delivered,
+            "{at}"
+        );
+    }
+
+    #[test]
+    fn a_trunk_serving_cohorts_lazily_equals_eager_feeders_into_a_plain_trunk() {
+        let mut lazy = cohort_run(true);
+        let mut eager = cohort_run(false);
+        let propagation = SimDuration::from_nanos(COHORT_PROPAGATION_NS);
+        // 0.7001 ms slices, off every grid: bounds fall between a jittered
+        // fire and its arrival, and while served packets are in flight.
+        let (mut cut_in_flight, mut cut_in_jitter) = (0, 0);
+        for k in 1..=1_000 {
+            let bound = SimTime::from_nanos(k * 700_100);
+            lazy.sim.run_until(bound);
+            eager.sim.run_until(bound);
+            assert_cohort_runs_equal(&lazy, &eager, &format!("slice to {bound:?}"));
+            let sent = eager.sent.as_ref().unwrap().borrow();
+            let cut = |f: &dyn Fn(&(SimTime, SimTime, u32)) -> bool| u32::from(sent.iter().any(f));
+            cut_in_flight += cut(&|s| s.1 <= bound && s.1 + propagation > bound);
+            cut_in_jitter += cut(&|s| s.0 <= bound && s.1 > bound);
+        }
+        assert!(
+            cut_in_flight > 500,
+            "{cut_in_flight} slices cut a packet in flight"
+        );
+        assert!(
+            cut_in_jitter > 10,
+            "{cut_in_jitter} slices cut a fire from its arrival"
+        );
+
+        // The traffic met every tie the service order rests on.
+        {
+            let sent = eager.sent.as_ref().unwrap().borrow();
+            let mut by_arrival: Vec<(SimTime, u32)> = sent.iter().map(|s| (s.1, s.2)).collect();
+            by_arrival.sort_unstable();
+            let mixed_ties = by_arrival
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+                .count();
+            assert!(mixed_ties > 100, "{mixed_ties} ties of different sizes");
+            let target_ties = sent
+                .iter()
+                .filter(|s| s.1.as_nanos() % TARGET_PERIOD_NS == 0 && s.1 > SimTime::ZERO)
+                .count();
+            assert!(
+                target_ties > 100,
+                "{target_ties} cohort arrivals tie the target"
+            );
+            assert!(sent.iter().any(|s| s.1 > s.0), "jitter shifted arrivals");
+        }
+        assert!(lazy.gate.dropped() > 0, "the gate dropped packets");
+        assert!(lazy.observer.coverages().iter().any(|&c| c < 1.0));
+
+        // A reset mid-run: nothing drawn or in flight survives it.
+        for run in [&mut lazy, &mut eager] {
+            run.sim.reset(MasterSeed::new(COHORT_SEED));
+        }
+        let bound = SimTime::from_nanos(600_000_500);
+        lazy.sim.run_until(bound);
+        eager.sim.run_until(bound);
+        assert_cohort_runs_equal(&lazy, &eager, "after the reset");
+
+        // A watchdog stop: the lazy trunk has served every cohort arrival
+        // before the stop instant, so the windows the clock fully crossed
+        // equal the eager run to 1 ns before it.
+        lazy.sim
+            .set_watchdog(Some(lazy.sim.events_processed() + 77), None);
+        let bound = SimTime::from_nanos(950_000_500);
+        lazy.sim.run_until(bound);
+        assert!(lazy.sim.watchdog_tripped());
+        let stop = lazy.sim.now();
+        assert!(stop < bound);
+        eager
+            .sim
+            .run_until(SimTime::from_nanos(stop.as_nanos() - 1));
+        let complete = (stop.as_nanos() / COHORT_WINDOW_NS) as usize;
+        assert!(complete > 30);
+        let kept = |run: &CohortRun| {
+            let mut windows = run.observer.window_series();
+            windows.truncate(complete);
+            series_bits(&windows)
+        };
+        assert_eq!(kept(&lazy), kept(&eager), "watchdog stop");
+        // Re-armed, the stopped run resumes exactly.
+        lazy.sim.set_watchdog(None, None);
+        lazy.sim.run_until(bound);
+        eager.sim.run_until(bound);
+        assert_cohort_runs_equal(&lazy, &eager, "after the watchdog stop");
+        assert!(lazy.sink.count() > 400, "the target went on");
     }
 }

@@ -34,6 +34,11 @@
 //! in flight on a long-haul trunk (~10⁵ on that 100 ms trunk) are not
 //! events: the trunk keeps each as a 16-byte far-end record until it
 //! folds it.
+//!
+//! Cohort mode replaces the non-target senders with [`FlowCohort`]s that
+//! the trunk owns and draws on demand ([`Router::with_cohort`]): cohort
+//! traffic is never an event, so a cohort shard dispatches only its
+//! target's path, and a shard without the target dispatches nothing.
 
 use crate::scenario::{
     check_link_bps, AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError,
@@ -130,8 +135,9 @@ pub struct AggregateSpec {
     /// packets in flight, roughly `flows × propagation/τ`; the trunk
     /// holds them as far-end records, not pending events, so the
     /// pending-event population stays near three per per-flow sender
-    /// (30 010 at the peak of 10⁴ flows on a 100 ms trunk); a shard of
-    /// 10⁴ flows in 1024-flow cohorts peaks at ~70.
+    /// (30 010 at the peak of 10⁴ flows on a 100 ms trunk). Cohort
+    /// traffic holds no events at all: a cohort shard's pending events
+    /// are its target's path alone (a handful).
     pub trunk_propagation: f64,
     /// Width (seconds) of the trunk observer's windows. Every aggregate
     /// watches the far end of its trunk with a [`WindowedObserver`] —
@@ -144,14 +150,13 @@ pub struct AggregateSpec {
     /// [`AggregateHandles::target_rate_log`](crate::scenario::AggregateHandles).
     pub switching: Option<SwitchingSpec>,
     /// When set, flows other than the instrumented target are simulated
-    /// as [`FlowCohort`]s of up to this many flows each — one node and
-    /// one pending timer per cohort instead of per flow — which is what
-    /// takes the family from ~10⁴ to 10⁶ flows. Every schedule with
-    /// cohort support runs there (see
+    /// as [`FlowCohort`]s of up to this many flows each, which the trunk
+    /// owns and draws on demand — no node, no timer and no event per
+    /// cohort or per packet — which is what takes the family from ~10⁴
+    /// to 10⁶ flows. Every schedule with cohort support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
-    /// and `linkpad_sim::cohort`). The cohorts' wire traffic carries
-    /// [`COHORT_FLOW`](linkpad_sim::cohort::COHORT_FLOW) and, like every
-    /// non-target flow, ends at the trunk once recorded.
+    /// and `linkpad_sim::cohort`). Like every non-target flow, cohort
+    /// traffic ends at the trunk once recorded.
     pub cohort_size: Option<usize>,
     /// Padding-clock phase layout across the flow population.
     pub phases: PhaseSpec,
@@ -162,10 +167,9 @@ pub struct AggregateSpec {
     /// containing flow 0; other ranges build observer-only shards whose
     /// target handles read zero.
     pub flow_range: Option<(usize, usize)>,
-    /// Fault injection: trunk loss/outages (a [`LossyGate`] in front of
-    /// the trunk) and observer measurement gaps. `None` — and plans
-    /// with no trunk axes set — add no gate node, so the fault-free
-    /// path costs nothing.
+    /// Fault injection: trunk loss/outages (a [`LossyGate`] the trunk
+    /// consults on every arrival) and observer measurement gaps. `None`
+    /// — and plans with no trunk axes set — give the trunk no gate.
     pub faults: Option<FaultPlan>,
 }
 
@@ -196,7 +200,7 @@ impl AggregateSpec {
 /// statistically independent replicas).
 ///
 /// With [`AggregateSpec::cohort_size`] set, flows other than the target
-/// are grouped into [`FlowCohort`]s; with
+/// are grouped into [`FlowCohort`]s the trunk owns; with
 /// [`AggregateSpec::flow_range`] set, only that global sub-population is
 /// built (shard plumbing). Ranges that exclude flow 0 produce
 /// observer-only shards: the target-flow scaffold handles exist so
@@ -265,9 +269,16 @@ pub(crate) fn build_aggregate(
             });
         }
     }
-    if let Some(plan) = spec.faults {
-        plan.validate().map_err(ScenarioError::InvalidFaultPlan)?;
-    }
+    // Trunk faults: a gate the trunk consults on every arrival, target,
+    // per-flow gateways and cohorts alike, before serialization.
+    // Fault-free plans build none.
+    let gate = match spec.faults.filter(|p| p.affects_trunk()) {
+        Some(plan) => Some(
+            LossyGate::new(plan.trunk_loss, plan.trunk_outage, plan.seed)
+                .map_err(ScenarioError::InvalidFaultPlan)?,
+        ),
+        None => None,
+    };
     // Validate the payload law up front: a cohort-only shard builds no
     // payload source, but a misconfigured rate must still fail loudly.
     drop(builder.payload().interval_law()?);
@@ -297,39 +308,8 @@ pub(crate) fn build_aggregate(
         (payload_sink, receiver, receiver_tap, None)
     };
 
-    // The shared trunk, observed at its far end: the observer is the
-    // adversary's view of the shared link, in O(windows) memory. The
-    // trunk passes the target flow on to its receiver and ends every
-    // other flow (an observer-only shard's trunk forwards nothing).
-    let (trunk_observer, mut observer) = WindowedObserver::new(SimDuration::from_secs_f64(window));
-    // Measurement gaps: the observer goes blind on the gap schedule's
-    // down intervals and stamps per-window coverage.
-    if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
-        observer = observer.with_gaps(gaps);
-    }
-    let trunk_id = b.add_node(Box::new(
-        Router::observed(
-            observer,
-            target_next,
-            spec.trunk_bps,
-            SimDuration::from_secs_f64(spec.trunk_propagation),
-        )
-        .with_label("trunk"),
-    ));
-
-    // Trunk faults: a lossy gate at the trunk's ingress, so every flow's
-    // traffic — target, per-flow gateways, cohorts — crosses it before
-    // serialization. Fault-free plans add no node at all: the sender
-    // side targets the trunk directly and the hot path is untouched.
-    let (fault_gate, trunk_ingress) = match spec.faults.filter(|p| p.affects_trunk()) {
-        Some(plan) => {
-            let (handle, gate) =
-                LossyGate::new(trunk_id, plan.trunk_loss, plan.trunk_outage, plan.seed);
-            let gate_id = b.add_node(Box::new(gate.with_label("fault-gate@trunk")));
-            (Some(handle), gate_id)
-        }
-        None => (None, trunk_id),
-    };
+    // The shared trunk, installed once its cohorts are built.
+    let trunk_id = b.reserve();
 
     // Sender side: the target flow through its egress tap, everything
     // else straight into the trunk. Clock phases spread over the
@@ -339,9 +319,10 @@ pub(crate) fn build_aggregate(
     let period = builder.schedule().mean_interval(tau);
     let mut gateways = Vec::new();
     let mut cohorts: Vec<CohortHandle> = Vec::new();
+    let mut trunk_cohorts: Vec<FlowCohort> = Vec::new();
     let mut target_rate_log = None;
     let (sender_tap, gateway) = if has_target {
-        let (sender_tap, stap) = Tap::on_padded_flow(Some(trunk_ingress));
+        let (sender_tap, stap) = Tap::on_padded_flow(Some(trunk_id));
         let stap_id = b.add_node(Box::new(stap.with_label("tap@gw1")));
         let phase = spec.phases.phase_secs(0, 0, spec.flows, period);
         let (gw, gw1) = SenderGateway::new(
@@ -390,7 +371,7 @@ pub(crate) fn build_aggregate(
     } else {
         let (sender_tap, _stap) = Tap::on_padded_flow(None);
         let (gw, _gw1) = SenderGateway::new(
-            trunk_ingress,
+            trunk_id,
             builder.schedule().to_schedule(tau)?,
             d.jitter,
             d.packet_size,
@@ -405,7 +386,7 @@ pub(crate) fn build_aggregate(
                 let flow = FlowId(f as u32);
                 let phase = spec.phases.phase_secs(f, f, spec.flows, period);
                 let (gw, gw1) = SenderGateway::new(
-                    trunk_ingress,
+                    trunk_id,
                     builder.schedule().to_schedule(tau)?,
                     d.jitter,
                     d.packet_size,
@@ -432,10 +413,11 @@ pub(crate) fn build_aggregate(
             }
         }
         // Cohort mode: non-target flows grouped K at a time into
-        // superposition nodes. Grouping and stratification are keyed to
-        // each flow's **global** member position (flow f is member
-        // `f − 1`; global cohort id `(f − 1)/K`, within-cohort index
-        // `(f − 1) % K`), never to the shard-local chunk position — so a
+        // superposition generators the trunk owns. Grouping and
+        // stratification are keyed to each flow's **global** member
+        // position (flow f is member `f − 1`; global cohort id
+        // `(f − 1)/K`, within-cohort index `(f − 1) % K`), never to the
+        // shard-local chunk position — so a
         // flow's phase, and therefore the merged arrival multiset, is
         // identical no matter how the population is split over shards
         // (shard boundaries merely create partial cohorts at the edges).
@@ -452,23 +434,20 @@ pub(crate) fn build_aggregate(
             let mut group: Vec<SimDuration> = Vec::with_capacity(k);
             let mut group_id = None;
             let mut flush = |group: &mut Vec<SimDuration>,
-                             group_id: &mut Option<usize>,
-                             b: &mut SimBuilder|
+                             group_id: &mut Option<usize>|
              -> Result<(), ScenarioError> {
-                let Some(g) = group_id.take() else {
+                if group_id.take().is_none() {
                     return Ok(());
-                };
+                }
                 let sched = builder
                     .schedule()
                     .member_schedule(tau, group.len() as u32)?;
-                let (h, cohort) = FlowCohort::new(trunk_ingress, group, d.packet_size, sched);
-                let mut cohort = cohort
-                    .with_jitter(jitter)?
-                    .with_label(format!("cohort-{g}"));
+                let (h, cohort) = FlowCohort::new(group, d.packet_size, sched);
+                let mut cohort = cohort.with_jitter(jitter)?;
                 if let Some(law) = builder.payload_model().size_law(d.packet_size)? {
                     cohort = cohort.with_packet_size_law(law);
                 }
-                b.add_node(Box::new(cohort));
+                trunk_cohorts.push(cohort);
                 cohorts.push(h);
                 group.clear();
                 Ok(())
@@ -476,7 +455,7 @@ pub(crate) fn build_aggregate(
             for f in start.max(1)..start + count {
                 let member = f - 1;
                 if group_id != Some(member / k) {
-                    flush(&mut group, &mut group_id, &mut b)?;
+                    flush(&mut group, &mut group_id)?;
                     group_id = Some(member / k);
                 }
                 group.push(SimDuration::from_secs_f64(spec.phases.phase_secs(
@@ -486,9 +465,37 @@ pub(crate) fn build_aggregate(
                     period,
                 )));
             }
-            flush(&mut group, &mut group_id, &mut b)?;
+            flush(&mut group, &mut group_id)?;
         }
     }
+
+    // The trunk, observed at its far end: the observer is the
+    // adversary's view of the shared link, in O(windows) memory. The
+    // trunk serves its cohorts and every packet the senders deliver,
+    // passes the target flow on to its receiver and ends every other
+    // flow (an observer-only shard's trunk forwards nothing).
+    let (trunk_observer, mut observer) = WindowedObserver::new(SimDuration::from_secs_f64(window));
+    // Measurement gaps: the observer goes blind on the gap schedule's
+    // down intervals and stamps per-window coverage.
+    if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
+        observer = observer.with_gaps(gaps);
+    }
+    let mut trunk = Router::observed(
+        observer,
+        target_next,
+        spec.trunk_bps,
+        SimDuration::from_secs_f64(spec.trunk_propagation),
+    )
+    .with_label("trunk");
+    let mut fault_gate = None;
+    if let Some((handle, gate)) = gate {
+        trunk = trunk.with_gate(gate);
+        fault_gate = Some(handle);
+    }
+    for cohort in trunk_cohorts {
+        trunk = trunk.with_cohort(cohort);
+    }
+    b.install(trunk_id, Box::new(trunk));
 
     let sim = b.build()?;
     Ok(BuiltScenario {

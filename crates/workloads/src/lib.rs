@@ -22,7 +22,8 @@
 //!   observer folding the aggregate, which passes only the target flow
 //!   on to its receiver gateway. Cohort mode
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
-//!   swaps the non-target senders for `FlowCohort` superposition nodes;
+//!   swaps the non-target senders for `FlowCohort` superposition
+//!   generators the trunk draws on demand;
 //!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk

@@ -87,8 +87,8 @@ pub enum ScenarioError {
     /// builder the sharding layer cannot split (see
     /// [`crate::shard::ShardedAggregate::new`]).
     InvalidSharding(&'static str),
-    /// A fault plan failed validation (see
-    /// [`linkpad_sim::fault::FaultPlan::validate`]).
+    /// A fault plan's trunk loss model is invalid (see
+    /// [`linkpad_sim::fault::LossModel::validate`]).
     InvalidFaultPlan(&'static str),
     /// A shard worker failed — it panicked on its first attempt *and*
     /// on the one fresh-rebuild retry the harness grants it (see
@@ -293,9 +293,9 @@ impl ScenarioBuilder {
 
     /// Simulate the aggregate's non-target flows as
     /// [`FlowCohort`](linkpad_sim::cohort::FlowCohort)s of up to
-    /// `cohort_size` flows each — one node and one pending timer per
-    /// cohort instead of two nodes per flow, the lever that takes the
-    /// family to 10⁶ concurrent flows. Requires a schedule with
+    /// `cohort_size` flows each, which the trunk draws on demand —
+    /// no node, timer or event per cohort instead of two nodes per
+    /// flow, the lever that takes the family to 10⁶ concurrent flows. Requires a schedule with
     /// stochastic-cohort support (build fails with
     /// [`ScenarioError::CohortUnsupported`] otherwise — today only
     /// reactive adaptive padding is excluded); QoS instrumentation then
@@ -320,14 +320,14 @@ impl ScenarioBuilder {
     }
 
     /// Inject faults into the aggregate: trunk packet loss and/or
-    /// scheduled outages (a [`linkpad_sim::fault::LossyGate`] is wired
-    /// in front of the trunk) and observer measurement gaps (the trunk
-    /// observer records nothing while its gap schedule is down and
-    /// stamps per-window coverage fractions). The drop pattern is fully
-    /// determined by `(plan.seed, run seed, topology)` — see the
-    /// determinism contract in [`linkpad_sim::fault`]. A plan with no
-    /// axes set wires nothing (the fault-free path adds zero nodes).
-    /// No effect outside the aggregate family.
+    /// scheduled outages (the trunk consults a
+    /// [`linkpad_sim::fault::LossyGate`] on every arrival) and observer
+    /// measurement gaps (the trunk observer records nothing while its
+    /// gap schedule is down and stamps per-window coverage fractions).
+    /// The drop pattern is fully determined by `(plan.seed, run seed,
+    /// topology)` — see the determinism contract in
+    /// [`linkpad_sim::fault`]. A plan with no trunk axis gives the trunk
+    /// no gate. No effect outside the aggregate family.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         if let Some(spec) = &mut self.aggregate {
             spec.faults = Some(plan);

@@ -280,7 +280,10 @@ impl ShardedAggregate {
     /// and handler phases per node type, sampling one dispatch in
     /// `sample_every` on average: each [`ShardReport`] then carries an
     /// [`AttributionReport`], and [`ShardedRun::attribution`] merges
-    /// them. Simulated results are unchanged.
+    /// them. Simulated results are unchanged. Cohort service is not an
+    /// event: the trunk serves its cohorts inside the dispatches of the
+    /// target's packets and at each run slice's end, so a shard without
+    /// the target dispatches nothing and its report samples nothing.
     pub fn with_attribution(mut self, sample_every: u64) -> Self {
         self.attribution = Some(sample_every);
         self
@@ -291,7 +294,11 @@ impl ShardedAggregate {
     /// clock (see [`linkpad_sim::engine::Sim::set_watchdog`]). A
     /// tripped shard reports `interrupted` and keeps only its
     /// fully-simulated windows; the merged series truncates to the
-    /// prefix every shard completed.
+    /// prefix every shard completed. Cohort service is not an event, so
+    /// the budget bounds only the target's path: a shard without the
+    /// target dispatches nothing and always completes. Its work is fixed
+    /// by the run length, since nothing feeds back into open-loop cohort
+    /// traffic to make it run away.
     pub fn with_watchdog(mut self, max_events: Option<u64>, max_wall: Option<Duration>) -> Self {
         self.watchdog = Some((max_events, max_wall));
         self
@@ -890,23 +897,41 @@ mod tests {
             .run_for_secs_with_threads(2.0, 1)
             .unwrap();
         assert!(!full.interrupted());
-        // An event budget a quarter of one shard's full run trips every
-        // shard early.
-        let budget = full.events() / full.shards.len() as u64 / 4;
+        // Cohort traffic is no event: only the target shard dispatches.
+        assert!(full.shards[0].events > 0);
+        assert!(full.shards[1..].iter().all(|r| r.events == 0));
+        // An event budget a quarter of the target shard's full run trips
+        // it early.
+        let budget = full.shards[0].events / 4;
         let bounded = ShardedAggregate::new(builder)
             .unwrap()
             .with_watchdog(Some(budget), None);
         let run = bounded.run_for_secs_with_threads(2.0, 1).unwrap();
         assert!(run.interrupted());
-        assert!(run.shards.iter().all(|r| r.interrupted));
+        let (target, rest) = run.shards.split_first().unwrap();
+        assert!(target.interrupted);
         assert!(
-            !run.windows.is_empty() && run.windows.len() < full.windows.len(),
+            !target.windows.is_empty() && target.windows.len() < full.shards[0].windows.len(),
             "partial series: {} of {} windows",
-            run.windows.len(),
-            full.windows.len()
+            target.windows.len(),
+            full.shards[0].windows.len()
         );
-        // The surviving prefix is bit-identical to the unbounded run:
-        // truncation removed incomplete windows, never corrupted one.
+        // The target shard's surviving prefix is bit-identical to the
+        // unbounded run: truncation removed incomplete windows, never
+        // corrupted one.
+        assert_eq!(
+            target.windows[..],
+            full.shards[0].windows[..target.windows.len()]
+        );
+        // A shard without the target has nothing to bound: it completes
+        // the unbounded run's series without a dispatch.
+        for (shard, unbounded) in rest.iter().zip(&full.shards[1..]) {
+            assert!(!shard.interrupted, "shard {}", shard.shard);
+            assert_eq!(shard.events, 0, "shard {}", shard.shard);
+            assert_eq!(shard.windows, unbounded.windows, "shard {}", shard.shard);
+        }
+        // The merge truncates to the prefix every shard completed.
+        assert_eq!(run.windows.len(), target.windows.len());
         assert_eq!(run.windows[..], full.windows[..run.windows.len()]);
         // Each shard reports the arrivals of the windows it kept, not
         // those of the partial window it discarded.
@@ -934,9 +959,16 @@ mod tests {
         let attributed = run(true, None);
         assert_eq!(attributed.windows, plain.windows);
         assert_eq!(attributed.events(), plain.events());
+        // The target shard's dispatches are sampled; a shard without the
+        // target dispatches nothing, so there is nothing to sample.
         for shard in &attributed.shards {
             let report = shard.attribution.as_ref().expect("attribution enabled");
-            assert!(report.samples() > 0, "shard {} sampled", shard.shard);
+            if shard.shard == 0 {
+                assert!(report.samples() > 0, "shard {} sampled", shard.shard);
+            } else {
+                assert_eq!(shard.events, 0, "shard {}", shard.shard);
+                assert_eq!(report.samples(), 0, "shard {}", shard.shard);
+            }
         }
         let total = attributed.attribution().expect("attribution enabled");
         let per_shard: u64 = attributed
@@ -947,7 +979,7 @@ mod tests {
             .sum();
         assert_eq!(total.dispatches_seen, per_shard);
         // The watchdog bounds attributed shards exactly like plain ones.
-        let budget = Some(plain.events() / plain.shards.len() as u64 / 4);
+        let budget = Some(plain.shards[0].events / 4);
         let (bounded, bounded_attributed) = (run(false, budget), run(true, budget));
         assert!(bounded_attributed.interrupted());
         assert_eq!(bounded_attributed.windows, bounded.windows);

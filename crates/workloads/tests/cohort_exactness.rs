@@ -14,6 +14,10 @@
 //! calibrated disturbance on both sides, the superposed streams must
 //! agree in arrival counts and window statistics (distribution-level
 //! agreement; the RNG streams differ by construction).
+//!
+//! The arrival tests drive the cohort directly as a generator; the
+//! observer test serves it from a trunk, as the aggregate does, and
+//! routes the gateways through an identical trunk.
 
 use linkpad_core::gateway::SenderGateway;
 use linkpad_core::jitter::GatewayJitterModel;
@@ -22,6 +26,7 @@ use linkpad_sim::cohort::{CohortJitter, FlowCohort, LawSchedule, MemberSchedule}
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::FlowId;
+use linkpad_sim::router::Router;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::{SimDuration, SimTime};
 use linkpad_stats::rng::MasterSeed;
@@ -57,23 +62,27 @@ fn gateway_fanin_arrivals(phases_ns: &[u64], jitter: GatewayJitterModel, secs: f
     ns
 }
 
-/// One cohort superposing the same phases into the same tap.
+/// One cohort superposing the same phases, driven as a generator: its
+/// arrivals up to `secs`, in nanoseconds.
 fn cohort_arrivals(phases_ns: &[u64], jitter: Option<CohortJitter>, secs: f64) -> Vec<u64> {
-    let mut b = SimBuilder::new(MasterSeed::new(1));
-    let (tap, node) = Tap::new(None, None);
-    let tap_id = b.add_node(Box::new(node));
     let phases: Vec<SimDuration> = phases_ns
         .iter()
         .map(|&p| SimDuration::from_nanos(p))
         .collect();
-    let (_, mut cohort) = FlowCohort::new(tap_id, &phases, 500, cit());
+    let (_, mut cohort) = FlowCohort::new(&phases, 500, cit());
     if let Some(j) = jitter {
         cohort = cohort.with_jitter(j).expect("valid jitter");
     }
-    b.add_node(Box::new(cohort));
-    let mut sim = b.build().expect("cohort builds");
-    sim.run_until(SimTime::from_secs_f64(secs));
-    let mut ns: Vec<u64> = tap.timestamps().iter().map(|t| t.as_nanos()).collect();
+    cohort.start(MasterSeed::new(1).stream(0));
+    let until = SimTime::from_secs_f64(secs);
+    let mut ns = Vec::new();
+    while cohort.next_fire().is_some_and(|t| t <= until) {
+        cohort.fire(|at, _| {
+            if at <= until {
+                ns.push(at.as_nanos());
+            }
+        });
+    }
     ns.sort_unstable();
     ns
 }
@@ -145,21 +154,22 @@ fn jittered_cohort_matches_gateway_fanin_in_distribution() {
 
 #[test]
 fn observer_view_of_cohort_matches_gateway_fanin() {
-    // End-to-end through the windowed observer: the instrument the
+    // End-to-end through a trunk's windowed observer: the instrument the
     // aggregate adversary actually reads.
     let phases = [0u64, 1_000_000, 4_000_000, 9_999_999];
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(3));
         let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
-        let obs_id = b.add_node(Box::new(node));
+        let trunk = Router::observed(node, None, 100e6, SimDuration::ZERO);
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();
-            let (_, cohort) = FlowCohort::new(obs_id, &sd, 500, cit());
-            b.add_node(Box::new(cohort));
+            let (_, cohort) = FlowCohort::new(&sd, 500, cit());
+            b.add_node(Box::new(trunk.with_cohort(cohort)));
         } else {
+            let trunk_id = b.add_node(Box::new(trunk));
             for (k, &phase) in phases.iter().enumerate() {
                 let (_, gw) = SenderGateway::new(
-                    obs_id,
+                    trunk_id,
                     PaddingSchedule::cit(TAU).expect("cit"),
                     GatewayJitterModel::new(0.0, 6e-6).expect("valid"),
                     500,

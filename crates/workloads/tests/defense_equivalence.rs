@@ -26,6 +26,7 @@ use linkpad_sim::cohort::FlowCohort;
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::{ObserverHandle, WindowedObserver};
 use linkpad_sim::packet::FlowId;
+use linkpad_sim::router::Router;
 use linkpad_sim::time::{SimDuration, SimTime};
 use linkpad_stats::moments::{sample_mean, sample_variance};
 use linkpad_stats::rng::MasterSeed;
@@ -59,10 +60,12 @@ fn defenses() -> Vec<(&'static str, ScheduleSpec, PayloadModel)> {
     ]
 }
 
-/// Run K senders of one defense into a windowed observer: either K
-/// real zero-jitter gateways or one cohort superposing the same phases
-/// (the same construction `build_aggregate` uses). Returns the
-/// observer after `secs` of simulated time.
+/// Run K senders of one defense through a 100 Mb/s observed trunk with
+/// no propagation delay:
+/// either K real zero-jitter gateways delivering to it, or one cohort
+/// superposing the same phases that the trunk serves itself (the same
+/// construction `build_aggregate` uses). Returns the trunk's observer
+/// after `secs` of simulated time.
 fn observer_run(
     spec: ScheduleSpec,
     payload: PayloadModel,
@@ -73,7 +76,7 @@ fn observer_run(
 ) -> ObserverHandle {
     let mut b = SimBuilder::new(MasterSeed::new(seed));
     let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0));
-    let obs_id = b.add_node(Box::new(node));
+    let trunk = Router::observed(node, None, 100e6, SimDuration::ZERO);
     if use_cohort {
         let sd: Vec<SimDuration> = phases_ns
             .iter()
@@ -82,15 +85,16 @@ fn observer_run(
         let sched = spec
             .member_schedule(TAU, phases_ns.len() as u32)
             .expect("schedule");
-        let (_, mut cohort) = FlowCohort::new(obs_id, &sd, PKT, sched);
+        let (_, mut cohort) = FlowCohort::new(&sd, PKT, sched);
         if let Some(law) = payload.size_law(PKT).expect("size law") {
             cohort = cohort.with_packet_size_law(law);
         }
-        b.add_node(Box::new(cohort));
+        b.add_node(Box::new(trunk.with_cohort(cohort)));
     } else {
+        let trunk_id = b.add_node(Box::new(trunk));
         for (k, &phase) in phases_ns.iter().enumerate() {
             let (_, gw) = SenderGateway::new(
-                obs_id,
+                trunk_id,
                 spec.to_schedule(TAU).expect("schedule"),
                 // Zero baseline σ → no tick-δ draws, zero pipeline
                 // offset (blocking needs payload arrivals; none here).

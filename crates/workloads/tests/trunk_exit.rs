@@ -1,16 +1,17 @@
-//! An aggregate's trunk router folds every packet's far-end arrival into
-//! its observer in place and forwards only the target flow. This test
-//! keeps the per-event wiring as the reference model — a plain trunk
-//! router delivering every packet to a capture-only observer and to a
-//! demux that routes each per-flow packet to its own receiver and
-//! absorbs cohort packets — and checks in both aggregate modes, after
-//! each of 2 140 run slices whose bounds sweep the tick cycle (many of
-//! them while packets are in propagation), that the trunk view and the
-//! target flow's receive side are bit-identical to it, at exactly the
-//! dispatches the reference's extra hops add.
+//! An aggregate's trunk router serves its cohorts on demand, folds every
+//! packet's far-end arrival into its observer in place and forwards only
+//! the target flow. This test keeps the per-event wiring as the
+//! reference model — every cohort packet an engine delivery to a plain
+//! trunk router, which delivers every packet to a capture-only observer
+//! and to a demux that routes each per-flow packet to its own receiver
+//! and absorbs cohort packets — and checks in both aggregate modes,
+//! after each of 2 140 run slices whose bounds sweep the tick cycle
+//! (many of them while packets are in propagation), that the trunk view
+//! and the target flow's receive side are bit-identical to it, at
+//! exactly the dispatches the reference's extra events add.
 
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
-use linkpad_sim::cohort::{CohortJitter, FlowCohort, COHORT_FLOW};
+use linkpad_sim::cohort::{CohortJitter, FlowCohort};
 use linkpad_sim::engine::{Context, Sim, SimBuilder};
 use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::observer::{ObserverHandle, WindowStats, WindowedObserver};
@@ -20,9 +21,10 @@ use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::{Tap, TapHandle};
 use linkpad_sim::time::{SimDuration, SimTime};
 use linkpad_stats::dist::Deterministic;
-use linkpad_stats::rng::MasterSeed;
+use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
 use linkpad_workloads::{PhaseSpec, ScenarioBuilder};
-use std::cell::Cell;
+use rand_core::RngCore;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const SEED: u64 = 83;
@@ -33,6 +35,13 @@ const PHASES: PhaseSpec = PhaseSpec::Uniform { seed: 5 };
 const TRUNK_BPS: f64 = 10e6;
 const TRUNK_PROPAGATION: f64 = 1e-3;
 const WINDOW: f64 = 0.1;
+/// 0.7001 ms run slices sweep the bounds across every phase of the
+/// 10 ms tick cycle, so they fall while packets are in propagation and
+/// between a far-end arrival and the next packet to reach the trunk.
+const SLICES: u64 = 2_140;
+const SLICE_NS: u64 = 700_100;
+/// The reference's cohort traffic on the wire.
+const COHORT_FLOW: FlowId = FlowId(u32::MAX);
 
 fn builder(cohorts: bool) -> ScenarioBuilder {
     let b = ScenarioBuilder::aggregate(SEED, FLOWS)
@@ -63,6 +72,39 @@ impl Node for FanOut {
     }
 }
 
+/// A cohort the builder's trunk serves on demand, as engine events: at
+/// start it fires the cohort on the stream the trunk hands it, through
+/// the last slice, and schedules each arrival as a delivery to the
+/// trunk, ahead of its instant. Same-instant deliveries therefore pop in
+/// cohort order, then fire order, and before any packet sent at that
+/// instant: the lazy trunk's service order.
+struct EagerCohort {
+    trunk: NodeId,
+    cohort: FlowCohort,
+    rng: Xoshiro256StarStar,
+    /// Arrival instants of the deliveries scheduled.
+    sent: Rc<RefCell<Vec<SimTime>>>,
+}
+
+impl Node for EagerCohort {
+    fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.cohort.start(self.rng.clone());
+        let until = SimTime::from_nanos(SLICES * SLICE_NS);
+        let trunk = self.trunk;
+        let mut sent = self.sent.borrow_mut();
+        while self.cohort.next_fire().is_some_and(|t| t <= until) {
+            self.cohort.fire(|at, size| {
+                if at <= until {
+                    let packet = ctx.spawn_packet(COHORT_FLOW, PacketKind::Dummy, size);
+                    ctx.send_after(at - ctx.now(), trunk, packet);
+                    sent.push(at);
+                }
+            });
+        }
+    }
+}
+
 /// The reference demux: routes flow `i` to `nexts[i]` and absorbs
 /// cohort traffic.
 struct Demux {
@@ -86,14 +128,19 @@ struct Reference {
     receivers: Vec<TapHandle>,
     /// Packets the fan-out carried: every trunk arrival.
     fanned: Rc<Cell<u64>>,
+    /// Arrival instants of the cohort packets delivered to the trunk
+    /// (cohort mode).
+    cohort_sent: Rc<RefCell<Vec<SimTime>>>,
 }
 
 /// `builder(cohorts).build()` with the per-event wiring: the aggregate
 /// builder's node list, order and labels (node `i` draws RNG stream
 /// `i`), with a plain router in the trunk's slot delivering to a
-/// fan-out, and the non-target receivers, demux, fan-out and observer
-/// appended after the builder's last node so that no builder node
-/// changes stream.
+/// fan-out, and the cohort feeders, non-target receivers, demux, fan-out
+/// and observer appended after the builder's last node so that no
+/// builder node changes stream. Cohort `g`'s feeder draws from the
+/// stream the builder's trunk hands it: seeded by draw `g` of the
+/// trunk's own stream.
 fn reference(cohorts: bool) -> Reference {
     let builder = builder(cohorts);
     let d = builder.defaults;
@@ -135,7 +182,9 @@ fn reference(cohorts: bool) -> Reference {
     )));
     b.add_node(Box::new(payload(gw1, 0)));
 
+    let cohort_sent = Rc::new(RefCell::new(Vec::new()));
     if cohorts {
+        let mut trunk_stream = MasterSeed::new(SEED).stream(trunk.index() as u64);
         let jitter = CohortJitter {
             base_sigma: d.jitter.base_sigma,
             blocking_mean: d.jitter.blocking_mean,
@@ -143,7 +192,7 @@ fn reference(cohorts: bool) -> Reference {
         };
         // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / K.
         let members: Vec<usize> = (1..FLOWS).collect();
-        for (g, flows) in members.chunks(COHORT).enumerate() {
+        for flows in members.chunks(COHORT) {
             let phases: Vec<SimDuration> = flows
                 .iter()
                 .map(|&f| {
@@ -155,9 +204,13 @@ fn reference(cohorts: bool) -> Reference {
                 .schedule()
                 .member_schedule(tau, phases.len() as u32)
                 .expect("member schedule");
-            let (_, cohort) = FlowCohort::new(trunk, &phases, d.packet_size, sched);
-            let cohort = cohort.with_jitter(jitter).expect("jitter");
-            b.add_node(Box::new(cohort.with_label(format!("cohort-{g}"))));
+            let (_, cohort) = FlowCohort::new(&phases, d.packet_size, sched);
+            b.add_node(Box::new(EagerCohort {
+                trunk,
+                cohort: cohort.with_jitter(jitter).expect("jitter"),
+                rng: Xoshiro256StarStar::from_u64(trunk_stream.next_u64()),
+                sent: Rc::clone(&cohort_sent),
+            }));
         }
     } else {
         for f in 1..FLOWS {
@@ -198,6 +251,7 @@ fn reference(cohorts: bool) -> Reference {
         payload_sink,
         receivers,
         fanned,
+        cohort_sent,
     }
 }
 
@@ -224,17 +278,18 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 
 #[test]
 fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
-    // 0.7001 ms slices sweep the bounds across every phase of the 10 ms
-    // tick cycle, so they fall while packets are in propagation and
-    // between a far-end arrival and the next packet to reach the trunk.
-    const SLICES: u64 = 2_140;
-    const SLICE_NS: u64 = 700_100;
     for cohorts in [false, true] {
         let mode = if cohorts { "cohort" } else { "per-flow" };
         let mut built = builder(cohorts).build().expect("builds");
         let mut reference = reference(cohorts);
-        // Non-target receivers, demux, fan-out and observer.
-        let extra = reference.receivers.len() + 3;
+        // Cohort feeders, non-target receivers, demux, fan-out and
+        // observer.
+        let feeders = if cohorts {
+            (FLOWS - 1).div_ceil(COHORT)
+        } else {
+            0
+        };
+        let extra = feeders + reference.receivers.len() + 3;
         assert_eq!(
             reference.sim.node_count(),
             built.sim.node_count() + extra,
@@ -248,9 +303,13 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
             let secs = until.as_secs_f64();
             built.sim.run_until(until);
             reference.sim.run_until(until);
-            // Only the reference holds non-target packets in
-            // propagation as events.
-            if reference.sim.pending_events() > built.sim.pending_events() {
+            // Cohort packets the reference has yet to deliver.
+            let sent = reference.cohort_sent.borrow();
+            let delivered = sent.iter().filter(|&&at| at <= until).count();
+            let undelivered = sent.len() - delivered;
+            // Beyond those, only the reference holds non-target packets
+            // in propagation as events.
+            if reference.sim.pending_events() - undelivered > built.sim.pending_events() {
                 cut_in_flight += 1;
             }
             assert_eq!(
@@ -270,14 +329,15 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
             );
             // Every trunk arrival reached the fan-out. The reference
             // dispatched each three times more (into the fan-out, then
-            // into the observer and the demux), and each non-target
-            // per-flow packet once more (into its receiver).
+            // into the observer and the demux), each non-target per-flow
+            // packet once more (into its receiver), and each cohort
+            // packet once more (into the trunk).
             let fanned = reference.fanned.get();
             assert_eq!(fanned, got.arrivals(), "{mode} at {secs} s");
             let received: u64 = reference.receivers.iter().map(|r| r.count() as u64).sum();
             assert_eq!(
                 reference.sim.events_processed() - built.sim.events_processed(),
-                3 * fanned + received,
+                3 * fanned + received + delivered as u64,
                 "{mode} at {secs} s"
             );
         }

@@ -10,8 +10,9 @@
 //!    that replays the router's RNG stream;
 //! 3. a one-shard `ShardedAggregate` ≡ the unsharded sim;
 //! 4. a `FlowCohort` ≡ K gateways, for synchronized CIT;
-//! 5. an aggregate's trunk, folding its observer in place ≡ the
-//!    per-event wiring: a plain trunk router feeding a capture-only
+//! 5. an aggregate's trunk, serving its cohorts on demand and folding
+//!    its observer in place ≡ the per-event wiring: every cohort packet
+//!    an engine delivery to a plain trunk router feeding a capture-only
 //!    observer.
 
 use linkpad::core::gateway::{ReceiverGateway, SenderGateway};
@@ -26,7 +27,9 @@ use linkpad::sim::tap::{Tap, TapHandle};
 use linkpad::stats::dist::{ContinuousDist, Deterministic};
 use linkpad::stats::rng::Xoshiro256StarStar;
 use linkpad::workloads::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
-use std::cell::Cell;
+use linkpad::workloads::spec::PayloadModel;
+use rand_core::RngCore;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A window series as raw bits: counts, bytes, coverage and the PIAT
@@ -274,27 +277,23 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
     const TAU: f64 = 0.010;
     const FLOWS: usize = 8;
     // Every flow ticks at phase 0: each period lands eight 500 B packets
-    // on an 8 Mb/s router at one instant, which drains them in 4 ms.
+    // on an 8 Mb/s trunk at one instant, which drains them in 4 ms.
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(5));
         let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
-        let obs_id = b.add_node(Box::new(node));
-        let router = b.add_node(Box::new(Router::new(
-            obs_id,
-            8e6,
-            SimDuration::from_millis_f64(1.0),
-        )));
+        let trunk = Router::observed(node, None, 8e6, SimDuration::from_millis_f64(1.0));
         let cit = || PaddingSchedule::cit(TAU).expect("cit");
         if use_cohort {
             let law = Box::new(LawSchedule::new(cit().into_law()));
-            let (_, cohort) = FlowCohort::new(router, &[SimDuration::ZERO; FLOWS], 500, law);
-            b.add_node(Box::new(cohort));
+            let (_, cohort) = FlowCohort::new(&[SimDuration::ZERO; FLOWS], 500, law);
+            b.add_node(Box::new(trunk.with_cohort(cohort)));
         } else {
+            let trunk = b.add_node(Box::new(trunk));
             for k in 0..FLOWS {
                 // Zero baseline σ and no payload: no RNG draws, so every
                 // tick sits at its nominal instant.
                 let jitter = GatewayJitterModel::new(0.0, 6e-6).expect("valid model");
-                let (_, gw) = SenderGateway::new(router, cit(), jitter, 500);
+                let (_, gw) = SenderGateway::new(trunk, cit(), jitter, 500);
                 b.add_node(Box::new(gw.with_flow(FlowId(k as u32))));
             }
         }
@@ -309,19 +308,70 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
     assert_eq!(
         series_bits(&cohort.window_series()),
         series_bits(&gateways.window_series()),
-        "cohort and gateways must load the router identically"
+        "cohort and gateways must load the trunk identically"
     );
 }
 
-/// The cohort-mode aggregate `builder` builds (synchronized phases,
-/// `flows` flows in cohorts of `k`, a 10 Mb/s trunk with 1 ms of
-/// propagation, 100 ms windows) with the per-event trunk: the builder's
-/// nodes, order and labels (node `i` draws RNG stream `i`), a plain
-/// [`Router`] in the trunk's slot, and the capture-only observer it
-/// feeds appended after the last node. Nothing goes on past the
-/// observer, so the target's receive side stays idle.
-fn per_event_trunk(builder: &ScenarioBuilder, flows: usize, k: usize) -> (Sim, ObserverHandle) {
+/// Every run of the trunk test below ends by this instant: 2 140 slices
+/// of 0.7001 ms.
+const TRUNK_SLICES: u64 = 2_140;
+const TRUNK_SLICE_NS: u64 = 700_100;
+
+/// Arrival instants and sizes of the cohort packets the eager feeders
+/// delivered.
+type Sent = Rc<RefCell<Vec<(SimTime, u32)>>>;
+
+/// A cohort the aggregate's trunk serves on demand, as engine events: at
+/// start it fires the cohort on the stream the trunk hands it, through
+/// the last slice, and schedules each arrival as a delivery to the
+/// trunk, ahead of its instant. Same-instant deliveries therefore pop in
+/// cohort order, then fire order, and before any packet sent at that
+/// instant, which is the lazy trunk's service order.
+struct EagerCohort {
+    trunk: NodeId,
+    cohort: FlowCohort,
+    rng: Xoshiro256StarStar,
+    sent: Sent,
+}
+
+impl Node for EagerCohort {
+    fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.cohort.start(self.rng.clone());
+        let until = SimTime::from_nanos(TRUNK_SLICES * TRUNK_SLICE_NS);
+        let trunk = self.trunk;
+        let mut sent = self.sent.borrow_mut();
+        while self.cohort.next_fire().is_some_and(|t| t <= until) {
+            self.cohort.fire(|at, size| {
+                if at <= until {
+                    let packet = ctx.spawn_packet(FlowId::CROSS, PacketKind::Dummy, size);
+                    ctx.send_after(at - ctx.now(), trunk, packet);
+                    sent.push((at, size));
+                }
+            });
+        }
+    }
+}
+
+/// The cohort-mode aggregate `builder` builds (a 10 Mb/s trunk with
+/// 1 ms of propagation, 100 ms windows) with the per-event trunk: the
+/// builder's nodes, order and labels (node `i` draws RNG stream `i`),
+/// a plain [`Router`] in the trunk's slot, and after the last node one
+/// [`EagerCohort`] per cohort, seeded as the trunk seeds it (draw `g`
+/// of the trunk's own stream), then the capture-only observer the trunk
+/// feeds. Nothing goes on past the observer, so the target's receive
+/// side stays idle.
+fn per_event_trunk(builder: &ScenarioBuilder) -> (Sim, ObserverHandle, Sent) {
+    let spec = builder.aggregate_spec().expect("aggregate");
+    let (flows, k) = (spec.flows, spec.cohort_size.expect("cohort mode"));
     let d = builder.defaults;
+    let period = builder.schedule().mean_interval(d.tau);
+    let size_law = || {
+        builder
+            .payload_model()
+            .size_law(d.packet_size)
+            .expect("size law")
+    };
     let mut b = SimBuilder::new(MasterSeed::new(builder.seed()));
     let subnet_b = b.add_node(Box::new(Tap::new(None, None).1.with_label("subnet-b")));
     let gw2 = b.add_node(Box::new(ReceiverGateway::new(Some(subnet_b)).1));
@@ -333,11 +383,16 @@ fn per_event_trunk(builder: &ScenarioBuilder, flows: usize, k: usize) -> (Sim, O
     let stap = b.add_node(Box::new(stap));
     let schedule = builder.schedule().to_schedule(d.tau).expect("schedule");
     let (_, gw1) = SenderGateway::new(stap, schedule, d.jitter, d.packet_size);
-    let gw1 = gw1
+    let mut gw1 = gw1
         .with_discipline(builder.discipline())
         .with_flow(FlowId::PADDED)
-        .with_start_phase(SimDuration::ZERO)
+        .with_start_phase(SimDuration::from_secs_f64(
+            spec.phases.phase_secs(0, 0, flows, period),
+        ))
         .with_label("gw1-0");
+    if let Some(law) = size_law() {
+        gw1 = gw1.with_packet_size_law(law);
+    }
     let gw1 = b.add_node(Box::new(gw1));
     b.add_node(Box::new(DistSource::new(
         gw1,
@@ -351,76 +406,135 @@ fn per_event_trunk(builder: &ScenarioBuilder, flows: usize, k: usize) -> (Sim, O
         blocking_mean: d.jitter.blocking_mean,
         arrival_prob: builder.payload().rate() * d.tau,
     };
-    // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / k, clock at phase 0.
+    // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / k.
+    let mut trunk_stream = MasterSeed::new(builder.seed()).stream(trunk.index() as u64);
+    let sent = Sent::default();
     let members: Vec<usize> = (1..flows).collect();
-    for (g, group) in members.chunks(k).enumerate() {
+    for group in members.chunks(k) {
         let sched = builder
             .schedule()
             .member_schedule(d.tau, group.len() as u32)
             .expect("member schedule");
-        let phases = vec![SimDuration::ZERO; group.len()];
-        let (_, cohort) = FlowCohort::new(trunk, &phases, d.packet_size, sched);
-        let cohort = cohort.with_jitter(jitter).expect("jitter");
-        b.add_node(Box::new(cohort.with_label(format!("cohort-{g}"))));
+        let phases: Vec<SimDuration> = group
+            .iter()
+            .map(|&f| SimDuration::from_secs_f64(spec.phases.phase_secs(f, (f - 1) % k, k, period)))
+            .collect();
+        let (_, cohort) = FlowCohort::new(&phases, d.packet_size, sched);
+        let mut cohort = cohort.with_jitter(jitter).expect("jitter");
+        if let Some(law) = size_law() {
+            cohort = cohort.with_packet_size_law(law);
+        }
+        b.add_node(Box::new(EagerCohort {
+            trunk,
+            cohort,
+            rng: Xoshiro256StarStar::from_u64(trunk_stream.next_u64()),
+            sent: Rc::clone(&sent),
+        }));
     }
     let (observer, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0));
     let observer_id = b.add_node(Box::new(node));
     let propagation = SimDuration::from_secs_f64(1e-3);
     let plain = Router::new(observer_id, 10e6, propagation).with_label("trunk");
     b.install(trunk, Box::new(plain));
-    (b.build().expect("builds"), observer)
+    (b.build().expect("builds"), observer, sent)
 }
 
 #[test]
 fn a_trunk_folding_its_observer_equals_a_plain_trunk_feeding_one() {
-    // Nine synchronized flows put 4.5 kB on a 10 Mb/s trunk every τ:
-    // the trunk drains each burst over 3.6 ms, then 1 ms of propagation.
+    // Nine flows put 4.5 kB on a 10 Mb/s trunk every τ: the trunk drains
+    // each synchronized burst over 3.6 ms, then 1 ms of propagation.
     const FLOWS: usize = 9;
     const K: usize = 4;
-    let builder = ScenarioBuilder::aggregate(63, FLOWS)
+    let base = ScenarioBuilder::aggregate(63, FLOWS)
         .with_payload_rate(10.0)
         .with_trunk(10e6, 1e-3)
         .with_trunk_observer(0.1)
         .with_cohorts(K);
-    let mut built = builder.build().expect("builds");
-    let (mut reference, reference_obs) = per_event_trunk(&builder, FLOWS, K);
-    assert_eq!(reference.node_count(), built.sim.node_count() + 1);
-    let got = built
-        .aggregate
-        .as_ref()
-        .and_then(|a| a.trunk_observer.clone())
-        .expect("trunk observer");
-    // 0.7001 ms slices sweep the bounds across every phase of the tick
-    // cycle: mid-burst, mid-propagation, and between a far-end arrival
-    // and the next packet to reach the trunk.
-    let mut cut_in_flight = 0;
-    for k in 1..=2_140 {
-        let until = SimTime::from_nanos(k * 700_100);
-        let secs = until.as_secs_f64();
-        built.sim.run_until(until);
-        reference.run_until(until);
-        if reference.pending_events() > built.sim.pending_events() {
-            cut_in_flight += 1;
+    // Without baseline jitter most emissions leave at their tick, so
+    // synchronized packets of different sizes tie at the trunk, with
+    // each other and with the target.
+    let mut still = CalibratedDefaults::paper();
+    still.jitter = GatewayJitterModel::new(0.0, still.jitter.blocking_mean).expect("valid model");
+    let variable = PayloadModel::Uniform { lo: 300, hi: 900 };
+    for (what, builder) in [
+        ("synchronized", base.clone()),
+        (
+            "uniform phases, variable sizes",
+            base.clone()
+                .with_phases(PhaseSpec::Uniform { seed: 3 })
+                .with_payload_model(variable),
+        ),
+        (
+            "synchronized, variable sizes, no baseline jitter",
+            base.clone()
+                .with_defaults(still)
+                .with_payload_model(variable),
+        ),
+    ] {
+        let mut built = builder.build().expect("builds");
+        let (mut reference, reference_obs, sent) = per_event_trunk(&builder);
+        // Two cohort feeders and the observer.
+        assert_eq!(reference.node_count(), built.sim.node_count() + 3, "{what}");
+        let got = built
+            .aggregate
+            .as_ref()
+            .and_then(|a| a.trunk_observer.clone())
+            .expect("trunk observer");
+        // 0.7001 ms slices sweep the bounds across every phase of the
+        // tick cycle: mid-burst, mid-propagation, and between a far-end
+        // arrival and the next packet to reach the trunk.
+        let mut cut_in_flight = 0;
+        for k in 1..=TRUNK_SLICES {
+            let until = SimTime::from_nanos(k * TRUNK_SLICE_NS);
+            let secs = until.as_secs_f64();
+            built.sim.run_until(until);
+            reference.run_until(until);
+            let delivered = sent.borrow().iter().filter(|s| s.0 <= until).count();
+            let undelivered = sent.borrow().len() - delivered;
+            // Beyond its undelivered cohort packets, only the reference
+            // holds packets in propagation as events.
+            if reference.pending_events() - undelivered > built.sim.pending_events() {
+                cut_in_flight += 1;
+            }
+            assert_eq!(
+                series_bits(&got.window_series()),
+                series_bits(&reference_obs.window_series()),
+                "{what}, {secs} s: trunk window series differ"
+            );
+            // The reference dispatched each cohort packet's delivery to
+            // the trunk and each trunk arrival's delivery to the
+            // observer; the lazy trunk instead carried the target on
+            // through tap@gw2 and GW2 (payload also into subnet-b).
+            let receive_side = 2 * built.receiver_tap.count() + built.payload_sink.count();
+            assert_eq!(
+                reference.events_processed() + receive_side as u64,
+                built.sim.events_processed() + got.arrivals() + delivered as u64,
+                "{what}, {secs} s"
+            );
         }
-        assert_eq!(
-            series_bits(&got.window_series()),
-            series_bits(&reference_obs.window_series()),
-            "{secs} s: trunk window series differ"
+        assert!(
+            cut_in_flight > 214,
+            "{what}: {cut_in_flight} slices cut a packet in flight"
         );
-        // The reference dispatched one observer delivery per trunk
-        // arrival; the folded trunk instead carried the target on
-        // through tap@gw2 and GW2 (payload also into subnet-b).
-        let receive_side = 2 * built.receiver_tap.count() + built.payload_sink.count();
-        assert_eq!(
-            reference.events_processed() + receive_side as u64,
-            built.sim.events_processed() + got.arrivals(),
-            "{secs} s"
-        );
+        assert!(got.arrivals() > 1_000, "{what}");
+        assert!(built.receiver_tap.count() > 100, "{what}");
+        if what.contains("no baseline jitter") {
+            let mut arrivals = sent.borrow().clone();
+            arrivals.sort_unstable();
+            let mixed = arrivals
+                .windows(2)
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+                .count();
+            assert!(mixed > 100, "{mixed} ties of different sizes");
+            let target = built.sender_tap.timestamps();
+            let with_target = arrivals
+                .iter()
+                .filter(|s| target.binary_search(&s.0).is_ok())
+                .count();
+            assert!(
+                with_target > 100,
+                "{with_target} cohort arrivals tie the target"
+            );
+        }
     }
-    assert!(
-        cut_in_flight > 214,
-        "{cut_in_flight} slices cut a packet in flight"
-    );
-    assert!(got.arrivals() > 1_000);
-    assert!(built.receiver_tap.count() > 100);
 }
