@@ -53,6 +53,7 @@ pub const RUN_PATH_FILES: &[&str] = &[
     "crates/sim/src/router.rs",
     "crates/sim/src/source.rs",
     "crates/sim/src/tap.rs",
+    "crates/sim/src/trunk.rs",
     "crates/workloads/src/aggregate.rs",
     "crates/workloads/src/shard.rs",
     "crates/workloads/src/scenario.rs",

@@ -15,8 +15,8 @@
 //! [`FlowCohort`] generates the superposition of K such clocks, driven
 //! by a [`MemberSchedule`] (an interval *law* shared iid across members,
 //! or per-member machines like adaptive padding). It is not an engine
-//! node and arms no timer: the trunk [`Router`](crate::router::Router)
-//! that carries its traffic owns it and draws its emissions on demand
+//! node and arms no timer: the [`Trunk`](crate::trunk::Trunk) that
+//! carries its traffic owns it and draws its emissions on demand
 //! ([`FlowCohort::fire`]), so a cohort packet is never an event. The
 //! cohort keeps a small binary heap of **runs** `(time, first_member,
 //! run_len)`: the contiguous members `first_member..first_member +

@@ -14,9 +14,9 @@
 //!   coverage integral, shared by link outages (packets dropped while
 //!   down) and observer measurement gaps (arrivals unrecorded while
 //!   down; see [`WindowedObserver::with_gaps`](crate::observer::WindowedObserver::with_gaps)).
-//! * [`LossyGate`] — the drop decision of a lossy trunk: the trunk
-//!   [`Router`](crate::router::Router) that owns it
-//!   ([`Router::with_gate`](crate::router::Router::with_gate)) asks it
+//! * [`LossyGate`] — the drop decision of a lossy trunk: the
+//!   [`Trunk`](crate::trunk::Trunk) that owns it
+//!   ([`Trunk::with_gate`](crate::trunk::Trunk::with_gate)) asks it
 //!   about every arrival, in service order, before the arrival joins the
 //!   egress queue.
 //! * [`FaultPlan`] — the scenario-level bundle wiring the three fault
@@ -25,9 +25,9 @@
 //!
 //! **Determinism contract.** Faults are as reproducible as everything
 //! else: the gate's drop pattern is fully determined by
-//! `(FaultPlan::seed, run seed, topology)`. When its router starts, the
+//! `(FaultPlan::seed, run seed, topology)`. When its trunk starts, the
 //! gate derives a private RNG by mixing the plan seed with one draw from
-//! the router's stream — the same derivation a run after `Sim::reset`
+//! the trunk's stream — the same derivation a run after `Sim::reset`
 //! repeats — so `reset(seed)` replays the exact drop pattern a fresh
 //! build at that seed would produce, while changing `FaultPlan::seed`
 //! re-randomizes the fault realization without touching traffic
@@ -260,7 +260,7 @@ struct GateStats {
 }
 
 /// Read-side handle to a [`LossyGate`]'s drop counters, usable after
-/// the simulation has run (the trunk router owns the gate).
+/// the simulation has run (the trunk owns the gate).
 #[derive(Debug, Clone)]
 pub struct FaultGateHandle {
     state: Rc<RefCell<GateStats>>,
@@ -304,8 +304,8 @@ impl FaultGateHandle {
 
 /// The drop decision of a lossy trunk: drops arrivals per an optional
 /// [`OutageSchedule`] (checked first — a down link loses everything)
-/// and an optional [`LossModel`]. Not a node: the trunk
-/// [`Router`](crate::router::Router) that owns it asks it about every
+/// and an optional [`LossModel`]. Not a node: the
+/// [`Trunk`](crate::trunk::Trunk) that owns it asks it about every
 /// arrival, in service order, and serves the survivors.
 #[derive(Debug)]
 pub struct LossyGate {
@@ -351,7 +351,7 @@ impl LossyGate {
     }
 
     /// Start the gate's private RNG from `draw`, one draw of the owning
-    /// router's per-(run seed, node index) stream, mixed with the plan
+    /// trunk's per-(run seed, node index) stream, mixed with the plan
     /// seed: changing either seed re-randomizes the drop pattern, and a
     /// run after `Sim::reset` re-derives the stream, so reset replays it
     /// bit-identically.
@@ -361,7 +361,7 @@ impl LossyGate {
     }
 
     /// Restore the construction-time RNG placeholder, chain state and
-    /// counters, so a never-started router is also bit-identical to a
+    /// counters, so a never-started trunk is also bit-identical to a
     /// fresh build.
     pub(crate) fn reset(&mut self) {
         self.rng = Xoshiro256StarStar::from_u64(splitmix64_mix(self.plan_seed));
@@ -492,7 +492,7 @@ mod tests {
     }
 
     /// Offers `total` arrivals, one per millisecond from 1 ms on, to a
-    /// gate started the way its router starts it (one draw of stream
+    /// gate started the way its trunk starts it (one draw of stream
     /// 0 under `seed`), and returns the gate's counters.
     fn run_gated(
         seed: u64,

@@ -16,12 +16,13 @@
 //!   forwards with finite egress bandwidth and propagation delay;
 //!   queueing behind cross traffic is exactly the paper's `δ_net`
 //!   disturbance (eq. 10) and drives the Fig. 6 / Fig. 8 results. Each
-//!   arrival computes its departure, so a hop costs one event, and a
-//!   router serves open-loop traffic of its own (lab cross traffic, an
-//!   aggregate trunk's flow cohorts) without any. An aggregate's trunk
-//!   router folds its far-end observer in place
-//!   ([`router::Router::observed`]), so its packets in flight are not
-//!   events either.
+//!   arrival computes its departure, so a hop costs one event, and a lab
+//!   router serves its cross traffic without any.
+//! * **Trunks** ([`trunk::Trunk`]) are an aggregate's shared link: the
+//!   same egress, serving the aggregate's flow cohorts without events,
+//!   deciding every arrival at an optional fault gate, and folding its
+//!   far-end observer in place, so its packets in flight are not events
+//!   either.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses. A
 //!   tap with no next hop is the capture-only endpoint of a path.
@@ -37,7 +38,7 @@
 //!   observation.
 //! * **Flow cohorts** ([`cohort::FlowCohort`]) generate K padded
 //!   flows' combined arrival process from one next-fire heap of member
-//!   runs, which the trunk router draws on demand instead of K gateways
+//!   runs, which the trunk draws on demand instead of K gateways
 //!   and no event at all — what takes aggregate scenarios from ~10⁴ to
 //!   10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
@@ -70,6 +71,7 @@ pub mod router;
 pub mod source;
 pub mod tap;
 pub mod time;
+pub mod trunk;
 
 pub use attr::{AttributionReport, AttributionRow, AttributionSampler};
 pub use cohort::{CohortHandle, CohortJitter, FlowCohort, LawSchedule, MemberSchedule};
@@ -85,3 +87,4 @@ pub use router::Router;
 pub use source::DistSource;
 pub use tap::{Tap, TapHandle};
 pub use time::{SimDuration, SimTime};
+pub use trunk::Trunk;

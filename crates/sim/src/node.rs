@@ -78,8 +78,8 @@ pub trait Node {
     /// A node that settles work later than the events which used to do
     /// it completes that work through `horizon` here, so what its
     /// handles read after a segment is what the per-event wiring would
-    /// have recorded. The trunk [`Router`](crate::router::Router) serves
-    /// its cohort traffic through `horizon`, drawing from the streams its
+    /// have recorded. The [`Trunk`](crate::trunk::Trunk) serves its
+    /// cohort traffic through `horizon`, drawing from the streams its
     /// cohorts own, and folds its far-end arrivals. There is no
     /// [`Context`]: the hook cannot schedule, send or draw from the
     /// node's engine stream. The default is a no-op.

@@ -24,10 +24,8 @@
 //! packet kinds or flow ids, so everything the [`ObserverHandle`]
 //! exposes is legitimately available to the adversary. A
 //! [`WindowedObserver`] node is a capture-only endpoint. An aggregate's
-//! trunk does not deliver to one: the trunk
-//! [`Router`](crate::router::Router) owns its observer and folds each
-//! packet's far-end arrival in place
-//! ([`Router::observed`](crate::router::Router::observed)).
+//! trunk does not deliver to one: the [`Trunk`](crate::trunk::Trunk)
+//! owns its observer and folds each packet's far-end arrival in place.
 
 use crate::engine::Context;
 use crate::fault::OutageSchedule;
@@ -204,7 +202,7 @@ impl ObserverState {
 
 /// Shared handle for reading what a [`WindowedObserver`] accumulated,
 /// usable after the simulation has run (the engine owns the node, or
-/// the observed [`Router`](crate::router::Router) that owns it).
+/// the [`Trunk`](crate::trunk::Trunk) that owns it).
 /// Single-threaded `Rc<RefCell<_>>` sharing, like
 /// [`TapHandle`](crate::tap::TapHandle).
 #[derive(Debug, Clone)]
@@ -298,11 +296,6 @@ impl ObserverHandle {
         })
     }
 
-    /// Pre-reserve window capacity for an expected observation span.
-    pub fn reserve(&self, windows: usize) {
-        self.state.borrow_mut().windows.reserve(windows);
-    }
-
     /// Drop everything observed so far (e.g. to discard a warm-up span).
     pub fn clear(&self) {
         self.state.borrow_mut().clear();
@@ -361,7 +354,7 @@ impl WindowedObserver {
 
     /// Fold and remove the leading `(instant, size)` arrivals of
     /// `arrivals` that fall at or before `horizon`, in order, under one
-    /// borrow: the trunk router's in-place far end.
+    /// borrow: the trunk's in-place far end.
     pub(crate) fn fold_through(&self, arrivals: &mut VecDeque<(SimTime, u32)>, horizon: SimTime) {
         let mut st = self.state.borrow_mut();
         while let Some(&(at, size_bytes)) = arrivals.front() {
@@ -379,15 +372,6 @@ impl Node for WindowedObserver {
         self.state
             .borrow_mut()
             .record(ctx.now(), packet.size_bytes, self.window_nanos);
-    }
-
-    fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
-        // Burst path: one state borrow for the whole batch.
-        let mut st = self.state.borrow_mut();
-        let now = ctx.now();
-        for packet in packets.drain(..) {
-            st.record(now, packet.size_bytes, self.window_nanos);
-        }
     }
 
     fn reset(&mut self) {

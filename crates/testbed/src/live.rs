@@ -13,7 +13,7 @@
 //! dummies.
 
 use crate::timer::sleep_until;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{bounded, unbounded, RecvTimeoutError};
 use linkpad_core::schedule::PaddingSchedule;
 use linkpad_core::wire;
 use linkpad_sim::packet::{FlowId, Packet, PacketKind};
@@ -57,6 +57,10 @@ impl Default for LiveConfig {
 pub struct LiveRunReport {
     /// Receiver-side PIATs, seconds (length = frames − 1).
     pub piats: Vec<f64>,
+    /// The gateway's scheduled send deadlines, one per frame, as offsets
+    /// from the start of the run: the designed timer law, free of host
+    /// jitter.
+    pub deadlines: Vec<Duration>,
     /// Payload frames decoded at the receiver.
     pub payload_received: u64,
     /// Dummy frames stripped at the receiver.
@@ -134,19 +138,14 @@ pub fn run_live(config: LiveConfig) -> Result<LiveRunReport, StatsError> {
             let mut rng = MasterSeed::new(config.seed).stream(0);
             let mut next_deadline =
                 start + Duration::from_secs_f64(schedule.next_interval_secs(&mut rng));
-            let mut payload_sent = 0u64;
-            let mut dummy_sent = 0u64;
+            let mut deadlines = Vec::with_capacity(config.count);
             for i in 0..config.count {
                 sleep_until(next_deadline);
-                let kind = match payload_rx.try_recv() {
-                    Ok(_enqueued_at) => {
-                        payload_sent += 1;
-                        PacketKind::Payload
-                    }
-                    Err(_) => {
-                        dummy_sent += 1;
-                        PacketKind::Dummy
-                    }
+                deadlines.push(next_deadline - start);
+                let kind = if payload_rx.try_recv().is_ok() {
+                    PacketKind::Payload
+                } else {
+                    PacketKind::Dummy
                 };
                 let pkt = Packet::new(
                     i as u64,
@@ -162,7 +161,7 @@ pub fn run_live(config: LiveConfig) -> Result<LiveRunReport, StatsError> {
                 next_deadline += Duration::from_secs_f64(schedule.next_interval_secs(&mut rng));
             }
             drop(wire_tx);
-            (payload_sent, dummy_sent)
+            deadlines
         });
 
         // Receiver + analyzer tap: timestamp on arrival, decode, strip.
@@ -191,7 +190,7 @@ pub fn run_live(config: LiveConfig) -> Result<LiveRunReport, StatsError> {
             (stamps, payload, dummies, errors)
         });
 
-        let (_payload_sent, _dummy_sent) = gw.join().expect("gateway thread panicked");
+        let deadlines = gw.join().expect("gateway thread panicked");
         let (stamps, payload, dummies, errors) = rx.join().expect("receiver thread panicked");
         let piats = stamps
             .windows(2)
@@ -199,6 +198,7 @@ pub fn run_live(config: LiveConfig) -> Result<LiveRunReport, StatsError> {
             .collect();
         Ok(LiveRunReport {
             piats,
+            deadlines,
             payload_received: payload,
             dummies_stripped: dummies,
             decode_errors: errors,
@@ -206,12 +206,6 @@ pub fn run_live(config: LiveConfig) -> Result<LiveRunReport, StatsError> {
         })
     })
 }
-
-/// Type used by channel plumbing above; re-exported for doc purposes.
-#[allow(dead_code)]
-type WireSender = Sender<bytes::Bytes>;
-#[allow(dead_code)]
-type WireReceiver = Receiver<bytes::Bytes>;
 
 #[cfg(test)]
 mod tests {
@@ -258,33 +252,55 @@ mod tests {
 
     #[test]
     fn vit_piats_are_much_more_variable_than_cit() {
-        let cit = run_live(LiveConfig {
-            tau: 0.002,
-            sigma_t: 0.0,
-            payload_rate: 0.0,
-            count: 250,
-            ..Default::default()
-        })
-        .unwrap();
-        let vit = run_live(LiveConfig {
-            tau: 0.002,
-            sigma_t: 0.001,
-            payload_rate: 0.0,
-            count: 250,
-            ..Default::default()
-        })
-        .unwrap();
-        let v_cit = sample_variance(&cit.piats).unwrap();
-        let v_vit = sample_variance(&vit.piats).unwrap();
-        // σ_T = 1 ms should dominate OS jitter even on noisy CI hosts
-        // (loaded single-core containers show ~300+ µs of ambient
-        // jitter, i.e. ambient variance above 1e-7).
+        let sigma_t = 0.001;
+        // Ten alternating pairs of 50-frame captures, 500 frames per
+        // arm, so that a change in host load hits both arms alike.
+        let (mut cit, mut vit) = (Vec::new(), Vec::new());
+        for seed in 0..10 {
+            for (sigma_t, arm) in [(0.0, &mut cit), (sigma_t, &mut vit)] {
+                arm.push(
+                    run_live(LiveConfig {
+                        tau: 0.002,
+                        sigma_t,
+                        payload_rate: 0.0,
+                        count: 50,
+                        seed,
+                        ..Default::default()
+                    })
+                    .unwrap(),
+                );
+            }
+        }
+        let gap_variance = |arm: &[LiveRunReport]| {
+            let gaps: Vec<f64> = arm
+                .iter()
+                .flat_map(|r| r.deadlines.windows(2).map(|w| (w[1] - w[0]).as_secs_f64()))
+                .collect();
+            sample_variance(&gaps).unwrap()
+        };
+        let piat_variance = |arm: &[LiveRunReport]| {
+            let piats: Vec<f64> = arm.iter().flat_map(|r| r.piats.iter().copied()).collect();
+            sample_variance(&piats).unwrap()
+        };
+        // The designed law, exactly: CIT deadlines sit τ apart, and VIT's
+        // seeded deadline gaps carry σ_T².
+        let tau = Duration::from_secs_f64(0.002);
+        for r in &cit {
+            assert!(r.deadlines.windows(2).all(|w| w[1] - w[0] == tau));
+        }
+        let (d_cit, d_vit) = (gap_variance(&cit), gap_variance(&vit));
+        assert!(d_vit > 4.0 * d_cit, "VIT deadline gaps {d_vit:e}");
+        assert!(d_vit > 0.25 * sigma_t.powi(2), "d_vit {d_vit:e}");
+        // The realized timing: σ_T = 1 ms should dominate OS jitter even
+        // on noisy CI hosts (loaded single-core containers show ~300+ µs
+        // of ambient jitter, i.e. ambient variance above 1e-7).
+        let (v_cit, v_vit) = (piat_variance(&cit), piat_variance(&vit));
         assert!(
             v_vit > 4.0 * v_cit,
             "VIT variance {v_vit:e} vs CIT {v_cit:e}"
         );
         // And is in the right ballpark of σ_T².
-        assert!(v_vit > 0.25 * 0.001f64.powi(2), "v_vit {v_vit:e}");
+        assert!(v_vit > 0.25 * sigma_t.powi(2), "v_vit {v_vit:e}");
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //!
 //! ```text
 //!  src_0 → GW1_0 → [tap@gw1] ─┐
-//!  src_1 → GW1_1 ─────────────┤   trunk router
+//!  src_1 → GW1_1 ─────────────┤   trunk
 //!   ...                       ├→ [far-end observer] → [tap@gw2] → GW2_0 → [subnet-b]
 //!  src_N → GW1_N ─────────────┘   (flows 1..N end here)
 //! ```
 //!
 //! Every flow `i` runs its own CIT/VIT padding sender gateway under
 //! `FlowId(i)`; all sender gateways feed one shared **trunk** (a FIFO
-//! router with configurable capacity and propagation). The trunk owns
+//! egress with configurable capacity and propagation). The trunk owns
 //! the **trunk observer** ([`WindowedObserver`], no flow filter) at the
-//! far end of its egress ([`Router::observed`]): it folds the aggregate
+//! far end of its egress ([`Trunk::new`]): it folds the aggregate
 //! arrival process into per-window statistics — the adversary's view of
 //! the shared link, in `O(windows)` memory — and ends every packet but
 //! the target's on arrival: nothing downstream of the trunk reads
@@ -36,7 +36,7 @@
 //! folds it.
 //!
 //! Cohort mode replaces the non-target senders with [`FlowCohort`]s that
-//! the trunk owns and draws on demand ([`Router::with_cohort`]): cohort
+//! the trunk owns and draws on demand ([`Trunk::with_cohort`]): cohort
 //! traffic is never an event, so a cohort shard dispatches only its
 //! target's path, and a shard without the target dispatches nothing.
 
@@ -50,10 +50,10 @@ use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::fault::{FaultPlan, LossyGate};
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::{FlowId, PacketKind};
-use linkpad_sim::router::Router;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::SimDuration;
+use linkpad_sim::trunk::Trunk;
 use linkpad_stats::rng::{splitmix64_mix, MasterSeed};
 use linkpad_stats::StatsError;
 
@@ -168,8 +168,9 @@ pub struct AggregateSpec {
     /// target handles read zero.
     pub flow_range: Option<(usize, usize)>,
     /// Fault injection: trunk loss/outages (a [`LossyGate`] the trunk
-    /// consults on every arrival) and observer measurement gaps. `None`
-    /// — and plans with no trunk axes set — give the trunk no gate.
+    /// consults on every arrival, [`Trunk::with_gate`]) and observer
+    /// measurement gaps. `None` — and plans with no trunk axes set — give
+    /// the trunk no gate.
     pub faults: Option<FaultPlan>,
 }
 
@@ -480,13 +481,12 @@ pub(crate) fn build_aggregate(
     if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
         observer = observer.with_gaps(gaps);
     }
-    let mut trunk = Router::observed(
+    let mut trunk = Trunk::new(
         observer,
         target_next,
         spec.trunk_bps,
         SimDuration::from_secs_f64(spec.trunk_propagation),
-    )
-    .with_label("trunk");
+    );
     let mut fault_gate = None;
     if let Some((handle, gate)) = gate {
         trunk = trunk.with_gate(gate);

@@ -12,36 +12,22 @@
 use linkpad_stats::dist::{Categorical, ContinuousDist, Exponential, Pareto};
 use linkpad_stats::StatsError;
 
-/// A packet-size mixture for cross traffic.
+/// The packet-size mixture of cross traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeMix {
     /// Internet-like trimodal mix: 40% 64 B (ACKs), 35% 550 B, 25% 1500 B.
     InternetTrimodal,
-    /// All packets 1500 B (bulk transfer).
-    Bulk1500,
-    /// All packets 64 B (interactive).
-    Interactive64,
 }
 
 impl SizeMix {
     /// Materialize the size distribution (bytes).
     pub fn law(&self) -> Result<Categorical, StatsError> {
-        match self {
-            SizeMix::InternetTrimodal => {
-                Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
-            }
-            SizeMix::Bulk1500 => Categorical::new(&[(1500.0, 1.0)]),
-            SizeMix::Interactive64 => Categorical::new(&[(64.0, 1.0)]),
-        }
+        Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
     }
 
     /// Mean packet size in bytes.
     pub fn mean_bytes(&self) -> f64 {
-        match self {
-            SizeMix::InternetTrimodal => 64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25,
-            SizeMix::Bulk1500 => 1500.0,
-            SizeMix::Interactive64 => 64.0,
-        }
+        64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25
     }
 }
 
@@ -163,7 +149,6 @@ mod tests {
     #[test]
     fn size_mix_means() {
         assert!((SizeMix::InternetTrimodal.mean_bytes() - 593.1).abs() < 0.2);
-        assert_eq!(SizeMix::Bulk1500.mean_bytes(), 1500.0);
         let law = SizeMix::InternetTrimodal.law().unwrap();
         assert!((law.mean() - SizeMix::InternetTrimodal.mean_bytes()).abs() < 1e-9);
     }

@@ -169,7 +169,6 @@ pub struct ScenarioBuilder {
     schedule: ScheduleSpec,
     payload_model: PayloadModel,
     hops: Vec<HopSpec>,
-    size_mix: SizeMix,
     hop_propagation: f64,
     /// Capacity of the shared hop links (bits/s). Defaults to the
     /// calibrated lab value; campus/wan presets use faster links.
@@ -201,7 +200,6 @@ impl ScenarioBuilder {
             schedule: ScheduleSpec::Cit,
             payload_model: PayloadModel::Fixed,
             hops: vec![HopSpec::quiet()],
-            size_mix: SizeMix::InternetTrimodal,
             hop_propagation: 0.5e-3,
             hop_link_bps: defaults.link_bps,
             discipline: defaults.discipline,
@@ -397,12 +395,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cross-traffic packet-size mix.
-    pub fn with_size_mix(mut self, mix: SizeMix) -> Self {
-        self.size_mix = mix;
-        self
-    }
-
     /// Gateway timer discipline (ablation).
     pub fn with_discipline(mut self, discipline: TimerDiscipline) -> Self {
         self.discipline = discipline;
@@ -501,7 +493,7 @@ impl ScenarioBuilder {
                     next_for_padded,
                     self.hop_link_bps,
                     hop.utilization,
-                    self.size_mix.mean_bytes(),
+                    SizeMix::InternetTrimodal.mean_bytes(),
                     SimDuration::from_secs_f64(self.hop_propagation),
                 )?;
                 next_for_padded = b.add_node(Box::new(bg.with_label(format!("bg-hop-{i}"))));
@@ -517,11 +509,11 @@ impl ScenarioBuilder {
                 let rate = cross_rate_for_utilization(
                     hop.utilization,
                     self.hop_link_bps,
-                    self.size_mix.mean_bytes(),
+                    SizeMix::InternetTrimodal.mean_bytes(),
                 )?;
                 router = router.with_cross_traffic(
                     cross_interval_law(rate, hop.bursty)?,
-                    Box::new(self.size_mix.law()?),
+                    Box::new(SizeMix::InternetTrimodal.law()?),
                 )?;
             }
             next_for_padded = b.add_node(Box::new(router));

@@ -26,9 +26,9 @@ use linkpad_sim::cohort::{CohortJitter, FlowCohort, LawSchedule, MemberSchedule}
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::FlowId;
-use linkpad_sim::router::Router;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::{SimDuration, SimTime};
+use linkpad_sim::trunk::Trunk;
 use linkpad_stats::rng::MasterSeed;
 
 const TAU: f64 = 0.010;
@@ -160,7 +160,7 @@ fn observer_view_of_cohort_matches_gateway_fanin() {
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(3));
         let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
-        let trunk = Router::observed(node, None, 100e6, SimDuration::ZERO);
+        let trunk = Trunk::new(node, None, 100e6, SimDuration::ZERO);
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();
             let (_, cohort) = FlowCohort::new(&sd, 500, cit());

@@ -26,8 +26,8 @@ use linkpad_sim::cohort::FlowCohort;
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::observer::{ObserverHandle, WindowedObserver};
 use linkpad_sim::packet::FlowId;
-use linkpad_sim::router::Router;
 use linkpad_sim::time::{SimDuration, SimTime};
+use linkpad_sim::trunk::Trunk;
 use linkpad_stats::moments::{sample_mean, sample_variance};
 use linkpad_stats::rng::MasterSeed;
 use linkpad_workloads::aggregate::PhaseSpec;
@@ -76,7 +76,7 @@ fn observer_run(
 ) -> ObserverHandle {
     let mut b = SimBuilder::new(MasterSeed::new(seed));
     let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(100.0));
-    let trunk = Router::observed(node, None, 100e6, SimDuration::ZERO);
+    let trunk = Trunk::new(node, None, 100e6, SimDuration::ZERO);
     if use_cohort {
         let sd: Vec<SimDuration> = phases_ns
             .iter()

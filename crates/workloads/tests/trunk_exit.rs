@@ -1,14 +1,15 @@
-//! An aggregate's trunk router serves its cohorts on demand, folds every
-//! packet's far-end arrival into its observer in place and forwards only
-//! the target flow. This test keeps the per-event wiring as the
-//! reference model — every cohort packet an engine delivery to a plain
-//! trunk router, which delivers every packet to a capture-only observer
-//! and to a demux that routes each per-flow packet to its own receiver
-//! and absorbs cohort packets — and checks in both aggregate modes,
-//! after each of 2 140 run slices whose bounds sweep the tick cycle
-//! (many of them while packets are in propagation), that the trunk view
-//! and the target flow's receive side are bit-identical to it, at
-//! exactly the dispatches the reference's extra events add.
+//! An aggregate's [`Trunk`](linkpad_sim::trunk::Trunk) serves its
+//! cohorts on demand, folds every packet's far-end arrival into its
+//! observer in place and forwards only the target flow. This test keeps
+//! the per-event wiring as the reference model — every cohort packet an
+//! engine delivery to a plain trunk router, which delivers every packet
+//! to a capture-only observer and to a demux that routes each per-flow
+//! packet to its own receiver and absorbs cohort packets — and checks
+//! in both aggregate modes, after each of 2 140 run slices whose bounds
+//! sweep the tick cycle (many of them while packets are in propagation),
+//! that the trunk view and the target flow's receive side are
+//! bit-identical to it, at exactly the dispatches the reference's extra
+//! events add.
 
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad_sim::cohort::{CohortJitter, FlowCohort};

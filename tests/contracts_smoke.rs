@@ -2,7 +2,7 @@
 //! bit-for-bit. The member crates' suites sweep each contract over every
 //! scenario family and defense; this file keeps one small case of each in
 //! the facade suite, and every case routes its traffic through a
-//! [`Router`]:
+//! [`Router`] or a [`Trunk`]:
 //!
 //! 1. `reset(s)` ≡ a fresh build, on the lab at 45 % cross traffic;
 //! 2. routers that draw their cross traffic lazily ≡ the per-packet
@@ -24,6 +24,7 @@ use linkpad::sim::packet::{FlowId, Packet, PacketKind};
 use linkpad::sim::router::Router;
 use linkpad::sim::source::DistSource;
 use linkpad::sim::tap::{Tap, TapHandle};
+use linkpad::sim::trunk::Trunk;
 use linkpad::stats::dist::{ContinuousDist, Deterministic};
 use linkpad::stats::rng::Xoshiro256StarStar;
 use linkpad::workloads::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
@@ -245,7 +246,7 @@ fn lazy_cross_traffic_equals_eager_sources_on_the_same_draws() {
 #[test]
 fn one_shard_run_equals_the_unsharded_sim() {
     // Ten synchronized flows burst 5 kB into a 10 Mb/s trunk every τ, so
-    // the trunk router queues on every tick.
+    // the trunk queues on every tick.
     let secs = 1.5;
     let builder = ScenarioBuilder::aggregate(61, 10)
         .with_payload_rate(10.0)
@@ -281,7 +282,7 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
     let run = |use_cohort: bool| {
         let mut b = SimBuilder::new(MasterSeed::new(5));
         let (obs, node) = WindowedObserver::new(SimDuration::from_millis_f64(50.0));
-        let trunk = Router::observed(node, None, 8e6, SimDuration::from_millis_f64(1.0));
+        let trunk = Trunk::new(node, None, 8e6, SimDuration::from_millis_f64(1.0));
         let cit = || PaddingSchedule::cit(TAU).expect("cit");
         if use_cohort {
             let law = Box::new(LawSchedule::new(cit().into_law()));
