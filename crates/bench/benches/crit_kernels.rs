@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use linkpad_adversary::classifier::KdeBayes;
 use linkpad_adversary::feature::{Feature, SampleEntropy, SampleVariance};
-use linkpad_bench::perf::{heap_reference_events_per_sec, sim_events_per_sec};
+use linkpad_bench::perf::sim_events_per_sec;
 use linkpad_stats::kde::GaussianKde;
 use linkpad_stats::moments::RunningMoments;
 use linkpad_stats::normal::Normal;
@@ -20,17 +20,11 @@ fn synthetic_piats(count: usize, sigma: f64, seed: u64) -> Vec<f64> {
 }
 
 fn bench_event_loop(c: &mut Criterion) {
-    // The engine-rewrite acceptance pair: identical timer+delivery
-    // workload on the ladder-queue engine and on a faithful replica of
-    // the old BinaryHeap engine. The large-pending shape is store-bound
-    // (where the ladder's O(1)-amortized ordering pays); the small shape
-    // is dispatch-bound and roughly ties.
+    // Timer+delivery dispatch at a small pending population (every
+    // scenario's regime) and a large one (a store-bound stress shape).
     for pending in [4_096usize, 262_144] {
-        c.bench_function(&format!("engine/ladder_queue_{pending}_pending"), |b| {
+        c.bench_function(&format!("engine/event_loop_{pending}_pending"), |b| {
             b.iter(|| black_box(sim_events_per_sec(400_000, pending)))
-        });
-        c.bench_function(&format!("engine/heap_reference_{pending}_pending"), |b| {
-            b.iter(|| black_box(heap_reference_events_per_sec(400_000, pending)))
         });
     }
 }

@@ -44,13 +44,13 @@
 use linkpad_adversary::aggregate::{best_phase, estimate_flow_count};
 use linkpad_adversary::feature::SampleMean;
 use linkpad_adversary::pipeline::DetectionStudy;
+use linkpad_bench::args::RunArgs;
 use linkpad_bench::runner::Budget;
 use linkpad_bench::table::{fmt_rate, Table};
 use linkpad_obs::EventLog;
 use linkpad_sim::time::SimTime;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::ShardedAggregate;
-use std::path::PathBuf;
 
 /// Low/high payload rates of the switching target (the paper's ω pair).
 const RATES: [f64; 2] = [10.0, 40.0];
@@ -58,32 +58,8 @@ const RATES: [f64; 2] = [10.0, 40.0];
 const DWELL: f64 = 5.0;
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut trace_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" | "--trace" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) if arg == "--events" => events_path = Some(PathBuf::from(p)),
-                Some(p) => trace_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_aggregate_adversary: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_aggregate_adversary: unknown argument {other:?}");
-                eprintln!(
-                    "usage: fig_aggregate_adversary [--report <path>] [--events <path>] \
-                     [--trace <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some() || trace_path.is_some();
+    let args = RunArgs::from_env("fig_aggregate_adversary", true);
+    let observing = args.observing();
     let mut log = EventLog::new();
 
     let budget = Budget::from_env();
@@ -109,10 +85,10 @@ fn main() {
         // One shard reproduces the plain single sim bit-for-bit while
         // carrying the manifest/profile/trace plumbing.
         let mut sharded = ShardedAggregate::new(b).expect("one-shard configuration valid");
-        if report_path.is_some() {
+        if args.report.is_some() {
             sharded = sharded.with_profiling();
         }
-        if trace_path.is_some() {
+        if args.trace.is_some() {
             sharded = sharded.with_tracing();
         }
         let sim_secs = window * (skip + measured + 1) as f64;
@@ -149,15 +125,15 @@ fn main() {
     est_table.print();
     est_table.save_csv("fig_aggregate_flow_count").unwrap();
     println!("✓ flow-count estimate within ±10% for N ∈ {{10, 100, 1000}}");
-    if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
+    if let (Some(path), Some(manifest)) = (&args.report, &manifest) {
         std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &args.events {
         log.write_jsonl(path).expect("write harness event log");
         println!("wrote harness event log to {}", path.display());
     }
-    if let Some(path) = &trace_path {
+    if let Some(path) = &args.trace {
         let report = trace.as_ref().expect("tracing was enabled for part 1");
         std::fs::write(path, report.chrome_trace_json()).expect("write chrome trace");
         println!(

@@ -42,6 +42,7 @@
 use linkpad_adversary::aggregate::{
     estimate_flow_count, estimate_flow_count_from_bytes, estimate_flow_count_from_bytes_gap_aware,
 };
+use linkpad_bench::args::RunArgs;
 use linkpad_bench::perf::{defense_grid, provisioned_trunk_bps};
 use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
@@ -52,7 +53,6 @@ use linkpad_workloads::aggregate::PhaseSpec;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::{ShardedAggregate, ShardedRun};
 use linkpad_workloads::spec::{PayloadModel, ScheduleSpec};
-use std::path::PathBuf;
 
 /// The ISSUE gate's N.
 const FLOWS: usize = 10_000;
@@ -98,27 +98,8 @@ fn byte_series(run: &ShardedRun, window: f64) -> (Vec<f64>, Vec<f64>) {
 }
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) => events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_defense_matrix: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_defense_matrix: unknown argument {other:?}");
-                eprintln!("usage: fig_defense_matrix [--report <path>] [--events <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some();
+    let args = RunArgs::from_env("fig_defense_matrix", false);
+    let observing = args.observing();
     let mut log = EventLog::new();
 
     let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
@@ -167,7 +148,7 @@ fn main() {
             payload,
         ))
         .expect("sharded configuration valid");
-        if report_path.is_some() && label == "adaptive" {
+        if args.report.is_some() && label == "adaptive" {
             sharded = sharded.with_profiling();
         }
         let run = if observing {
@@ -345,11 +326,11 @@ fn main() {
     gap_table.print();
     gap_table.save_csv("fig_defense_matrix_gaps").unwrap();
 
-    if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
+    if let (Some(path), Some(manifest)) = (&args.report, &manifest) {
         std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &args.events {
         log.write_jsonl(path).expect("write harness event log");
     }
     println!(

@@ -46,6 +46,7 @@
 //! [`FaultPlan`]: linkpad_sim::fault::FaultPlan
 
 use linkpad_adversary::aggregate::{estimate_flow_count, estimate_flow_count_gap_aware};
+use linkpad_bench::args::RunArgs;
 use linkpad_bench::perf::provisioned_trunk_bps;
 use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
@@ -56,7 +57,6 @@ use linkpad_sim::observer::WindowStats;
 use linkpad_sim::time::SimDuration;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::ShardedAggregate;
-use std::path::PathBuf;
 
 /// Flows in the estimation-accuracy table (the ISSUE gate's N).
 const FLOWS: usize = 10_000;
@@ -135,27 +135,8 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 }
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) => events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_fault_robustness: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_fault_robustness: unknown argument {other:?}");
-                eprintln!("usage: fig_fault_robustness [--report <path>] [--events <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some();
+    let args = RunArgs::from_env("fig_fault_robustness", false);
+    let observing = args.observing();
     let mut log = EventLog::new();
 
     let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
@@ -371,7 +352,7 @@ fn main() {
     let mut bounded_agg = ShardedAggregate::new(h_builder())
         .expect("sharded configuration valid")
         .with_watchdog(Some(budget), None);
-    if report_path.is_some() {
+    if args.report.is_some() {
         bounded_agg = bounded_agg.with_profiling();
     }
     let bounded = if observing {
@@ -408,7 +389,7 @@ fn main() {
         ),
     ]);
 
-    if let Some(path) = &report_path {
+    if let Some(path) = &args.report {
         let manifest = bounded_agg.manifest("fig_fault_robustness", &bounded);
         let doc = Json::parse(&manifest).expect("the manifest is valid JSON");
         assert_eq!(
@@ -419,7 +400,7 @@ fn main() {
         std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest (truncated run) to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &args.events {
         log.write_jsonl(path).expect("write harness event log");
         println!("wrote harness event log to {}", path.display());
     }

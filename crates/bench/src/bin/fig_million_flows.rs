@@ -36,6 +36,7 @@
 //!   observer gaps) for every sharded run in this binary, as JSONL.
 
 use linkpad_adversary::aggregate::estimate_flow_count;
+use linkpad_bench::args::RunArgs;
 use linkpad_bench::perf::provisioned_trunk_bps;
 use linkpad_bench::runner::Budget;
 use linkpad_bench::table::Table;
@@ -43,7 +44,6 @@ use linkpad_obs::EventLog;
 use linkpad_workloads::aggregate::PhaseSpec;
 use linkpad_workloads::scenario::ScenarioBuilder;
 use linkpad_workloads::shard::ShardedAggregate;
-use std::path::PathBuf;
 
 /// Flows per cohort: 10⁶ flows ≈ 10³ cohorts per run.
 const COHORT: usize = 1_024;
@@ -79,27 +79,8 @@ fn sharded_builder(seed: u64, flows: usize, shards: usize, window: f64) -> Scena
 }
 
 fn main() {
-    let mut report_path: Option<PathBuf> = None;
-    let mut events_path: Option<PathBuf> = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--report" | "--events" => match argv.next() {
-                Some(p) if arg == "--report" => report_path = Some(PathBuf::from(p)),
-                Some(p) => events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fig_million_flows: {arg} needs a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("fig_million_flows: unknown argument {other:?}");
-                eprintln!("usage: fig_million_flows [--report <path>] [--events <path>]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let observing = report_path.is_some() || events_path.is_some();
+    let args = RunArgs::from_env("fig_million_flows", false);
+    let observing = args.observing();
     let mut log = EventLog::new();
 
     let quick = Budget::from_env() == Budget::from_scale(Some("quick"));
@@ -134,7 +115,7 @@ fn main() {
         let sim_secs = window * (SKIP + MEASURED + 1) as f64;
         let mut sharded = ShardedAggregate::new(sharded_builder(977 + n as u64, n, shards, window))
             .expect("sharded configuration valid");
-        if report_path.is_some() {
+        if args.report.is_some() {
             sharded = sharded.with_profiling();
         }
         let run = if observing {
@@ -252,11 +233,11 @@ fn main() {
             );
         }
     }
-    if let (Some(path), Some(manifest)) = (&report_path, &manifest) {
+    if let (Some(path), Some(manifest)) = (&args.report, &manifest) {
         std::fs::write(path, manifest).expect("write run manifest");
         println!("wrote run manifest to {}", path.display());
     }
-    if let Some(path) = &events_path {
+    if let Some(path) = &args.events {
         log.write_jsonl(path).expect("write harness event log");
         println!("wrote harness event log to {}", path.display());
     }

@@ -16,9 +16,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod perf;
 pub mod runner;
 pub mod table;
 
+pub use args::RunArgs;
 pub use runner::{collect_piats_parallel, detection_for, Budget, CollectionError};
 pub use table::{write_csv, Table};

@@ -2,20 +2,11 @@
 //! (`benches/crit_kernels.rs`), and the experiment policies linkbench and
 //! the fig bins share.
 //!
-//! Workload: `pending` concurrent self-re-arming timers with co-prime
-//! periods; every fire also sends one packet to a sink. That is the
-//! gateway-tick shape every scenario in this workspace reduces to, and it
-//! keeps `pending × 2` events resident in the event store — the regime
-//! where the store's asymptotics dominate.
-//!
-//! Two implementations run the identical workload:
-//!
-//! * [`sim_events_per_sec`] — the real `linkpad-sim` engine (calendar
-//!   queue + slab arena).
-//! * [`heap_reference_events_per_sec`] — a faithful replica of the
-//!   pre-rewrite engine: `BinaryHeap<HeapEntry>` with the packet payload
-//!   inline in the heap nodes and the same `(time, seq)` FIFO ordering,
-//!   driving the same boxed-trait-object dispatch.
+//! Workload ([`sim_events_per_sec`]): `pending` concurrent
+//! self-re-arming timers with co-prime periods; every fire also sends
+//! one packet to a sink, keeping `pending × 2` events resident in the
+//! event store. It measures the engine's dispatch loop and store at a
+//! chosen pending population.
 //!
 //! The policies, [`provisioned_trunk_bps`] and [`defense_grid`], are one
 //! definition each so every caller measures the same configurations.
@@ -25,8 +16,6 @@ use linkpad_sim::node::{Node, NodeId};
 use linkpad_sim::packet::{FlowId, Packet, PacketKind};
 use linkpad_sim::time::{SimDuration, SimTime};
 use linkpad_stats::rng::MasterSeed;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Spread of bench timer periods (ns): co-prime-ish steps over ~1 decade
@@ -92,162 +81,6 @@ pub fn sim_events_per_sec(events: u64, pending: usize) -> f64 {
     total as f64 / elapsed
 }
 
-// ---- The pre-rewrite reference engine ---------------------------------
-
-enum RefEventKind {
-    Deliver(Packet),
-    // The tag payload mirrors the old engine's entry layout (it sized
-    // the enum); the reference workload never reads it.
-    Timer(#[allow(dead_code)] u64),
-}
-
-struct HeapEntry {
-    time: SimTime,
-    seq: u64,
-    target: usize,
-    kind: RefEventKind,
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-/// Node interface of the reference engine (boxed dyn dispatch, like the
-/// real one).
-trait RefNode {
-    fn on_timer(&mut self, ctx: &mut RefCtx<'_>);
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut RefCtx<'_>);
-}
-
-struct RefCtx<'a> {
-    now: SimTime,
-    self_id: usize,
-    heap: &'a mut BinaryHeap<HeapEntry>,
-    seq: &'a mut u64,
-    next_packet_id: &'a mut u64,
-}
-
-impl RefCtx<'_> {
-    fn schedule_timer(&mut self, delay: SimDuration) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.heap.push(HeapEntry {
-            time: self.now + delay,
-            seq,
-            target: self.self_id,
-            kind: RefEventKind::Timer(0),
-        });
-    }
-    fn send_after(&mut self, delay: SimDuration, dst: usize, pkt: Packet) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.heap.push(HeapEntry {
-            time: self.now + delay,
-            seq,
-            target: dst,
-            kind: RefEventKind::Deliver(pkt),
-        });
-    }
-    fn spawn_packet(&mut self) -> Packet {
-        let id = *self.next_packet_id;
-        *self.next_packet_id += 1;
-        Packet::new(id, FlowId::PADDED, PacketKind::Dummy, 500, self.now)
-    }
-}
-
-struct RefTicker {
-    sink: usize,
-    period: SimDuration,
-    remaining: u64,
-}
-
-impl RefNode for RefTicker {
-    fn on_timer(&mut self, ctx: &mut RefCtx<'_>) {
-        let pkt = ctx.spawn_packet();
-        ctx.send_after(SimDuration::from_nanos(500), self.sink, pkt);
-        self.remaining -= 1;
-        if self.remaining > 0 {
-            ctx.schedule_timer(self.period);
-        }
-    }
-    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut RefCtx<'_>) {}
-}
-
-struct RefSink {
-    received: u64,
-}
-
-impl RefNode for RefSink {
-    fn on_timer(&mut self, _ctx: &mut RefCtx<'_>) {}
-    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut RefCtx<'_>) {
-        self.received += 1;
-    }
-}
-
-/// Run the identical timer workload on the `BinaryHeap` reference
-/// engine; returns events/sec.
-pub fn heap_reference_events_per_sec(events: u64, pending: usize) -> f64 {
-    let (fires, total) = workload_events(events, pending);
-    let mut nodes: Vec<Box<dyn RefNode>> = Vec::with_capacity(pending + 1);
-    nodes.push(Box::new(RefSink { received: 0 }));
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut next_packet_id = 0u64;
-    for i in 0..pending {
-        nodes.push(Box::new(RefTicker {
-            sink: 0,
-            period: SimDuration::from_nanos(period_ns(i)),
-            remaining: fires,
-        }));
-        // on_start equivalent: arm the first tick.
-        heap.push(HeapEntry {
-            time: SimTime::ZERO + SimDuration::from_nanos(period_ns(i)),
-            seq,
-            target: i + 1,
-            kind: RefEventKind::Timer(0),
-        });
-        seq += 1;
-    }
-
-    let start = Instant::now();
-    let mut processed = 0u64;
-    while let Some(entry) = heap.pop() {
-        let mut ctx = RefCtx {
-            now: entry.time,
-            self_id: entry.target,
-            heap: &mut heap,
-            seq: &mut seq,
-            next_packet_id: &mut next_packet_id,
-        };
-        // Mirror the old engine: one boxed virtual call per event.
-        let node = &mut nodes[entry.target];
-        match entry.kind {
-            RefEventKind::Timer(_) => node.on_timer(&mut ctx),
-            RefEventKind::Deliver(pkt) => node.on_packet(pkt, &mut ctx),
-        }
-        processed += 1;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    assert_eq!(processed, total, "reference processed the whole workload");
-    total as f64 / elapsed
-}
-
 // ---- Shared experiment policies ---------------------------------------
 
 /// Trunk capacity for a cohort-scale aggregate of `flows` CIT flows:
@@ -295,11 +128,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_engines_complete_the_same_workload() {
+    fn the_engine_completes_the_workload() {
         // Tiny shape: correctness only, not timing.
-        let eps_new = sim_events_per_sec(2_000, 16);
-        let eps_ref = heap_reference_events_per_sec(2_000, 16);
-        assert!(eps_new > 0.0 && eps_ref > 0.0);
+        assert!(sim_events_per_sec(2_000, 16) > 0.0);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! (2) Otherwise, a dummy packet is transmitted to GW2."*
 //!
 //! [`SenderGateway`] implements that algorithm on top of a
-//! [`LinkSchedule`] — a stateless [`PaddingSchedule`](crate::schedule::PaddingSchedule) law (CIT/VIT/
-//! constant-rate) or the stateful adaptive-padding machine — and a
-//! [`GatewayJitterModel`] (δ_gw). The timer can run in two disciplines:
+//! [`PaddingClock`]: a [`LinkSchedule`] — a stateless
+//! [`PaddingSchedule`](crate::schedule::PaddingSchedule) law
+//! (CIT/VIT/constant-rate) or the stateful adaptive-padding machine —
+//! and a [`GatewayJitterModel`] (δ_gw). The timer can run in two
+//! disciplines:
 //!
 //! * [`TimerDiscipline::Absolute`] — a periodic interrupt: tick *i* fires
 //!   at the nominal instant `Σ T_j`; jitter shifts only the transmission.
@@ -27,6 +29,7 @@
 //! [`ReceiverGateway`] strips dummies and delivers payload to the
 //! protected subnet, completing the end-to-end QoS measurement.
 
+use crate::clock::PaddingClock;
 use crate::jitter::GatewayJitterModel;
 use crate::schedule::LinkSchedule;
 use linkpad_sim::engine::Context;
@@ -105,28 +108,13 @@ impl GatewayHandle {
 
 /// The sender gateway GW1.
 pub struct SenderGateway {
-    schedule: LinkSchedule,
-    jitter: GatewayJitterModel,
-    discipline: TimerDiscipline,
+    /// The padding timer: schedule, discipline, δ_gw, start phase and
+    /// wire size.
+    clock: PaddingClock,
     next: NodeId,
     /// Flow identity of the padded stream this gateway emits. Defaults
-    /// to [`FlowId::PADDED`]; aggregate scenarios give each non-target
-    /// gateway its own flow, which the trunk observer ends once
-    /// recorded.
+    /// to [`FlowId::PADDED`].
     flow: FlowId,
-    /// Constant on-the-wire size of every padded packet (threat model
-    /// remark 3: all packets look identical).
-    packet_size: u32,
-    /// Wire-size law for variable-payload defences: when set, each
-    /// emission samples its on-the-wire size (floored to whole bytes,
-    /// min 1) instead of using the constant `packet_size`. Deterministic
-    /// laws (fixed, MTU-padded) make zero RNG draws.
-    size_law: Option<Box<dyn ContinuousDist>>,
-    /// Clock start offset: the first timer interval is measured from
-    /// `start_phase` instead of simulation time zero, so the tick grid
-    /// sits at `start_phase + Σ Tⱼ`. Desynchronized gateway deployments
-    /// (ROADMAP: staggered padding clocks) differ only in this phase.
-    start_phase: SimDuration,
     /// Optional bound on the payload queue (failure injection / memory
     /// safety in long runs). `None` = unbounded.
     queue_capacity: Option<usize>,
@@ -153,14 +141,9 @@ impl SenderGateway {
                 stats: Rc::clone(&stats),
             },
             Self {
-                schedule: schedule.into(),
-                jitter,
-                discipline: TimerDiscipline::Absolute,
+                clock: PaddingClock::new(schedule, jitter, packet_size),
                 next,
                 flow: FlowId::PADDED,
-                packet_size,
-                size_law: None,
-                start_phase: SimDuration::ZERO,
                 queue_capacity: None,
                 queue: VecDeque::new(),
                 arrivals_since_tick: 0,
@@ -172,12 +155,12 @@ impl SenderGateway {
 
     /// Select the timer discipline (default [`TimerDiscipline::Absolute`]).
     pub fn with_discipline(mut self, discipline: TimerDiscipline) -> Self {
-        self.discipline = discipline;
+        self.clock = self.clock.with_discipline(discipline);
         self
     }
 
     /// Emit the padded stream under a specific flow id (default
-    /// [`FlowId::PADDED`]) — used by aggregate many-gateway scenarios.
+    /// [`FlowId::PADDED`]).
     pub fn with_flow(mut self, flow: FlowId) -> Self {
         self.flow = flow;
         self
@@ -190,7 +173,7 @@ impl SenderGateway {
     /// sharing one τ grid. Default [`SimDuration::ZERO`] (the historical
     /// synchronized behavior).
     pub fn with_start_phase(mut self, phase: SimDuration) -> Self {
-        self.start_phase = phase;
+        self.clock = self.clock.with_start_phase(phase);
         self
     }
 
@@ -208,75 +191,43 @@ impl SenderGateway {
 
     /// The configured schedule.
     pub fn schedule(&self) -> &LinkSchedule {
-        &self.schedule
+        self.clock.schedule()
     }
 
     /// Install a wire-size law for variable-payload defences (default:
     /// every packet is exactly `packet_size`).
     pub fn with_packet_size_law(mut self, law: Box<dyn ContinuousDist>) -> Self {
-        self.size_law = Some(law);
+        self.clock = self.clock.with_packet_size_law(law);
         self
     }
 
-    /// Wire size of the next emission (a draw under a size law, else
-    /// the constant configured size).
-    #[inline]
-    fn sample_size(
-        size_law: &Option<Box<dyn ContinuousDist>>,
-        packet_size: u32,
-        ctx: &mut Context<'_>,
-    ) -> u32 {
-        match size_law {
-            Some(law) => law.sample(ctx.rng).floor().max(1.0) as u32,
-            None => packet_size,
-        }
-    }
-
     fn emit(&mut self, ctx: &mut Context<'_>) {
+        // δ_gw for this tick is driven by payload arrivals during the
+        // period just ended (NIC interrupts blocking the timer
+        // interrupt); the clock draws it, the wire size and the next
+        // interval, in that order.
+        let tick = self.clock.tick(self.arrivals_since_tick, ctx.rng);
+        self.arrivals_since_tick = 0;
         let mut st = self.stats.borrow_mut();
         st.ticks += 1;
-
-        // δ_gw for this tick: driven by payload arrivals during the
-        // period just ended (NIC interrupts blocking the timer interrupt).
-        let delay = self
-            .jitter
-            .sample_tick_delay(self.arrivals_since_tick, ctx.rng);
-        self.arrivals_since_tick = 0;
-        st.tick_delay.push(delay);
-
-        // Fixed pipeline offset keeps the (possibly negative) zero-mean
-        // jitter causal; being constant, it shifts every timestamp equally
-        // and is invisible in inter-arrival times.
-        let send_delay = (self.jitter.pipeline_offset() + delay).max(0.0);
-
-        // Per-emission draw order: tick δ (above), wire size, next
-        // interval (below) — documented so determinism tests can reason
-        // about the RNG stream.
-        let size = Self::sample_size(&self.size_law, self.packet_size, ctx);
+        st.tick_delay.push(tick.delay);
         let out = if let Some(payload) = self.queue.pop_front() {
             st.payload_sent += 1;
             st.queue_wait
                 .push(ctx.now().saturating_since(payload.enqueued).as_secs_f64());
-            let mut p = ctx.spawn_packet(self.flow, PacketKind::Payload, size);
+            let mut p = ctx.spawn_packet(self.flow, PacketKind::Payload, tick.size);
             // Preserve when the payload entered the gateway so the far
             // sink can measure end-to-end padding delay.
             p.enqueued = payload.enqueued;
             p
         } else {
             st.dummy_sent += 1;
-            ctx.spawn_packet(self.flow, PacketKind::Dummy, size)
+            ctx.spawn_packet(self.flow, PacketKind::Dummy, tick.size)
         };
         drop(st);
 
-        ctx.send_after(SimDuration::from_secs_f64(send_delay), self.next, out);
-
-        // Arm the next tick.
-        let interval = self.schedule.next_interval_secs(ctx.rng);
-        let rearm = match self.discipline {
-            TimerDiscipline::Absolute => interval,
-            TimerDiscipline::Relative => interval + send_delay,
-        };
-        ctx.schedule_timer(SimDuration::from_secs_f64(rearm), TICK);
+        ctx.send_after(tick.send_delay, self.next, out);
+        ctx.schedule_timer(tick.rearm, TICK);
     }
 }
 
@@ -286,7 +237,7 @@ impl Node for SenderGateway {
         self.arrivals_since_tick = self.arrivals_since_tick.saturating_add(1);
         // Reactive adaptive padding opens a fresh burst on client
         // traffic (no-op for laws and non-reactive machines).
-        self.schedule.notify_client_arrival();
+        self.clock.notify_client_arrival();
         packet.enqueued = ctx.now();
         let mut st = self.stats.borrow_mut();
         if self.queue_capacity.is_none_or(|cap| self.queue.len() < cap) {
@@ -298,12 +249,8 @@ impl Node for SenderGateway {
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        let first = self.schedule.next_interval_secs(ctx.rng);
-        ctx.schedule_timer(
-            self.start_phase
-                .saturating_add(SimDuration::from_secs_f64(first)),
-            TICK,
-        );
+        let first = self.clock.first_tick(ctx.rng);
+        ctx.schedule_timer(first, TICK);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
@@ -314,7 +261,7 @@ impl Node for SenderGateway {
     fn reset(&mut self) {
         self.queue.clear();
         self.arrivals_since_tick = 0;
-        self.schedule.reset();
+        self.clock.reset();
         *self.stats.borrow_mut() = GatewayStats::default();
     }
 

@@ -11,6 +11,10 @@
 //!   delay. This is the mechanism the paper identifies as the reason CIT
 //!   padding leaks: "the timer's interrupts may be subtly but randomly
 //!   delayed by incoming payload packets", so `σ_gw,h > σ_gw,l`.
+//! * [`clock`] — the padding clock every sender gateway runs (δ_gw,
+//!   wire size, next interval per tick), and [`clock::GatewayEmitter`]:
+//!   a sender gateway plus its payload source as an emitter an
+//!   aggregate's trunk pulls on demand, with no engine event.
 //! * [`gateway`] — the sender gateway GW1 (payload queue + padding timer +
 //!   dummy filling, §3.2) and receiver gateway GW2 (dummy stripping) as
 //!   `linkpad-sim` nodes, with QoS instrumentation.
@@ -31,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod calibration;
+pub mod clock;
 pub mod gateway;
 pub mod jitter;
 pub mod overhead;
@@ -38,6 +43,7 @@ pub mod schedule;
 pub mod wire;
 
 pub use calibration::CalibratedDefaults;
+pub use clock::{GatewayEmitter, PaddingClock};
 pub use gateway::{GatewayHandle, ReceiverGateway, ReceiverHandle, SenderGateway, TimerDiscipline};
 pub use jitter::GatewayJitterModel;
 pub use overhead::OverheadReport;

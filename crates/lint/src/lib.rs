@@ -43,6 +43,7 @@ pub const INVENTORY_PATH: &str = "crates/lint/UNSAFE_INVENTORY.md";
 /// run cannot afford to panic in (typed errors or documented infallible
 /// patterns only).
 pub const RUN_PATH_FILES: &[&str] = &[
+    "crates/core/src/clock.rs",
     "crates/core/src/gateway.rs",
     "crates/sim/src/cohort.rs",
     "crates/sim/src/engine.rs",
@@ -261,8 +262,8 @@ pub fn render_inventory(root: &Path) -> Result<String, String> {
     if sites.is_empty() {
         out.push_str(
             "**No unsafe sites.** Every non-`compat` crate carries\n\
-             `#![forbid(unsafe_code)]`; the slab-arena event queue and the\n\
-             parallel harness are written in safe Rust. Any future `unsafe`\n\
+             `#![forbid(unsafe_code)]`; the event store and the parallel\n\
+             harness are written in safe Rust. Any future `unsafe`\n\
              must appear here with a `// SAFETY:` comment (rule\n\
              `UNSAFE_SAFETY`).\n",
         );
@@ -316,7 +317,9 @@ mod tests {
     #[test]
     fn library_source_classification() {
         assert!(is_library_source("crates/sim/src/engine.rs"));
-        assert!(is_library_source("crates/bench/src/bin/queue_probe.rs"));
+        assert!(is_library_source(
+            "crates/bench/src/bin/fig_million_flows.rs"
+        ));
         assert!(is_library_source("src/lib.rs"));
         assert!(!is_library_source(
             "crates/workloads/tests/reset_determinism.rs"

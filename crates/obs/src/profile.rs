@@ -1,11 +1,10 @@
-//! Engine self-profiling: what the event loop and its calendar queue
-//! are actually doing, recorded deterministically in sim time.
+//! Engine self-profiling: what the event loop and its event store are
+//! actually doing, recorded deterministically in sim time.
 //!
-//! The profile exists to attack the dispatch bound (ROADMAP open item
-//! 4) with evidence: how large same-instant delivery batches really
-//! get, how deep the pending set runs over sim time, which ladder rungs
-//! fill and which spill to the far tier, and how the event mix splits
-//! between timers and deliveries. All of it is integers keyed to the
+//! The profile answers with evidence how large same-instant delivery
+//! batches really get, how deep the pending set runs over sim time, how
+//! many events the store took, and how the event mix splits between
+//! timers and deliveries. All of it is integers keyed to the
 //! simulation clock, so two runs of the same `(spec, seed)` produce
 //! bit-identical profiles — asserted by the `reset_determinism` family.
 //!
@@ -140,38 +139,31 @@ pub struct DepthSample {
     pub sim_nanos: u64,
     /// Total pending events in the store.
     pub pending: u64,
-    /// Events in the near (active-window) heap.
-    pub near: u64,
-    /// Events across the calendar rungs.
-    pub rung: u64,
-    /// Events in the unsorted far tier.
-    pub far: u64,
 }
 
 /// Event-store operation counters, as deltas over the profiled span.
-/// The engine copies these out of the queue's cumulative diagnostics
-/// (which survive resets) so a profile always reads zero-based.
+///
+/// The store is one binary heap, so the only operation to count is a
+/// push, and every scheduled event is one. The other four fields are the
+/// tiers of an earlier time-ladder store and always read 0; they stay
+/// because the benchmark (`linkbench/`) reads all five.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreCounters {
-    /// Pushes routed to the near heap.
+    /// Events pushed into the store.
     pub push_near: u64,
-    /// Pushes routed to a calendar rung.
+    /// Always 0: the store has no calendar tier.
     pub push_rung: u64,
-    /// Pushes spilled to the far tier (beyond the rung span).
+    /// Always 0: the store has no far tier.
     pub push_far: u64,
-    /// Rung-to-near refills.
+    /// Always 0: the store never refills a tier.
     pub refills: u64,
-    /// Ladder re-bases (full far-tier sweeps).
+    /// Always 0: the store never re-bases a ladder.
     pub rebases: u64,
-    /// Keys examined by re-base sweeps.
-    pub rebase_scanned: u64,
-    /// Keys moved into rungs by re-bases.
-    pub rebase_moved: u64,
 }
 
 impl StoreCounters {
-    /// `self - base`, field-wise (saturating) — turns cumulative queue
-    /// diagnostics into a span delta.
+    /// `self - base`, field-wise (saturating) — turns cumulative
+    /// counters into a span delta.
     pub fn delta(&self, base: &StoreCounters) -> StoreCounters {
         StoreCounters {
             push_near: self.push_near.saturating_sub(base.push_near),
@@ -179,22 +171,14 @@ impl StoreCounters {
             push_far: self.push_far.saturating_sub(base.push_far),
             refills: self.refills.saturating_sub(base.refills),
             rebases: self.rebases.saturating_sub(base.rebases),
-            rebase_scanned: self.rebase_scanned.saturating_sub(base.rebase_scanned),
-            rebase_moved: self.rebase_moved.saturating_sub(base.rebase_moved),
         }
     }
 
     fn to_json(self) -> String {
         format!(
             "{{\"push_near\":{},\"push_rung\":{},\"push_far\":{},\"refills\":{},\
-             \"rebases\":{},\"rebase_scanned\":{},\"rebase_moved\":{}}}",
-            self.push_near,
-            self.push_rung,
-            self.push_far,
-            self.refills,
-            self.rebases,
-            self.rebase_scanned,
-            self.rebase_moved
+             \"rebases\":{}}}",
+            self.push_near, self.push_rung, self.push_far, self.refills, self.rebases,
         )
     }
 }
@@ -211,7 +195,6 @@ pub struct EngineProfile {
     depth: Vec<DepthSample>,
     depth_stride: u64,
     depth_peak: u64,
-    rung_peak: Vec<u64>,
     since_sample: u64,
     store_base: StoreCounters,
 }
@@ -229,7 +212,6 @@ impl EngineProfile {
             depth: Vec::new(),
             depth_stride: 1,
             depth_peak: 0,
-            rung_peak: Vec::new(),
             since_sample: 0,
             store_base,
         }
@@ -244,7 +226,8 @@ impl EngineProfile {
     /// Fold one dispatched event (or same-instant batch) in. `consumed`
     /// is the number of events the dispatch retired — 1 for timers, the
     /// batch length for deliveries. Returns `true` when a pending-depth
-    /// sample is due (every [`SAMPLE_EVERY`]-th dispatch).
+    /// sample is due (every 1024th dispatch, at a stride that doubles
+    /// each time the series decimates).
     #[must_use]
     pub fn record_dispatch(&mut self, is_timer: bool, consumed: u64) -> bool {
         if is_timer {
@@ -264,32 +247,10 @@ impl EngineProfile {
     }
 
     /// Record a pending-depth sample (called when
-    /// [`EngineProfile::record_dispatch`] returned `true`). `rung_lens`
-    /// is the per-rung occupancy of the calendar tier; per-rung peaks
-    /// are kept across the run.
-    pub fn sample_depth(
-        &mut self,
-        sim_nanos: u64,
-        pending: u64,
-        near: u64,
-        rung: u64,
-        far: u64,
-        rung_lens: &[usize],
-    ) {
+    /// [`EngineProfile::record_dispatch`] returned `true`).
+    pub fn sample_depth(&mut self, sim_nanos: u64, pending: u64) {
         self.depth_peak = self.depth_peak.max(pending);
-        if self.rung_peak.len() < rung_lens.len() {
-            self.rung_peak.resize(rung_lens.len(), 0);
-        }
-        for (peak, &len) in self.rung_peak.iter_mut().zip(rung_lens.iter()) {
-            *peak = (*peak).max(len as u64);
-        }
-        self.depth.push(DepthSample {
-            sim_nanos,
-            pending,
-            near,
-            rung,
-            far,
-        });
+        self.depth.push(DepthSample { sim_nanos, pending });
         if self.depth.len() >= SERIES_CAP {
             // Decimate: keep every other sample, double the stride. The
             // series stays a uniform-stride view of the whole run.
@@ -319,7 +280,6 @@ impl EngineProfile {
             depth: self.depth.clone(),
             depth_sample_stride: SAMPLE_EVERY * self.depth_stride,
             depth_peak: self.depth_peak,
-            rung_peak: self.rung_peak.clone(),
             store: store_now.delta(&self.store_base),
         }
     }
@@ -344,8 +304,6 @@ pub struct ProfileReport {
     pub depth_sample_stride: u64,
     /// Largest sampled pending population.
     pub depth_peak: u64,
-    /// Peak occupancy per calendar rung (sampled alongside depth).
-    pub rung_peak: Vec<u64>,
     /// Event-store operation counters over the profiled span.
     pub store: StoreCounters,
 }
@@ -366,19 +324,17 @@ impl ProfileReport {
     }
 
     /// Render as a JSON object. The depth series is emitted as parallel
-    /// arrays (compact, trivially plottable); rung peaks as one array
-    /// indexed by rung.
+    /// arrays (compact, trivially plottable).
     pub fn to_json(&self) -> String {
         let col = |f: fn(&DepthSample) -> u64| -> String {
             let vals: Vec<String> = self.depth.iter().map(|s| f(s).to_string()).collect();
             format!("[{}]", vals.join(","))
         };
-        let rungs: Vec<String> = self.rung_peak.iter().map(|v| v.to_string()).collect();
         format!(
             "{{\"timer_events\":{},\"deliver_events\":{},\"deliver_batches\":{},\
              \"mean_batch\":{},\"batch_sizes\":{},\"depth_peak\":{},\
-             \"depth_sample_stride\":{},\"depth\":{{\"sim_nanos\":{},\"pending\":{},\
-             \"near\":{},\"rung\":{},\"far\":{}}},\"rung_peak\":[{}],\"store\":{}}}",
+             \"depth_sample_stride\":{},\"depth\":{{\"sim_nanos\":{},\"pending\":{}}},\
+             \"store\":{}}}",
             self.timer_events,
             self.deliver_events,
             self.deliver_batches,
@@ -388,10 +344,6 @@ impl ProfileReport {
             self.depth_sample_stride,
             col(|s| s.sim_nanos),
             col(|s| s.pending),
-            col(|s| s.near),
-            col(|s| s.rung),
-            col(|s| s.far),
-            rungs.join(","),
             self.store.to_json(),
         )
     }
@@ -442,7 +394,7 @@ mod tests {
         for _ in 0..(SAMPLE_EVERY * 3) {
             if p.record_dispatch(true, 1) {
                 due += 1;
-                p.sample_depth(0, 1, 1, 0, 0, &[]);
+                p.sample_depth(0, 1);
             }
         }
         assert_eq!(due, 3);
@@ -452,7 +404,7 @@ mod tests {
     fn depth_series_decimates_at_cap() {
         let mut p = EngineProfile::new(StoreCounters::default());
         for i in 0..(SERIES_CAP as u64 + 10) {
-            p.sample_depth(i, i, 0, 0, 0, &[]);
+            p.sample_depth(i, i);
         }
         let r = p.report(StoreCounters::default());
         assert!(r.depth.len() < SERIES_CAP);
@@ -464,41 +416,34 @@ mod tests {
     }
 
     #[test]
-    fn rung_peaks_track_the_maximum_per_rung() {
-        let mut p = EngineProfile::new(StoreCounters::default());
-        p.sample_depth(0, 0, 0, 0, 0, &[1, 5, 0]);
-        p.sample_depth(1, 0, 0, 0, 0, &[3, 2, 4]);
-        let r = p.report(StoreCounters::default());
-        assert_eq!(r.rung_peak, vec![3, 5, 4]);
-    }
-
-    #[test]
     fn store_counters_report_as_deltas() {
         let base = StoreCounters {
             push_near: 10,
-            refills: 2,
             ..Default::default()
         };
         let p = EngineProfile::new(base);
         let now = StoreCounters {
             push_near: 25,
-            push_far: 3,
-            refills: 5,
             ..Default::default()
         };
         let r = p.report(now);
         assert_eq!(r.store.push_near, 15);
-        assert_eq!(r.store.push_far, 3);
-        assert_eq!(r.store.refills, 3);
+        assert_eq!(
+            r.store,
+            StoreCounters {
+                push_near: 15,
+                ..now
+            }
+        );
     }
 
     #[test]
     fn reset_profile_matches_a_fresh_one() {
         let mut p = EngineProfile::new(StoreCounters::default());
         let _ = p.record_dispatch(false, 7);
-        p.sample_depth(5, 9, 9, 0, 0, &[1]);
+        p.sample_depth(5, 9);
         let base = StoreCounters {
-            push_rung: 4,
+            push_near: 4,
             ..Default::default()
         };
         p.reset(base);
@@ -509,14 +454,13 @@ mod tests {
     fn report_json_contains_the_headline_fields() {
         let mut p = EngineProfile::new(StoreCounters::default());
         let _ = p.record_dispatch(false, 2);
-        p.sample_depth(7, 3, 2, 1, 0, &[1, 0]);
+        p.sample_depth(7, 3);
         let j = p.report(StoreCounters::default()).to_json();
         for needle in [
             "\"timer_events\":0",
             "\"deliver_events\":2",
             "\"deliver_batches\":1",
-            "\"depth\":{\"sim_nanos\":[7]",
-            "\"rung_peak\":[1,0]",
+            "\"depth\":{\"sim_nanos\":[7],\"pending\":[3]}",
             "\"store\":{\"push_near\":0",
         ] {
             assert!(j.contains(needle), "missing {needle} in {j}");

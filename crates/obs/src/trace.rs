@@ -288,8 +288,8 @@ impl TraceReport {
     /// weight` lines, the flamegraph-tool input format): each record
     /// contributes its parent chain as the "stack", weighted by its
     /// batch size. Chains whose ancestors were decimated out of the
-    /// ring start at a `[truncated]` root; chains deeper than
-    /// [`MAX_CHAIN`] fold into `[deep]`. Identical stacks aggregate;
+    /// ring start at a `[truncated]` root; chains deeper than 32
+    /// frames fold into `[deep]`. Identical stacks aggregate;
     /// lines are emitted in lexicographic order (deterministic).
     pub fn collapsed_stacks(&self) -> String {
         let by_seq: BTreeMap<u64, &TraceRecord> = self.records.iter().map(|r| (r.seq, r)).collect();

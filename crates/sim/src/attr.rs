@@ -65,7 +65,8 @@ fn type_key(label: &str) -> &str {
 
 /// Samples one dispatch in N on average and attributes its wall time to
 /// store / context / dispatch phases, keyed by the target node's type
-/// (its label minus any numeric instance suffix — see [`type_key`]).
+/// (its label minus any numeric instance suffix: `gw1-7` counts as
+/// `gw1`).
 ///
 /// Sampling keeps the measurement from perturbing what it measures:
 /// un-sampled events pay one counter increment and one branch per lap

@@ -15,9 +15,10 @@
 //! [`FlowCohort`] generates the superposition of K such clocks, driven
 //! by a [`MemberSchedule`] (an interval *law* shared iid across members,
 //! or per-member machines like adaptive padding). It is not an engine
-//! node and arms no timer: the [`Trunk`](crate::trunk::Trunk) that
-//! carries its traffic owns it and draws its emissions on demand
-//! ([`FlowCohort::fire`]), so a cohort packet is never an event. The
+//! node and arms no timer: it is an [`Emitter`], which the
+//! [`Trunk`](crate::trunk::Trunk) that carries its traffic owns and
+//! draws on demand ([`Emitter::fire`]), so a cohort packet is never an
+//! event. The
 //! cohort keeps a small binary heap of **runs** `(time, first_member,
 //! run_len)`: the contiguous members `first_member..first_member +
 //! run_len` all fire next at `time`. Each fired member emits one packet,
@@ -33,7 +34,7 @@
 //! `(time, first_member)` order, so members fire in `(time, member)`
 //! order and every draw comes off the cohort's single RNG stream in that
 //! order; the trunk hands the cohort that stream at start
-//! ([`FlowCohort::start`]), so runs replay bit-identically under
+//! ([`Emitter::start`]), so runs replay bit-identically under
 //! `reset(seed)`. With a `Deterministic` law, no jitter and no size law
 //! the cohort makes **zero RNG draws**, and its emission times are
 //! bit-exact nominal instants — the regime the exactness tests compare
@@ -55,15 +56,14 @@
 //! offset.
 
 use crate::time::{SimDuration, SimTime};
+use crate::trunk::{Emitter, EmitterHandle};
 use linkpad_stats::dist::{ContinuousDist, Exponential};
 use linkpad_stats::normal::Normal;
 use linkpad_stats::rng::Xoshiro256StarStar;
 use linkpad_stats::StatsError;
 use rand_core::RngCore;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::rc::Rc;
 
 /// Per-member interval source of a cohort: `member` is the within-cohort
 /// index (position in the sorted phase vector). Called once per member
@@ -75,7 +75,7 @@ pub trait MemberSchedule: std::fmt::Debug {
     fn next_interval_secs(&mut self, member: u32, rng: &mut dyn RngCore) -> f64;
 
     /// Return any machine state to its initial value (the next
-    /// [`FlowCohort::start`] re-seeds the heap from a fresh RNG stream).
+    /// [`Emitter::start`] re-seeds the heap from a fresh RNG stream).
     fn reset(&mut self);
 }
 
@@ -178,26 +178,6 @@ impl JitterSamplers {
     }
 }
 
-/// Read handle for cohort instrumentation (single-threaded shared state,
-/// like the gateway handles).
-#[derive(Debug, Clone)]
-pub struct CohortHandle {
-    emitted: Rc<Cell<u64>>,
-    flows: u32,
-}
-
-impl CohortHandle {
-    /// Packets emitted so far (over all member flows).
-    pub fn emitted(&self) -> u64 {
-        self.emitted.get()
-    }
-
-    /// Number of member flows this cohort superposes.
-    pub fn flows(&self) -> u32 {
-        self.flows
-    }
-}
-
 /// The superposed emission process of K padded flows, generated from
 /// one next-fire heap of member runs (see the module docs).
 #[derive(Debug)]
@@ -220,7 +200,7 @@ pub struct FlowCohort {
     shed: Vec<(SimTime, u32)>,
     /// The stream every draw comes from, handed over by `start`.
     rng: Xoshiro256StarStar,
-    emitted: Rc<Cell<u64>>,
+    emitted: EmitterHandle,
 }
 
 impl FlowCohort {
@@ -234,15 +214,12 @@ impl FlowCohort {
         phases: &[SimDuration],
         packet_size: u32,
         schedule: Box<dyn MemberSchedule>,
-    ) -> (CohortHandle, Self) {
+    ) -> (EmitterHandle, Self) {
         let mut phases = phases.to_vec();
         phases.sort_unstable();
-        let emitted = Rc::new(Cell::new(0));
+        let emitted = EmitterHandle::new(phases.len() as u32);
         (
-            CohortHandle {
-                emitted: Rc::clone(&emitted),
-                flows: phases.len() as u32,
-            },
+            emitted.clone(),
             Self {
                 packet_size,
                 size_law: None,
@@ -276,11 +253,13 @@ impl FlowCohort {
         self.size_law = Some(law);
         self
     }
+}
 
+impl Emitter for FlowCohort {
     /// Start every member clock at time zero, drawing from `rng` from
     /// now on: each member draws its first interval, in member order,
     /// and consecutive equal first fire times merge into runs.
-    pub fn start(&mut self, rng: Xoshiro256StarStar) {
+    fn start(&mut self, rng: Xoshiro256StarStar) {
         self.rng = rng;
         self.heap.clear();
         let mut run: Option<(SimTime, u32, u32)> = None;
@@ -305,15 +284,15 @@ impl FlowCohort {
     /// When the next member fires, or `None` for an empty or unstarted
     /// cohort.
     #[inline]
-    pub fn next_fire(&self) -> Option<SimTime> {
+    fn next_fire(&self) -> Option<SimTime> {
         self.heap.peek().map(|&Reverse((t, _, _))| t)
     }
 
-    /// Fire every member due at [`FlowCohort::next_fire`], in member
+    /// Fire every member due at [`Emitter::next_fire`], in member
     /// order. Each emits one packet, handing `emit` its arrival instant
     /// (the fire instant shifted by the member's jitter δ) and wire
     /// size, then draws its next interval.
-    pub fn fire(&mut self, mut emit: impl FnMut(SimTime, u32)) {
+    fn fire(&mut self, mut emit: impl FnMut(SimTime, u32)) {
         let Some(now) = self.next_fire() else {
             return;
         };
@@ -364,16 +343,16 @@ impl FlowCohort {
             }
             fired += u64::from(len);
         }
-        emitted.set(emitted.get() + fired);
+        emitted.add(fired);
     }
 
     /// Return to the as-built state: no member scheduled, schedule
-    /// machines and counters reset. [`FlowCohort::start`] must follow
+    /// machines and counters reset. [`Emitter::start`] must follow
     /// before the cohort fires again.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.heap.clear();
         self.sched.reset();
-        self.emitted.set(0);
+        self.emitted.clear();
     }
 }
 

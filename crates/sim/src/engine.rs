@@ -6,19 +6,19 @@
 //! the order they were scheduled (FIFO tie-breaking). That rule is what
 //! makes simulations bit-for-bit deterministic.
 //!
-//! The event store is the calendar queue of [`crate::equeue`] — a slab
-//! arena plus a near/far split — rather than a `BinaryHeap`: pops are
-//! `O(1)`, pushes are an append, and ordering work happens in cache-sized
-//! sorted batches. Consecutive deliveries to the same node at the same
-//! instant are dispatched as one [`Node::on_packets`] batch, amortizing
-//! the virtual call per packet to a virtual call per burst.
+//! The event store is one binary heap ([`crate::equeue`]). It stays
+//! small: open-loop traffic that many flows put on a shared link is
+//! drawn where it is served, by the lab router and the aggregate trunk,
+//! and never waits in the store. Consecutive deliveries to the same node
+//! at the same instant are dispatched as one [`Node::on_packets`] batch,
+//! amortizing the virtual call per packet to a virtual call per burst.
 //!
 //! There is one event loop, generic over the [`LoopHooks`] attached to
 //! it. A plain run is its `()` instance; the watchdog, the engine
 //! profile, the causal trace and wall-time attribution are hook
 //! implementations composed onto the same loop (see [`crate::hooks`]).
 
-use crate::equeue::{Diag, Event, EventKind, EventQueue};
+use crate::equeue::{Event, EventKind, EventQueue};
 use crate::hooks::{Dispatch, Instruments, LoopHooks, StopAt, Watchdog};
 use crate::node::{Node, NodeId};
 use crate::packet::{FlowId, Packet, PacketKind};
@@ -27,17 +27,13 @@ use linkpad_obs::trace::TraceRecorder as CausalTrace;
 use linkpad_obs::{EngineProfile, ProfileReport, StoreCounters, TraceReport};
 use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
 
-/// View the queue's cumulative op counters as obs store counters (the
-/// profile subtracts an enable-time base so reports are span deltas).
-fn store_counters(d: Diag) -> StoreCounters {
+/// The store counters after `seq` scheduled events: every event takes
+/// one sequence number and one push (the profile subtracts an
+/// enable-time base so reports are span deltas).
+fn store_counters(seq: u64) -> StoreCounters {
     StoreCounters {
-        push_near: d.push_near,
-        push_rung: d.push_rung,
-        push_far: d.push_far,
-        refills: d.refills,
-        rebases: d.rebases,
-        rebase_scanned: d.rebase_scanned,
-        rebase_moved: d.rebase_moved,
+        push_near: seq,
+        ..StoreCounters::default()
     }
 }
 
@@ -227,10 +223,8 @@ impl Sim {
         if let Some(wd) = &mut inst.watchdog {
             wd.rearm();
         }
-        // The profile's new base is the post-clear cumulative queue
-        // counters (the queue's op counters survive `clear`).
         if let Some(p) = &mut inst.profile {
-            p.reset(store_counters(core.queue.diag()));
+            p.reset(store_counters(core.seq));
         }
         if let Some(t) = &mut inst.trace {
             t.reset();
@@ -239,12 +233,12 @@ impl Sim {
 
     /// Enable engine self-profiling: same-instant batch sizes, the
     /// timer/delivery event mix, a sim-time-stamped pending-depth
-    /// series with per-rung peaks, and event-store op counters over the
-    /// profiled span. Profiles are a pure function of `(spec, seed)` —
-    /// bit-identical across reruns and resets. Enabling on an already
-    /// profiled sim restarts the profile from now.
+    /// series, and event-store pushes over the profiled span. Profiles
+    /// are a pure function of `(spec, seed)` — bit-identical across
+    /// reruns and resets. Enabling on an already profiled sim restarts
+    /// the profile from now.
     pub fn enable_profiling(&mut self) {
-        let base = store_counters(self.core.queue.diag());
+        let base = store_counters(self.core.seq);
         match &mut self.instruments.profile {
             Some(p) => p.reset(base),
             None => self.instruments.profile = Some(Box::new(EngineProfile::new(base))),
@@ -263,7 +257,7 @@ impl Sim {
         self.instruments
             .profile
             .as_ref()
-            .map(|p| p.report(store_counters(self.core.queue.diag())))
+            .map(|p| p.report(store_counters(self.core.seq)))
     }
 
     /// Enable causal tracing: every dispatch records `(seq, parent seq,
@@ -478,7 +472,7 @@ impl Core {
             is_timer,
             consumed,
             children: first_child..self.seq,
-            queue: &self.queue,
+            pending: self.queue.len(),
             nodes: &self.nodes,
         });
         consumed
@@ -940,7 +934,10 @@ mod tests {
         assert_eq!(report.events(), prof_stats.events);
         assert_eq!(report.timer_events, 400);
         assert_eq!(report.deliver_events, 400);
-        assert!(report.store.push_near + report.store.push_rung + report.store.push_far > 0);
+        // Every event scheduled in the span is one push into the heap.
+        let s = report.store;
+        assert!(s.push_near >= report.events());
+        assert_eq!(s.push_rung + s.push_far + s.refills + s.rebases, 0);
 
         // Reset-and-rerun produces a bit-identical profile.
         prof.reset(MasterSeed::new(21));

@@ -14,12 +14,11 @@
 //! property of the type.
 //!
 //! Hooks observe; they cannot schedule. [`Dispatch`] hands them the
-//! dispatched event's coordinates and a read-only view of the event
-//! store, so a hooked run dispatches exactly the events of a plain run.
+//! dispatched event's coordinates and the pending-event count, so a
+//! hooked run dispatches exactly the events of a plain run.
 //!
 //! [`Sim`]: crate::engine::Sim
 
-use crate::equeue::EventQueue;
 use crate::node::{Node, NodeId};
 use crate::time::SimTime;
 use linkpad_obs::trace::{TraceEventKind, TraceRecorder as CausalTrace};
@@ -90,8 +89,8 @@ pub struct Dispatch<'a> {
     /// engine's sequence counter is global and monotone, so a handler's
     /// children are exactly the range it advanced the counter over.
     pub children: Range<u64>,
-    /// The event store after the handler ran.
-    pub queue: &'a EventQueue,
+    /// Events pending in the store after the handler ran.
+    pub pending: usize,
     pub(crate) nodes: &'a [Box<dyn Node>],
 }
 
@@ -202,15 +201,7 @@ impl LoopHooks for Watchdog {
 impl LoopHooks for EngineProfile {
     fn after_handler(&mut self, d: &Dispatch<'_>) {
         if self.record_dispatch(d.is_timer, d.consumed) {
-            let (_, _, _, near, rung, far) = d.queue.tier_state();
-            self.sample_depth(
-                d.time.as_nanos(),
-                d.queue.len() as u64,
-                near as u64,
-                rung as u64,
-                far as u64,
-                &d.queue.rung_lens(),
-            );
+            self.sample_depth(d.time.as_nanos(), d.pending as u64);
         }
     }
 }

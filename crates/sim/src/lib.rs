@@ -19,7 +19,8 @@
 //!   arrival computes its departure, so a hop costs one event, and a lab
 //!   router serves its cross traffic without any.
 //! * **Trunks** ([`trunk::Trunk`]) are an aggregate's shared link: the
-//!   same egress, serving the aggregate's flow cohorts without events,
+//!   same egress, serving the aggregate's non-target senders as
+//!   [`trunk::Emitter`]s without events,
 //!   deciding every arrival at an optional fault gate, and folding its
 //!   far-end observer in place, so its packets in flight are not events
 //!   either.
@@ -38,9 +39,8 @@
 //!   observation.
 //! * **Flow cohorts** ([`cohort::FlowCohort`]) generate K padded
 //!   flows' combined arrival process from one next-fire heap of member
-//!   runs, which the trunk draws on demand instead of K gateways
-//!   and no event at all — what takes aggregate scenarios from ~10⁴ to
-//!   10⁶ concurrent flows.
+//!   runs, an emitter the trunk draws on demand, with no event at all —
+//!   what takes aggregate scenarios from ~10⁴ to 10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
 //!   inter-arrival and packet-size laws from `linkpad-stats`.
 //! * **Parallel sweeps** ([`parallel::parallel_map`]) fan independent
@@ -74,7 +74,7 @@ pub mod time;
 pub mod trunk;
 
 pub use attr::{AttributionReport, AttributionRow, AttributionSampler};
-pub use cohort::{CohortHandle, CohortJitter, FlowCohort, LawSchedule, MemberSchedule};
+pub use cohort::{CohortJitter, FlowCohort, LawSchedule, MemberSchedule};
 pub use engine::{Context, RunStats, Sim, SimBuilder};
 pub use equeue::EventQueue;
 pub use fault::{FaultGateHandle, FaultPlan, LossModel, LossyGate, OutageSchedule};
@@ -87,4 +87,4 @@ pub use router::Router;
 pub use source::DistSource;
 pub use tap::{Tap, TapHandle};
 pub use time::{SimDuration, SimTime};
-pub use trunk::Trunk;
+pub use trunk::{Emitter, EmitterHandle, Trunk};

@@ -4,27 +4,28 @@
 //! A [`Trunk`] is the [`Router`](crate::router::Router)'s egress (FIFO
 //! service at a fixed rate, an unbounded buffer, a fixed propagation
 //! delay, each departure known on arrival) with the parts an aggregate
-//! needs and a lab hop does not: the flow cohorts it serves, the fault
-//! gate and the observed far end. Every arrival, engine-delivered or
-//! drawn from a cohort, takes one step: the gate decides its fate, a
+//! needs and a lab hop does not: the emitters it serves, the fault gate
+//! and the observed far end. Every arrival, engine-delivered or drawn
+//! from an emitter, takes one step: the gate decides its fate, a
 //! survivor joins the egress queue, and the far end folds it.
 //!
-//! * **Cohort traffic** ([`Trunk::with_cohort`]): the trunk owns the
-//!   aggregate's [`FlowCohort`]s and draws their emissions on demand, so
-//!   no cohort packet is an event. Cohort traffic is open-loop, so the
+//! * **Emitter traffic** ([`Trunk::with_emitter`]): the trunk owns the
+//!   aggregate's non-target senders as [`Emitter`]s (per-flow gateways
+//!   or [`FlowCohort`]s) and draws their emissions on demand, so none of
+//!   their packets is an event. Emitter traffic is open-loop, so the
 //!   backlog a packet meets depends only on the arrivals before it: when
-//!   a packet arrives at `now`, the trunk first serves every cohort
-//!   arrival at or before `now`, then the packet, and a cohort arrival at
-//!   exactly `now` is served first. Fires come in `(emission instant,
-//!   cohort, member)` order, each fire's arrival is shifted by its
+//!   a packet arrives at `now`, the trunk first serves every emitter
+//!   arrival at or before `now`, then the packet, and an emitter arrival
+//!   at exactly `now` is served first. Fires come in `(emission instant,
+//!   emitter, member)` order, each fire's arrival is shifted by its
 //!   jitter δ ≥ 0, and the shifted arrivals wait in a small heap keyed
 //!   by `(arrival instant, draw sequence)` until the trunk serves them:
 //!   every arrival at or before the next fire instant is final. The trunk
-//!   also serves cohort arrivals at or before the horizon when a run
+//!   also serves emitter arrivals at or before the horizon when a run
 //!   segment ends ([`Node::on_horizon`]), so a trunk that no engine
-//!   packet reaches still carries its cohorts.
+//!   packet reaches still carries its emitters.
 //! * **The gate** ([`Trunk::with_gate`]) decides every arrival's fate,
-//!   cohort traffic and engine-delivered packets alike, in service order
+//!   emitter traffic and engine-delivered packets alike, in service order
 //!   before it joins the queue.
 //! * **The far end** ([`Trunk::new`]): the trunk owns the
 //!   [`WindowedObserver`] at the far end of its egress and folds each
@@ -58,15 +59,81 @@ use crate::router::Wire;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::rng::Xoshiro256StarStar;
 use rand_core::RngCore;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::rc::Rc;
 
-/// The cohorts a trunk serves, drawn on demand (see the module doc).
-#[derive(Debug, Default)]
-struct CohortFeed {
-    cohorts: Vec<FlowCohort>,
-    /// `(next fire instant, cohort index)` of every started, non-empty
-    /// cohort: the merge that fires cohorts in `(instant, cohort)` order.
+/// An open-loop traffic generator a [`Trunk`] pulls on demand: its
+/// emission instants and sizes are a function of its own streams, and
+/// nothing downstream feeds back. Each emission's arrival at the trunk
+/// is its fire instant shifted by a delay δ ≥ 0.
+pub trait Emitter {
+    /// Start from time zero, drawing from `rng` from now on. The
+    /// emitter is as built: fresh, or reset since its last run.
+    fn start(&mut self, rng: Xoshiro256StarStar);
+
+    /// When the emitter fires next, or `None` for an empty or unstarted
+    /// one.
+    fn next_fire(&self) -> Option<SimTime>;
+
+    /// Fire everything due at [`Emitter::next_fire`], handing `emit`
+    /// each emission's arrival instant (never before the fire instant)
+    /// and wire size, in draw order.
+    fn fire(&mut self, emit: impl FnMut(SimTime, u32));
+
+    /// Return to the as-built state: nothing scheduled, counters reset.
+    /// [`Emitter::start`] must follow before it fires again.
+    fn reset(&mut self);
+}
+
+/// Read handle for an emitter's instrumentation: the packets it emitted
+/// and the flows it carries (single-threaded shared state, like the
+/// gateway handles). The emitter keeps a clone and counts into it.
+#[derive(Debug, Clone)]
+pub struct EmitterHandle {
+    emitted: Rc<Cell<u64>>,
+    flows: u32,
+}
+
+impl EmitterHandle {
+    /// A zeroed handle for an emitter of `flows` flows.
+    pub fn new(flows: u32) -> Self {
+        Self {
+            emitted: Rc::new(Cell::new(0)),
+            flows,
+        }
+    }
+
+    /// Packets emitted so far (over all member flows).
+    pub fn emitted(&self) -> u64 {
+        self.emitted.get()
+    }
+
+    /// Number of flows the emitter carries.
+    pub fn flows(&self) -> u32 {
+        self.flows
+    }
+
+    /// Count `n` more emissions (the emitter's side of the handle).
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.emitted.set(self.emitted.get() + n);
+    }
+
+    /// Zero the count (on the emitter's reset).
+    pub fn clear(&self) {
+        self.emitted.set(0);
+    }
+}
+
+/// The emitters a trunk serves, drawn on demand (see the module doc).
+#[derive(Debug)]
+struct Feed<E> {
+    emitters: Vec<E>,
+    /// `(next fire instant, emitter index)` of every started, non-empty
+    /// emitter: the merge that fires emitters in `(instant, emitter)`
+    /// order.
     fires: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// Fired arrivals not yet served, `(instant, draw sequence, size)`.
     arrivals: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
@@ -74,21 +141,21 @@ struct CohortFeed {
     drawn: u64,
 }
 
-impl CohortFeed {
-    /// Start every cohort on a stream of its own, seeded by one draw of
-    /// `rng` per cohort in cohort order. The feed is as built: fresh, or
-    /// reset since its last run.
+impl<E: Emitter> Feed<E> {
+    /// Start every emitter on a stream of its own, seeded by one draw of
+    /// `rng` per emitter in emitter order. The feed is as built: fresh,
+    /// or reset since its last run.
     fn start(&mut self, rng: &mut Xoshiro256StarStar) {
-        for (i, cohort) in self.cohorts.iter_mut().enumerate() {
-            cohort.start(Xoshiro256StarStar::from_u64(rng.next_u64()));
-            if let Some(t) = cohort.next_fire() {
+        for (i, emitter) in self.emitters.iter_mut().enumerate() {
+            emitter.start(Xoshiro256StarStar::from_u64(rng.next_u64()));
+            if let Some(t) = emitter.next_fire() {
                 self.fires.push(Reverse((t, i as u32)));
             }
         }
     }
 
-    /// The next cohort arrival at or before `bound` in service order,
-    /// firing cohorts until no later fire can precede it.
+    /// The next emitter arrival at or before `bound` in service order,
+    /// firing emitters until no later fire can precede it.
     #[inline]
     fn next_through(&mut self, bound: SimTime) -> Option<(SimTime, u32)> {
         loop {
@@ -108,26 +175,26 @@ impl CohortFeed {
         }
     }
 
-    /// Fire the cohort that fires next, queueing its arrivals.
+    /// Fire the emitter that fires next, queueing its arrivals.
     fn fire_next(&mut self) {
         let Some(mut next) = self.fires.peek_mut() else {
             return;
         };
-        let cohort = &mut self.cohorts[next.0 .1 as usize];
+        let emitter = &mut self.emitters[next.0 .1 as usize];
         let (arrivals, drawn) = (&mut self.arrivals, &mut self.drawn);
-        cohort.fire(|at, size| {
+        emitter.fire(|at, size| {
             arrivals.push(Reverse((at, *drawn, size)));
             *drawn += 1;
         });
-        // A started member always fires again.
-        if let Some(t) = cohort.next_fire() {
+        // A started emitter always fires again.
+        if let Some(t) = emitter.next_fire() {
             next.0 .0 = t;
         }
     }
 
     fn reset(&mut self) {
-        for cohort in &mut self.cohorts {
-            cohort.reset();
+        for emitter in &mut self.emitters {
+            emitter.reset();
         }
         self.fires.clear();
         self.arrivals.clear();
@@ -135,10 +202,10 @@ impl CohortFeed {
     }
 }
 
-/// An aggregate's shared trunk (see the module doc). Its label is
-/// `trunk`.
+/// An aggregate's shared trunk (see the module doc), serving emitters
+/// of type `E`. Its label is `trunk`.
 #[derive(Debug)]
-pub struct Trunk {
+pub struct Trunk<E = FlowCohort> {
     wire: Wire,
     /// The observer at the far end of the egress.
     observer: WindowedObserver,
@@ -146,13 +213,13 @@ pub struct Trunk {
     pending: VecDeque<(SimTime, u32)>,
     /// Where the padded flow goes on; `None` forwards nothing.
     target: Option<NodeId>,
-    /// Cohort traffic served on the egress, drawn on demand.
-    cohorts: CohortFeed,
+    /// Emitter traffic served on the egress, drawn on demand.
+    feed: Feed<E>,
     /// Decides every arrival's fate before it joins the queue.
     gate: Option<LossyGate>,
 }
 
-impl Trunk {
+impl<E: Emitter> Trunk<E> {
     /// A trunk with an egress of `bits_per_sec` and the given
     /// propagation delay to its far end, where `observer` records every
     /// packet's arrival. Packets of the padded flow go on to `target` at
@@ -172,21 +239,26 @@ impl Trunk {
             observer,
             pending: VecDeque::new(),
             target,
-            cohorts: CohortFeed::default(),
+            feed: Feed {
+                emitters: Vec::new(),
+                fires: BinaryHeap::new(),
+                arrivals: BinaryHeap::new(),
+                drawn: 0,
+            },
             gate: None,
         }
     }
 
-    /// Builder-style cohort traffic: `cohort`'s emissions are served on
-    /// the egress, recorded at the far end, and end there. At start the
-    /// trunk hands each cohort, in the order they were added, a stream
-    /// seeded by one draw of its own stream (after the gate's).
-    pub fn with_cohort(mut self, cohort: FlowCohort) -> Self {
-        self.cohorts.cohorts.push(cohort);
+    /// Builder-style emitter traffic: `emitter`'s emissions are served
+    /// on the egress, recorded at the far end, and end there. At start
+    /// the trunk hands each emitter, in the order they were added, a
+    /// stream seeded by one draw of its own stream (after the gate's).
+    pub fn with_emitter(mut self, emitter: E) -> Self {
+        self.feed.emitters.push(emitter);
         self
     }
 
-    /// Builder-style fault gate: every arrival, cohort traffic included,
+    /// Builder-style fault gate: every arrival, emitter traffic included,
     /// meets `gate` before the queue, and only survivors are served. At
     /// start the gate's RNG takes the first draw of the trunk's stream.
     pub fn with_gate(mut self, gate: LossyGate) -> Self {
@@ -199,7 +271,7 @@ impl Trunk {
     /// due by `at` and keeps the survivor until it is due. Returns the
     /// survivor's far-end instant.
     ///
-    /// Always inlined: the cohort loop runs it millions of times per
+    /// Always inlined: the emitter loop runs it millions of times per
     /// second, and left to the inliner it stayed a call there.
     #[inline(always)]
     fn serve(&mut self, at: SimTime, size_bytes: u32) -> Option<SimTime> {
@@ -212,21 +284,21 @@ impl Trunk {
         Some(far)
     }
 
-    /// Serve every cohort arrival at or before `bound`, in order. Never
+    /// Serve every emitter arrival at or before `bound`, in order. Never
     /// inlined: its two callers share one copy of the loop, into which
     /// the feed's `next_through` and `fire_next` inline.
     #[inline(never)]
-    fn serve_cohorts(&mut self, bound: SimTime) {
-        while let Some((at, size)) = self.cohorts.next_through(bound) {
+    fn serve_emitters(&mut self, bound: SimTime) {
+        while let Some((at, size)) = self.feed.next_through(bound) {
             self.serve(at, size);
         }
     }
 }
 
-impl Node for Trunk {
+impl<E: Emitter> Node for Trunk<E> {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        self.serve_cohorts(now);
+        self.serve_emitters(now);
         let Some(far) = self.serve(now, packet.size_bytes) else {
             return;
         };
@@ -239,12 +311,12 @@ impl Node for Trunk {
         if let Some(gate) = &mut self.gate {
             gate.start(ctx.rng.next_u64());
         }
-        self.cohorts.start(ctx.rng);
+        self.feed.start(ctx.rng);
     }
 
     fn reset(&mut self) {
         self.wire.reset();
-        self.cohorts.reset();
+        self.feed.reset();
         if let Some(gate) = &mut self.gate {
             gate.reset();
         }
@@ -253,7 +325,7 @@ impl Node for Trunk {
     }
 
     fn on_horizon(&mut self, horizon: SimTime) {
-        self.serve_cohorts(horizon);
+        self.serve_emitters(horizon);
         self.observer.fold_through(&mut self.pending, horizon);
     }
 
@@ -280,7 +352,7 @@ mod tests {
     #[test]
     fn a_trunk_is_labelled_trunk() {
         let (_, observer) = WindowedObserver::new(SimDuration::from_millis_f64(1.0));
-        let trunk = Trunk::new(observer, None, 1e9, SimDuration::ZERO);
+        let trunk: Trunk = Trunk::new(observer, None, 1e9, SimDuration::ZERO);
         assert_eq!(trunk.label(), "trunk");
     }
 
@@ -360,7 +432,7 @@ mod tests {
             }));
         }
         let carried = if observed {
-            let trunk = Trunk::new(node, Some(sink_id), BPS, propagation);
+            let trunk: Trunk = Trunk::new(node, Some(sink_id), BPS, propagation);
             b.install(slot, Box::new(trunk));
             None
         } else {
@@ -655,7 +727,7 @@ mod tests {
             Trunk::new(node.with_gaps(gaps), Some(sink_id), 16e6, propagation).with_gate(lossy);
         let sent = if lazy {
             for cohort in trunk_cohorts() {
-                trunk = trunk.with_cohort(cohort);
+                trunk = trunk.with_emitter(cohort);
             }
             None
         } else {

@@ -1,8 +1,8 @@
-//! Determinism guards for the engine rewrite.
+//! Determinism guards for the engine.
 //!
-//! 1. A property test that the ladder-queue event store pops events in
-//!    exactly the `(time, seq)` order a reference `BinaryHeap` model
-//!    produces, under randomized interleaved push/pop schedules.
+//! 1. A property test that the event store pops events in exactly the
+//!    `(time, seq)` order a reference model produces, under randomized
+//!    interleaved push/pop schedules.
 //! 2. Replay tests: the same `MasterSeed` yields a bit-identical capture
 //!    trace across two runs, and different seeds diverge.
 
@@ -18,7 +18,7 @@ use rand_core::RngCore;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Drive the ladder queue and a `BinaryHeap` reference model through an
+/// Drive the event store and a `BinaryHeap` reference model through an
 /// identical randomized schedule; their pop sequences must be identical.
 fn check_against_model(seed: u64, ops: usize, time_spread: u64, burst: u64) {
     let mut rng = Xoshiro256StarStar::from_u64(seed);
@@ -77,7 +77,7 @@ fn check_against_model(seed: u64, ops: usize, time_spread: u64, burst: u64) {
 }
 
 #[test]
-fn ladder_queue_matches_heap_model_across_schedules() {
+fn event_queue_matches_heap_model_across_schedules() {
     // Many seeds × several workload shapes: narrow/wide time spreads and
     // small/large same-instant bursts.
     for seed in 0..24u64 {
@@ -88,8 +88,8 @@ fn ladder_queue_matches_heap_model_across_schedules() {
 }
 
 #[test]
-fn ladder_queue_model_agreement_at_scale() {
-    // One deep run with a large resident set (forces many re-bases).
+fn event_queue_model_agreement_at_scale() {
+    // One deep run with a large resident set.
     check_against_model(99, 60_000, 5_000_000, 16);
 }
 

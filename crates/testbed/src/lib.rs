@@ -26,3 +26,15 @@ pub mod live;
 pub mod timer;
 
 pub use live::{run_live, LiveConfig, LiveRunReport};
+
+/// Held by each of this crate's real-time tests for its whole capture:
+/// the test harness runs tests on parallel threads, and another test's
+/// timer thread spinning on the same cores is noise in this one's
+/// timing.
+#[cfg(test)]
+pub(crate) fn real_time_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the next capture is still valid.
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -217,6 +217,7 @@ mod tests {
 
     #[test]
     fn cit_run_produces_expected_frame_count_and_mix() {
+        let _real_time = crate::real_time_lock();
         let report = run_live(LiveConfig {
             tau: 0.002,
             sigma_t: 0.0,
@@ -235,6 +236,7 @@ mod tests {
 
     #[test]
     fn cit_piat_mean_tracks_tau() {
+        let _real_time = crate::real_time_lock();
         let report = run_live(LiveConfig {
             tau: 0.002,
             sigma_t: 0.0,
@@ -252,6 +254,7 @@ mod tests {
 
     #[test]
     fn vit_piats_are_much_more_variable_than_cit() {
+        let _real_time = crate::real_time_lock();
         let sigma_t = 0.001;
         // Ten alternating pairs of 50-frame captures, 500 frames per
         // arm, so that a change in host load hits both arms alike.

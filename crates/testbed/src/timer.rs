@@ -46,6 +46,7 @@ mod tests {
 
     #[test]
     fn past_deadline_returns_immediately() {
+        let _real_time = crate::real_time_lock();
         let d = Instant::now() - Duration::from_millis(5);
         let overshoot = sleep_until(d);
         assert!(overshoot >= Duration::from_millis(5));
@@ -53,6 +54,7 @@ mod tests {
 
     #[test]
     fn wait_reaches_the_deadline() {
+        let _real_time = crate::real_time_lock();
         let start = Instant::now();
         let d = start + Duration::from_millis(5);
         let overshoot = sleep_until(d);
@@ -69,6 +71,7 @@ mod tests {
 
     #[test]
     fn spin_window_larger_than_wait_still_works() {
+        let _real_time = crate::real_time_lock();
         let d = Instant::now() + Duration::from_micros(100);
         let overshoot = sleep_until_with_window(d, Duration::from_millis(10));
         assert!(overshoot < Duration::from_millis(10));
@@ -76,6 +79,7 @@ mod tests {
 
     #[test]
     fn repeated_ticks_have_low_drift_on_average() {
+        let _real_time = crate::real_time_lock();
         // 20 ticks of 2 ms: average period must stay within 25% of the
         // target even on a busy machine (absolute schedule → no drift
         // accumulation).

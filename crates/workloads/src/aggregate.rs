@@ -7,53 +7,53 @@
 //!
 //! ```text
 //!  src_0 → GW1_0 → [tap@gw1] ─┐
-//!  src_1 → GW1_1 ─────────────┤   trunk
+//!  flow 1 (emitter) ──────────┤   trunk
 //!   ...                       ├→ [far-end observer] → [tap@gw2] → GW2_0 → [subnet-b]
-//!  src_N → GW1_N ─────────────┘   (flows 1..N end here)
+//!  flow N (emitter) ──────────┘   (flows 1..N end here)
 //! ```
 //!
-//! Every flow `i` runs its own CIT/VIT padding sender gateway under
-//! `FlowId(i)`; all sender gateways feed one shared **trunk** (a FIFO
-//! egress with configurable capacity and propagation). The trunk owns
-//! the **trunk observer** ([`WindowedObserver`], no flow filter) at the
-//! far end of its egress ([`Trunk::new`]): it folds the aggregate
-//! arrival process into per-window statistics — the adversary's view of
-//! the shared link, in `O(windows)` memory — and ends every packet but
-//! the target's on arrival: nothing downstream of the trunk reads
-//! another flow. Flow 0 is the fully instrumented *target* flow: it
-//! keeps the lab scenario's sender-egress and receiver-ingress taps and
-//! its receiver gateway, so
+//! Every flow runs its own padding clock, and all of them feed one
+//! shared **trunk** (a FIFO egress with configurable
+//! capacity and propagation). The trunk owns the **trunk observer**
+//! ([`WindowedObserver`], no flow filter) at the far end of its egress
+//! ([`Trunk::new`]): it folds the aggregate arrival process into
+//! per-window statistics — the adversary's view of the shared link, in
+//! `O(windows)` memory — and ends every packet but the target's on
+//! arrival: nothing downstream of the trunk reads another flow. Flow 0
+//! is the fully instrumented *target* flow: a payload source, a sender
+//! gateway node, the lab scenario's sender-egress and receiver-ingress
+//! taps and its receiver gateway, so
 //! [`TapPosition`](crate::scenario::TapPosition) semantics carry over
 //! unchanged.
 //!
-//! With thousands of gateways, tens of thousands of events (about three
-//! per flow: a gateway tick, a payload arrival and its source's timer)
-//! are pending at any instant — linkbench's 10⁴-flow `gateway_trunk`
-//! peaks at 30 010 — the store-bound regime the ladder event queue was
-//! built for, as a real scenario rather than a microbench. The packets
-//! in flight on a long-haul trunk (~10⁵ on that 100 ms trunk) are not
-//! events: the trunk keeps each as a 16-byte far-end record until it
-//! folds it.
-//!
-//! Cohort mode replaces the non-target senders with [`FlowCohort`]s that
-//! the trunk owns and draws on demand ([`Trunk::with_cohort`]): cohort
-//! traffic is never an event, so a cohort shard dispatches only its
-//! target's path, and a shard without the target dispatches nothing.
+//! No other flow is a node. Each is an emitter the trunk owns and draws
+//! on demand ([`Trunk::with_emitter`]): in per-flow mode one
+//! [`GatewayEmitter`] per flow (a sender gateway plus its payload
+//! source, with the node's exact tick draws), in cohort mode
+//! [`FlowCohort`]s of up to K flows. Either way no non-target packet is
+//! an event, so a run dispatches only its target's path (a handful of
+//! pending events: two timers and the target's packets in flight), and
+//! a shard without the target dispatches nothing. The packets in flight
+//! on a long-haul trunk (~10⁵ on linkbench's 100 ms `gateway_trunk`
+//! trunk) are not events either: the trunk keeps each as a 16-byte
+//! far-end record until it folds it.
 
 use crate::scenario::{
     check_link_bps, AggregateHandles, BuiltScenario, ScenarioBuilder, ScenarioError,
 };
 use crate::switching::SwitchingSource;
+use linkpad_core::clock::{GatewayEmitter, PaddingClock};
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
-use linkpad_sim::cohort::{CohortHandle, CohortJitter, FlowCohort};
+use linkpad_sim::cohort::{CohortJitter, FlowCohort};
 use linkpad_sim::engine::SimBuilder;
 use linkpad_sim::fault::{FaultPlan, LossyGate};
+use linkpad_sim::node::NodeId;
 use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::{FlowId, PacketKind};
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::SimDuration;
-use linkpad_sim::trunk::Trunk;
+use linkpad_sim::trunk::{Emitter, Trunk};
 use linkpad_stats::rng::{splitmix64_mix, MasterSeed};
 use linkpad_stats::StatsError;
 
@@ -125,19 +125,17 @@ impl PhaseSpec {
 /// Configuration of the aggregate (many-gateway trunk) topology.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateSpec {
-    /// Number of padded flows (sender gateways). Each flow `i` is
-    /// carried as `FlowId(i)`; flow 0 is the instrumented target and the
-    /// only flow with a receiver gateway.
+    /// Number of padded flows (sender gateways). Flow 0 is the
+    /// instrumented target, carried as `FlowId(0)`, and the only flow
+    /// with a receiver gateway.
     pub flows: usize,
     /// Trunk link capacity, bits/s.
     pub trunk_bps: f64,
     /// Trunk propagation delay, seconds. Long-haul trunks keep many
     /// packets in flight, roughly `flows × propagation/τ`; the trunk
-    /// holds them as far-end records, not pending events, so the
-    /// pending-event population stays near three per per-flow sender
-    /// (30 010 at the peak of 10⁴ flows on a 100 ms trunk). Cohort
-    /// traffic holds no events at all: a cohort shard's pending events
-    /// are its target's path alone (a handful).
+    /// holds them as far-end records, not pending events, and no
+    /// non-target flow is an event at all, so the pending events are the
+    /// target's path alone (a handful).
     pub trunk_propagation: f64,
     /// Width (seconds) of the trunk observer's windows. Every aggregate
     /// watches the far end of its trunk with a [`WindowedObserver`] —
@@ -150,10 +148,11 @@ pub struct AggregateSpec {
     /// [`AggregateHandles::target_rate_log`](crate::scenario::AggregateHandles).
     pub switching: Option<SwitchingSpec>,
     /// When set, flows other than the instrumented target are simulated
-    /// as [`FlowCohort`]s of up to this many flows each, which the trunk
-    /// owns and draws on demand — no node, no timer and no event per
-    /// cohort or per packet — which is what takes the family from ~10⁴
-    /// to 10⁶ flows. Every schedule with cohort support runs there (see
+    /// as [`FlowCohort`]s of up to this many flows each, instead of one
+    /// [`GatewayEmitter`] per flow: one next-fire heap entry per run of
+    /// coincident members instead of one per flow, which is what takes
+    /// the family from ~10⁴ to 10⁶ flows. Every schedule with cohort
+    /// support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). Like every non-target flow, cohort
     /// traffic ends at the trunk once recorded.
@@ -200,8 +199,8 @@ impl AggregateSpec {
 /// flow; each flow draws from its own RNG streams, so flows are
 /// statistically independent replicas).
 ///
-/// With [`AggregateSpec::cohort_size`] set, flows other than the target
-/// are grouped into [`FlowCohort`]s the trunk owns; with
+/// Flows other than the target are [`GatewayEmitter`]s the trunk owns,
+/// or with [`AggregateSpec::cohort_size`] set [`FlowCohort`]s; with
 /// [`AggregateSpec::flow_range`] set, only that global sub-population is
 /// built (shard plumbing). Ranges that exclude flow 0 produce
 /// observer-only shards: the target-flow scaffold handles exist so
@@ -270,8 +269,8 @@ pub(crate) fn build_aggregate(
             });
         }
     }
-    // Trunk faults: a gate the trunk consults on every arrival, target,
-    // per-flow gateways and cohorts alike, before serialization.
+    // Trunk faults: a gate the trunk consults on every arrival, target
+    // and emitters alike, before serialization.
     // Fault-free plans build none.
     let gate = match spec.faults.filter(|p| p.affects_trunk()) {
         Some(plan) => Some(
@@ -309,18 +308,16 @@ pub(crate) fn build_aggregate(
         (payload_sink, receiver, receiver_tap, None)
     };
 
-    // The shared trunk, installed once its cohorts are built.
+    // The shared trunk, installed once its emitters are built.
     let trunk_id = b.reserve();
 
     // Sender side: the target flow through its egress tap, everything
-    // else straight into the trunk. Clock phases spread over the
+    // else drawn inside the trunk. Clock phases spread over the
     // schedule's emission period (τ for the timer families, 1/rate for
     // constant-rate, the stationary mean for adaptive padding) so
-    // cohorts and real gateway pairs lay their clocks out identically.
+    // cohorts and per-flow senders lay their clocks out identically.
     let period = builder.schedule().mean_interval(tau);
-    let mut gateways = Vec::new();
-    let mut cohorts: Vec<CohortHandle> = Vec::new();
-    let mut trunk_cohorts: Vec<FlowCohort> = Vec::new();
+    let mut emitters = Vec::new();
     let mut target_rate_log = None;
     let (sender_tap, gateway) = if has_target {
         let (sender_tap, stap) = Tap::on_padded_flow(Some(trunk_id));
@@ -334,7 +331,6 @@ pub(crate) fn build_aggregate(
         );
         let mut gw1 = gw1
             .with_discipline(builder.discipline())
-            .with_flow(FlowId(0))
             .with_start_phase(SimDuration::from_secs_f64(phase))
             .with_label("gw1-0");
         if let Some(law) = builder.payload_model().size_law(d.packet_size)? {
@@ -367,7 +363,6 @@ pub(crate) fn build_aggregate(
                 )));
             }
         }
-        gateways.push(gw.clone());
         (sender_tap, gw)
     } else {
         let (sender_tap, _stap) = Tap::on_padded_flow(None);
@@ -380,38 +375,48 @@ pub(crate) fn build_aggregate(
         (sender_tap, gw)
     };
 
+    // The trunk, observed at its far end: the observer is the
+    // adversary's view of the shared link, in O(windows) memory. The
+    // trunk serves its emitters and every packet the target delivers,
+    // passes the target flow on to its receiver and ends every other
+    // flow (an observer-only shard's trunk forwards nothing).
+    let (trunk_observer, mut observer) = WindowedObserver::new(SimDuration::from_secs_f64(window));
+    // Measurement gaps: the observer goes blind on the gap schedule's
+    // down intervals and stamps per-window coverage.
+    if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
+        observer = observer.with_gaps(gaps);
+    }
+    let (fault_gate, gate) = gate.unzip();
+    let far_end = FarEnd {
+        observer,
+        target: target_next,
+        bps: spec.trunk_bps,
+        propagation: SimDuration::from_secs_f64(spec.trunk_propagation),
+        gate,
+    };
+
     match spec.cohort_size {
-        // Per-flow mode: a real sender gateway and payload source per flow.
+        // Per-flow mode: one sender gateway and payload source per flow,
+        // as an emitter.
         None => {
+            let mut trunk_emitters = Vec::with_capacity(count);
             for f in start.max(1)..start + count {
-                let flow = FlowId(f as u32);
                 let phase = spec.phases.phase_secs(f, f, spec.flows, period);
-                let (gw, gw1) = SenderGateway::new(
-                    trunk_id,
+                let mut clock = PaddingClock::new(
                     builder.schedule().to_schedule(tau)?,
                     d.jitter,
                     d.packet_size,
-                );
-                let mut gw1 = gw1
-                    .with_discipline(builder.discipline())
-                    .with_flow(flow)
-                    .with_start_phase(SimDuration::from_secs_f64(phase))
-                    .with_label(format!("gw1-{f}"));
+                )
+                .with_discipline(builder.discipline())
+                .with_start_phase(SimDuration::from_secs_f64(phase));
                 if let Some(law) = builder.payload_model().size_law(d.packet_size)? {
-                    gw1 = gw1.with_packet_size_law(law);
+                    clock = clock.with_packet_size_law(law);
                 }
-                let gw1_id = b.add_node(Box::new(gw1));
-                gateways.push(gw);
-                b.add_node(Box::new(DistSource::new(
-                    gw1_id,
-                    flow,
-                    PacketKind::Payload,
-                    builder.payload().interval_law()?,
-                    Box::new(linkpad_stats::dist::Deterministic::new(
-                        d.packet_size as f64,
-                    )?),
-                )));
+                let (h, emitter) = GatewayEmitter::new(clock, builder.payload().interval_law()?);
+                emitters.push(h);
+                trunk_emitters.push(emitter);
             }
+            far_end.install(&mut b, trunk_id, trunk_emitters);
         }
         // Cohort mode: non-target flows grouped K at a time into
         // superposition generators the trunk owns. Grouping and
@@ -434,6 +439,7 @@ pub(crate) fn build_aggregate(
             };
             let mut group: Vec<SimDuration> = Vec::with_capacity(k);
             let mut group_id = None;
+            let mut trunk_cohorts = Vec::new();
             let mut flush = |group: &mut Vec<SimDuration>,
                              group_id: &mut Option<usize>|
              -> Result<(), ScenarioError> {
@@ -449,7 +455,7 @@ pub(crate) fn build_aggregate(
                     cohort = cohort.with_packet_size_law(law);
                 }
                 trunk_cohorts.push(cohort);
-                cohorts.push(h);
+                emitters.push(h);
                 group.clear();
                 Ok(())
             };
@@ -467,35 +473,9 @@ pub(crate) fn build_aggregate(
                 )));
             }
             flush(&mut group, &mut group_id)?;
+            far_end.install(&mut b, trunk_id, trunk_cohorts);
         }
     }
-
-    // The trunk, observed at its far end: the observer is the
-    // adversary's view of the shared link, in O(windows) memory. The
-    // trunk serves its cohorts and every packet the senders deliver,
-    // passes the target flow on to its receiver and ends every other
-    // flow (an observer-only shard's trunk forwards nothing).
-    let (trunk_observer, mut observer) = WindowedObserver::new(SimDuration::from_secs_f64(window));
-    // Measurement gaps: the observer goes blind on the gap schedule's
-    // down intervals and stamps per-window coverage.
-    if let Some(gaps) = spec.faults.and_then(|p| p.observer_gaps) {
-        observer = observer.with_gaps(gaps);
-    }
-    let mut trunk = Trunk::new(
-        observer,
-        target_next,
-        spec.trunk_bps,
-        SimDuration::from_secs_f64(spec.trunk_propagation),
-    );
-    let mut fault_gate = None;
-    if let Some((handle, gate)) = gate {
-        trunk = trunk.with_gate(gate);
-        fault_gate = Some(handle);
-    }
-    for cohort in trunk_cohorts {
-        trunk = trunk.with_cohort(cohort);
-    }
-    b.install(trunk_id, Box::new(trunk));
 
     let sim = b.build()?;
     Ok(BuiltScenario {
@@ -508,12 +488,35 @@ pub(crate) fn build_aggregate(
         aggregate: Some(AggregateHandles {
             trunk_observer: Some(trunk_observer),
             target_rate_log,
-            gateways,
-            cohorts,
+            emitters,
             fault_gate,
         }),
         tau,
     })
+}
+
+/// The trunk's configuration, less its emitters.
+struct FarEnd {
+    observer: WindowedObserver,
+    /// Where the target flow goes on (`None` in an observer-only shard).
+    target: Option<NodeId>,
+    bps: f64,
+    propagation: SimDuration,
+    gate: Option<LossyGate>,
+}
+
+impl FarEnd {
+    /// Install the trunk serving `emitters` at `id`.
+    fn install<E: Emitter + 'static>(self, b: &mut SimBuilder, id: NodeId, emitters: Vec<E>) {
+        let mut trunk = Trunk::new(self.observer, self.target, self.bps, self.propagation);
+        if let Some(gate) = self.gate {
+            trunk = trunk.with_gate(gate);
+        }
+        for emitter in emitters {
+            trunk = trunk.with_emitter(emitter);
+        }
+        b.install(id, Box::new(trunk));
+    }
 }
 
 #[cfg(test)]
@@ -608,8 +611,11 @@ mod tests {
         // The switching payload still rides the padded flow end to end.
         assert!(s.receiver.payload_delivered() > 50);
         assert_eq!(s.receiver.unexpected(), 0);
-        for (i, gw) in agg.gateways.iter().enumerate() {
-            assert!(gw.ticks() > 300, "gateway {i} starved");
+        assert!(s.gateway.ticks() > 300, "the target gateway starved");
+        assert_eq!(agg.emitters.len(), 2);
+        for (i, e) in agg.emitters.iter().enumerate() {
+            assert_eq!(e.flows(), 1);
+            assert!(e.emitted() > 300, "emitter {i} starved");
         }
     }
 

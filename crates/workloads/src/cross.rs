@@ -12,23 +12,15 @@
 use linkpad_stats::dist::{Categorical, ContinuousDist, Exponential, Pareto};
 use linkpad_stats::StatsError;
 
-/// The packet-size mixture of cross traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SizeMix {
-    /// Internet-like trimodal mix: 40% 64 B (ACKs), 35% 550 B, 25% 1500 B.
-    InternetTrimodal,
+/// The packet-size law of cross traffic (bytes): the Internet-like
+/// trimodal mix, 40% 64 B (ACKs), 35% 550 B, 25% 1500 B.
+pub fn trimodal_size_law() -> Result<Categorical, StatsError> {
+    Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
 }
 
-impl SizeMix {
-    /// Materialize the size distribution (bytes).
-    pub fn law(&self) -> Result<Categorical, StatsError> {
-        Categorical::new(&[(64.0, 0.40), (550.0, 0.35), (1500.0, 0.25)])
-    }
-
-    /// Mean packet size in bytes.
-    pub fn mean_bytes(&self) -> f64 {
-        64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25
-    }
+/// Mean packet size of [`trimodal_size_law`], bytes.
+pub fn trimodal_mean_bytes() -> f64 {
+    64.0 * 0.40 + 550.0 * 0.35 + 1500.0 * 0.25
 }
 
 /// Cross-traffic packet rate (packets/s) that loads a link of
@@ -148,9 +140,9 @@ mod tests {
 
     #[test]
     fn size_mix_means() {
-        assert!((SizeMix::InternetTrimodal.mean_bytes() - 593.1).abs() < 0.2);
-        let law = SizeMix::InternetTrimodal.law().unwrap();
-        assert!((law.mean() - SizeMix::InternetTrimodal.mean_bytes()).abs() < 1e-9);
+        assert!((trimodal_mean_bytes() - 593.1).abs() < 0.2);
+        let law = trimodal_size_law().unwrap();
+        assert!((law.mean() - trimodal_mean_bytes()).abs() < 1e-9);
     }
 
     #[test]

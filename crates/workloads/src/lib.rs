@@ -24,7 +24,7 @@
 //!   ([`ScenarioBuilder::with_cohorts`](scenario::ScenarioBuilder::with_cohorts))
 //!   swaps the non-target senders for `FlowCohort` superposition
 //!   generators the trunk draws on demand;
-//!   [`PhaseSpec`](aggregate::PhaseSpec) lays out the padding-clock
+//!   [`aggregate::PhaseSpec`] lays out the padding-clock
 //!   start phases (the desynchronized-clock knob).
 //! * [`shard`] — sharded aggregate execution: split one trunk
 //!   scenario's flow population over worker sub-sims and merge the
@@ -44,7 +44,7 @@ pub mod switching;
 
 pub use aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec};
 pub use background::BackgroundNoiseHop;
-pub use cross::{cross_rate_for_utilization, DiurnalProfile, SizeMix};
+pub use cross::{cross_rate_for_utilization, DiurnalProfile};
 pub use scenario::{AggregateHandles, BuiltScenario, ScenarioBuilder, TapPosition};
 pub use shard::{ShardReport, ShardedAggregate, ShardedRun};
 pub use spec::{HopSpec, PayloadSpec, ScheduleSpec};

@@ -18,7 +18,9 @@
 //! gateway/receiver handles for QoS and overhead accounting.
 
 use crate::aggregate::{AggregateSpec, PhaseSpec, SwitchingSpec};
-use crate::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
+use crate::cross::{
+    cross_interval_law, cross_rate_for_utilization, trimodal_mean_bytes, trimodal_size_law,
+};
 use crate::spec::{HopSpec, PayloadModel, PayloadSpec, ScheduleSpec};
 use crate::switching::RateLog;
 use linkpad_core::calibration::CalibratedDefaults;
@@ -375,7 +377,7 @@ impl ScenarioBuilder {
     /// Set the wire payload-size model (default [`PayloadModel::Fixed`],
     /// the calibrated constant packet size). Applies to every padded
     /// sender the builder materializes — the lab pair, aggregate
-    /// per-flow gateways, and cohorts.
+    /// per-flow senders, and cohorts.
     pub fn with_payload_model(mut self, model: PayloadModel) -> Self {
         self.payload_model = model;
         self
@@ -493,7 +495,7 @@ impl ScenarioBuilder {
                     next_for_padded,
                     self.hop_link_bps,
                     hop.utilization,
-                    SizeMix::InternetTrimodal.mean_bytes(),
+                    trimodal_mean_bytes(),
                     SimDuration::from_secs_f64(self.hop_propagation),
                 )?;
                 next_for_padded = b.add_node(Box::new(bg.with_label(format!("bg-hop-{i}"))));
@@ -509,11 +511,11 @@ impl ScenarioBuilder {
                 let rate = cross_rate_for_utilization(
                     hop.utilization,
                     self.hop_link_bps,
-                    SizeMix::InternetTrimodal.mean_bytes(),
+                    trimodal_mean_bytes(),
                 )?;
                 router = router.with_cross_traffic(
                     cross_interval_law(rate, hop.bursty)?,
-                    Box::new(SizeMix::InternetTrimodal.law()?),
+                    Box::new(trimodal_size_law()?),
                 )?;
             }
             next_for_padded = b.add_node(Box::new(router));
@@ -569,9 +571,8 @@ pub(crate) fn check_link_bps(what: &'static str, bps: f64) -> Result<(), StatsEr
     Ok(())
 }
 
-/// Extra instrumentation of an aggregate scenario (one entry per flow,
-/// indexed by flow id; flow 0 is also exposed through the plain
-/// [`BuiltScenario`] handles).
+/// Extra instrumentation of an aggregate scenario (the target flow's is
+/// in the plain [`BuiltScenario`] handles).
 pub struct AggregateHandles {
     /// Streaming windowed observer on the shared trunk — the
     /// aggregate-link adversary's `O(windows)` view of **all** flows.
@@ -582,12 +583,12 @@ pub struct AggregateHandles {
     /// Ground-truth rate-switch log of the target flow. `None` unless
     /// [`ScenarioBuilder::with_switching_target`] was used.
     pub target_rate_log: Option<RateLog>,
-    /// Per-flow sender-gateway instrumentation. In cohort mode only the
-    /// target flow has a real gateway, so this holds at most one entry.
-    pub gateways: Vec<GatewayHandle>,
-    /// Per-cohort instrumentation (empty unless
-    /// [`ScenarioBuilder::with_cohorts`] was used).
-    pub cohorts: Vec<linkpad_sim::cohort::CohortHandle>,
+    /// Instrumentation of the non-target senders the trunk draws on
+    /// demand, in flow order: one handle per flow counting its ticks, or
+    /// with [`ScenarioBuilder::with_cohorts`] one per cohort counting its
+    /// members' emissions. The target's gateway is
+    /// [`BuiltScenario::gateway`].
+    pub emitters: Vec<linkpad_sim::trunk::EmitterHandle>,
     /// Drop counters of the trunk fault gate. `None` unless
     /// [`ScenarioBuilder::with_faults`] configured trunk loss or
     /// outages (observer-gap-only plans add no gate).
@@ -796,9 +797,8 @@ mod tests {
         const SEEDS: u64 = 8;
         const SECS: f64 = 30.0;
         let d = CalibratedDefaults::paper();
-        let mix = SizeMix::InternetTrimodal;
-        let sizes = mix.law().unwrap();
-        let lambda = cross_rate_for_utilization(UTIL, d.link_bps, mix.mean_bytes()).unwrap();
+        let sizes = trimodal_size_law().unwrap();
+        let lambda = cross_rate_for_utilization(UTIL, d.link_bps, trimodal_mean_bytes()).unwrap();
         let secs_per_byte = 8.0 / d.link_bps;
         let service_sq = (sizes.variance() + sizes.mean().powi(2)) * secs_per_byte.powi(2);
         let pk = lambda * service_sq / (2.0 * (1.0 - UTIL));

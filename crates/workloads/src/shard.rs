@@ -9,10 +9,10 @@
 //! so the population can be **partitioned**: [`ShardedAggregate`] splits
 //! the global flow range over `shards` sub-simulations, runs each on a
 //! worker (dynamic work-stealing via
-//! [`parallel_map_init_catching`](linkpad_sim::parallel::parallel_map_init_catching);
+//! [`linkpad_sim::parallel::parallel_map_init_catching`];
 //! every shard is a fresh build of its range), and merges the per-shard
 //! trunk window series into one trunk view with
-//! [`merge_window_series`](linkpad_sim::observer::merge_window_series).
+//! [`linkpad_sim::observer::merge_window_series`].
 //!
 //! **Harness fault tolerance.** A panicking shard worker no longer
 //! tears the whole fan-out down: the panic is caught in the worker
@@ -797,7 +797,7 @@ mod tests {
             .aggregate
             .as_ref()
             .unwrap()
-            .cohorts
+            .emitters
             .iter()
             .map(|c| c.flows())
             .collect();
@@ -855,7 +855,7 @@ mod tests {
         assert_eq!(shard1.receiver.payload_delivered(), 0);
         assert_eq!(shard1.sender_tap.count(), 0);
         let agg = shard1.aggregate.as_ref().unwrap();
-        assert!(agg.gateways.is_empty());
+        assert!(agg.emitters.iter().all(|e| e.emitted() > 0));
         let obs = agg.trunk_observer.clone().unwrap();
         assert!(obs.arrivals() > 0, "cohort traffic still observed");
     }

@@ -28,7 +28,7 @@ use linkpad_sim::observer::WindowedObserver;
 use linkpad_sim::packet::FlowId;
 use linkpad_sim::tap::Tap;
 use linkpad_sim::time::{SimDuration, SimTime};
-use linkpad_sim::trunk::Trunk;
+use linkpad_sim::trunk::{Emitter, Trunk};
 use linkpad_stats::rng::MasterSeed;
 
 const TAU: f64 = 0.010;
@@ -164,7 +164,7 @@ fn observer_view_of_cohort_matches_gateway_fanin() {
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();
             let (_, cohort) = FlowCohort::new(&sd, 500, cit());
-            b.add_node(Box::new(trunk.with_cohort(cohort)));
+            b.add_node(Box::new(trunk.with_emitter(cohort)));
         } else {
             let trunk_id = b.add_node(Box::new(trunk));
             for (k, &phase) in phases.iter().enumerate() {

@@ -89,7 +89,7 @@ fn observer_run(
         if let Some(law) = payload.size_law(PKT).expect("size law") {
             cohort = cohort.with_packet_size_law(law);
         }
-        b.add_node(Box::new(trunk.with_cohort(cohort)));
+        b.add_node(Box::new(trunk.with_emitter(cohort)));
     } else {
         let trunk_id = b.add_node(Box::new(trunk));
         for (k, &phase) in phases_ns.iter().enumerate() {

@@ -207,6 +207,7 @@ fn reset_clears_instrumentation_handles() {
     let agg = s.aggregate.as_ref().expect("aggregate handles");
     let trunk_observer = agg.trunk_observer.clone().expect("trunk observer");
     assert!(s.gateway.ticks() > 0);
+    assert!(agg.emitters.iter().all(|e| e.emitted() > 0));
     assert!(trunk_observer.arrivals() > 0);
     assert!(s.payload_sink.count() > 0);
     s.reset(7);
@@ -222,8 +223,9 @@ fn reset_clears_instrumentation_handles() {
     assert_eq!(s.receiver_tap.count(), 0);
     assert_eq!(s.payload_sink.count(), 0);
     assert_eq!(s.receiver.dummies_stripped(), 0);
-    for gw in &agg.gateways {
-        assert_eq!(gw.ticks(), 0);
+    assert_eq!(agg.emitters.len(), 3);
+    for e in &agg.emitters {
+        assert_eq!(e.emitted(), 0, "emitter ticks survive reset");
     }
 }
 

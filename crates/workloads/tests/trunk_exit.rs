@@ -1,16 +1,17 @@
 //! An aggregate's [`Trunk`](linkpad_sim::trunk::Trunk) serves its
-//! cohorts on demand, folds every packet's far-end arrival into its
+//! emitters on demand, folds every packet's far-end arrival into its
 //! observer in place and forwards only the target flow. This test keeps
-//! the per-event wiring as the reference model — every cohort packet an
+//! the per-event wiring as the reference model — every emitter packet an
 //! engine delivery to a plain trunk router, which delivers every packet
-//! to a capture-only observer and to a demux that routes each per-flow
-//! packet to its own receiver and absorbs cohort packets — and checks
-//! in both aggregate modes, after each of 2 140 run slices whose bounds
-//! sweep the tick cycle (many of them while packets are in propagation),
-//! that the trunk view and the target flow's receive side are
-//! bit-identical to it, at exactly the dispatches the reference's extra
-//! events add.
+//! to a capture-only observer and to a demux that passes the target on
+//! and absorbs the rest — and checks in both aggregate modes (per-flow
+//! gateway emitters and cohorts), after each of 2 140 run slices whose
+//! bounds sweep the tick cycle (many of them while packets are in
+//! propagation), that the trunk view and the target flow's receive side
+//! are bit-identical to it, at exactly the dispatches the reference's
+//! extra events add.
 
+use linkpad_core::clock::{GatewayEmitter, PaddingClock};
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
 use linkpad_sim::cohort::{CohortJitter, FlowCohort};
 use linkpad_sim::engine::{Context, Sim, SimBuilder};
@@ -21,6 +22,7 @@ use linkpad_sim::router::Router;
 use linkpad_sim::source::DistSource;
 use linkpad_sim::tap::{Tap, TapHandle};
 use linkpad_sim::time::{SimDuration, SimTime};
+use linkpad_sim::trunk::Emitter;
 use linkpad_stats::dist::Deterministic;
 use linkpad_stats::rng::{MasterSeed, Xoshiro256StarStar};
 use linkpad_workloads::{PhaseSpec, ScenarioBuilder};
@@ -41,8 +43,8 @@ const WINDOW: f64 = 0.1;
 /// between a far-end arrival and the next packet to reach the trunk.
 const SLICES: u64 = 2_140;
 const SLICE_NS: u64 = 700_100;
-/// The reference's cohort traffic on the wire.
-const COHORT_FLOW: FlowId = FlowId(u32::MAX);
+/// The reference's emitter traffic on the wire.
+const EMITTER_FLOW: FlowId = FlowId(u32::MAX);
 
 fn builder(cohorts: bool) -> ScenarioBuilder {
     let b = ScenarioBuilder::aggregate(SEED, FLOWS)
@@ -73,31 +75,31 @@ impl Node for FanOut {
     }
 }
 
-/// A cohort the builder's trunk serves on demand, as engine events: at
-/// start it fires the cohort on the stream the trunk hands it, through
-/// the last slice, and schedules each arrival as a delivery to the
-/// trunk, ahead of its instant. Same-instant deliveries therefore pop in
-/// cohort order, then fire order, and before any packet sent at that
-/// instant: the lazy trunk's service order.
-struct EagerCohort {
+/// An emitter the builder's trunk serves on demand, as engine events:
+/// at start it fires the emitter on the stream the trunk hands it,
+/// through the last slice, and schedules each arrival as a delivery to
+/// the trunk, ahead of its instant. Same-instant deliveries therefore
+/// pop in emitter order, then fire order, and before any packet sent at
+/// that instant: the lazy trunk's service order.
+struct Eager<E> {
     trunk: NodeId,
-    cohort: FlowCohort,
+    emitter: E,
     rng: Xoshiro256StarStar,
     /// Arrival instants of the deliveries scheduled.
     sent: Rc<RefCell<Vec<SimTime>>>,
 }
 
-impl Node for EagerCohort {
+impl<E: Emitter> Node for Eager<E> {
     fn on_packet(&mut self, _packet: Packet, _ctx: &mut Context<'_>) {}
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        self.cohort.start(self.rng.clone());
+        self.emitter.start(self.rng.clone());
         let until = SimTime::from_nanos(SLICES * SLICE_NS);
         let trunk = self.trunk;
         let mut sent = self.sent.borrow_mut();
-        while self.cohort.next_fire().is_some_and(|t| t <= until) {
-            self.cohort.fire(|at, size| {
+        while self.emitter.next_fire().is_some_and(|t| t <= until) {
+            self.emitter.fire(|at, size| {
                 if at <= until {
-                    let packet = ctx.spawn_packet(COHORT_FLOW, PacketKind::Dummy, size);
+                    let packet = ctx.spawn_packet(EMITTER_FLOW, PacketKind::Dummy, size);
                     ctx.send_after(at - ctx.now(), trunk, packet);
                     sent.push(at);
                 }
@@ -106,16 +108,33 @@ impl Node for EagerCohort {
     }
 }
 
-/// The reference demux: routes flow `i` to `nexts[i]` and absorbs
-/// cohort traffic.
+/// Append a feeder for `emitter`, on the stream the builder's trunk
+/// hands it: seeded by the next draw of the trunk's own stream.
+fn feeder<E: Emitter + 'static>(
+    b: &mut SimBuilder,
+    trunk: NodeId,
+    emitter: E,
+    trunk_stream: &mut Xoshiro256StarStar,
+    sent: &Rc<RefCell<Vec<SimTime>>>,
+) {
+    b.add_node(Box::new(Eager {
+        trunk,
+        emitter,
+        rng: Xoshiro256StarStar::from_u64(trunk_stream.next_u64()),
+        sent: Rc::clone(sent),
+    }));
+}
+
+/// The reference demux: passes the target flow on to `target` and
+/// absorbs emitter traffic.
 struct Demux {
-    nexts: Vec<NodeId>,
+    target: NodeId,
 }
 
 impl Node for Demux {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>) {
-        if packet.flow != COHORT_FLOW {
-            ctx.send_now(self.nexts[packet.flow.0 as usize], packet);
+        if packet.flow != EMITTER_FLOW {
+            ctx.send_now(self.target, packet);
         }
     }
 }
@@ -125,23 +144,20 @@ struct Reference {
     observer: ObserverHandle,
     receiver_tap: TapHandle,
     payload_sink: TapHandle,
-    /// One capture-only receiver per non-target flow (per-flow mode).
-    receivers: Vec<TapHandle>,
     /// Packets the fan-out carried: every trunk arrival.
     fanned: Rc<Cell<u64>>,
-    /// Arrival instants of the cohort packets delivered to the trunk
-    /// (cohort mode).
-    cohort_sent: Rc<RefCell<Vec<SimTime>>>,
+    /// Arrival instants of the emitter packets delivered to the trunk.
+    sent: Rc<RefCell<Vec<SimTime>>>,
 }
 
 /// `builder(cohorts).build()` with the per-event wiring: the aggregate
 /// builder's node list, order and labels (node `i` draws RNG stream
 /// `i`), with a plain router in the trunk's slot delivering to a
-/// fan-out, and the cohort feeders, non-target receivers, demux, fan-out
-/// and observer appended after the builder's last node so that no
-/// builder node changes stream. Cohort `g`'s feeder draws from the
-/// stream the builder's trunk hands it: seeded by draw `g` of the
-/// trunk's own stream.
+/// fan-out, and the emitter feeders, demux, fan-out and observer
+/// appended after the builder's last node so that no builder node
+/// changes stream. Emitter `g`'s feeder draws from the stream the
+/// builder's trunk hands it: seeded by draw `g` of the trunk's own
+/// stream.
 fn reference(cohorts: bool) -> Reference {
     let builder = builder(cohorts);
     let d = builder.defaults;
@@ -159,33 +175,26 @@ fn reference(cohorts: bool) -> Reference {
     let stap = b.add_node(Box::new(
         Tap::on_padded_flow(Some(trunk)).1.with_label("tap@gw1"),
     ));
-    let sender = |next: NodeId, flow: usize, phase: f64| {
-        let schedule = builder.schedule().to_schedule(tau).expect("schedule");
-        let (_, gw1) = SenderGateway::new(next, schedule, d.jitter, d.packet_size);
-        gw1.with_discipline(builder.discipline())
-            .with_flow(FlowId(flow as u32))
-            .with_start_phase(SimDuration::from_secs_f64(phase))
-            .with_label(format!("gw1-{flow}"))
-    };
-    let payload = |gw1: NodeId, flow: usize| {
-        DistSource::new(
-            gw1,
-            FlowId(flow as u32),
-            PacketKind::Payload,
-            builder.payload().interval_law().expect("payload law"),
-            Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
-        )
-    };
-    let gw1 = b.add_node(Box::new(sender(
-        stap,
-        0,
-        PHASES.phase_secs(0, 0, FLOWS, period),
+    // The target: its gateway and payload source.
+    let schedule = builder.schedule().to_schedule(tau).expect("schedule");
+    let (_, gw1) = SenderGateway::new(stap, schedule, d.jitter, d.packet_size);
+    let phase = PHASES.phase_secs(0, 0, FLOWS, period);
+    let gw1 = gw1
+        .with_discipline(builder.discipline())
+        .with_start_phase(SimDuration::from_secs_f64(phase))
+        .with_label("gw1-0");
+    let gw1 = b.add_node(Box::new(gw1));
+    b.add_node(Box::new(DistSource::new(
+        gw1,
+        FlowId::PADDED,
+        PacketKind::Payload,
+        builder.payload().interval_law().expect("payload law"),
+        Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
     )));
-    b.add_node(Box::new(payload(gw1, 0)));
 
-    let cohort_sent = Rc::new(RefCell::new(Vec::new()));
+    let sent = Rc::new(RefCell::new(Vec::new()));
+    let mut trunk_stream = MasterSeed::new(SEED).stream(trunk.index() as u64);
     if cohorts {
-        let mut trunk_stream = MasterSeed::new(SEED).stream(trunk.index() as u64);
         let jitter = CohortJitter {
             base_sigma: d.jitter.base_sigma,
             blocking_mean: d.jitter.blocking_mean,
@@ -206,32 +215,24 @@ fn reference(cohorts: bool) -> Reference {
                 .member_schedule(tau, phases.len() as u32)
                 .expect("member schedule");
             let (_, cohort) = FlowCohort::new(&phases, d.packet_size, sched);
-            b.add_node(Box::new(EagerCohort {
-                trunk,
-                cohort: cohort.with_jitter(jitter).expect("jitter"),
-                rng: Xoshiro256StarStar::from_u64(trunk_stream.next_u64()),
-                sent: Rc::clone(&cohort_sent),
-            }));
+            let cohort = cohort.with_jitter(jitter).expect("jitter");
+            feeder(&mut b, trunk, cohort, &mut trunk_stream, &sent);
         }
     } else {
         for f in 1..FLOWS {
             let phase = PHASES.phase_secs(f, f, FLOWS, period);
-            let gw1 = b.add_node(Box::new(sender(trunk, f, phase)));
-            b.add_node(Box::new(payload(gw1, f)));
+            let schedule = builder.schedule().to_schedule(tau).expect("schedule");
+            let clock = PaddingClock::new(schedule, d.jitter, d.packet_size)
+                .with_discipline(builder.discipline())
+                .with_start_phase(SimDuration::from_secs_f64(phase));
+            let law = builder.payload().interval_law().expect("payload law");
+            let (_, emitter) = GatewayEmitter::new(clock, law);
+            feeder(&mut b, trunk, emitter, &mut trunk_stream, &sent);
         }
     }
 
     // The reference's extra hops.
-    let mut nexts = vec![rtap];
-    let mut receivers = Vec::new();
-    if !cohorts {
-        for f in 1..FLOWS {
-            let (handle, rx) = Tap::new(None, None);
-            nexts.push(b.add_node(Box::new(rx.with_label(format!("gw2-{f}")))));
-            receivers.push(handle);
-        }
-    }
-    let demux = b.add_node(Box::new(Demux { nexts }));
+    let demux = b.add_node(Box::new(Demux { target: rtap }));
     let (observer, node) = WindowedObserver::new(SimDuration::from_secs_f64(WINDOW));
     let observer_id = b.add_node(Box::new(node));
     let fanned = Rc::new(Cell::new(0));
@@ -250,9 +251,8 @@ fn reference(cohorts: bool) -> Reference {
         observer,
         receiver_tap,
         payload_sink,
-        receivers,
         fanned,
-        cohort_sent,
+        sent,
     }
 }
 
@@ -283,14 +283,13 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
         let mode = if cohorts { "cohort" } else { "per-flow" };
         let mut built = builder(cohorts).build().expect("builds");
         let mut reference = reference(cohorts);
-        // Cohort feeders, non-target receivers, demux, fan-out and
-        // observer.
+        // Emitter feeders, demux, fan-out and observer.
         let feeders = if cohorts {
             (FLOWS - 1).div_ceil(COHORT)
         } else {
-            0
+            FLOWS - 1
         };
-        let extra = feeders + reference.receivers.len() + 3;
+        let extra = feeders + 3;
         assert_eq!(
             reference.sim.node_count(),
             built.sim.node_count() + extra,
@@ -304,8 +303,8 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
             let secs = until.as_secs_f64();
             built.sim.run_until(until);
             reference.sim.run_until(until);
-            // Cohort packets the reference has yet to deliver.
-            let sent = reference.cohort_sent.borrow();
+            // Emitter packets the reference has yet to deliver.
+            let sent = reference.sent.borrow();
             let delivered = sent.iter().filter(|&&at| at <= until).count();
             let undelivered = sent.len() - delivered;
             // Beyond those, only the reference holds non-target packets
@@ -330,15 +329,13 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
             );
             // Every trunk arrival reached the fan-out. The reference
             // dispatched each three times more (into the fan-out, then
-            // into the observer and the demux), each non-target per-flow
-            // packet once more (into its receiver), and each cohort
-            // packet once more (into the trunk).
+            // into the observer and the demux), and each emitter packet
+            // once more (into the trunk).
             let fanned = reference.fanned.get();
             assert_eq!(fanned, got.arrivals(), "{mode} at {secs} s");
-            let received: u64 = reference.receivers.iter().map(|r| r.count() as u64).sum();
             assert_eq!(
                 reference.sim.events_processed() - built.sim.events_processed(),
-                3 * fanned + received + delivered as u64,
+                3 * fanned + delivered as u64,
                 "{mode} at {secs} s"
             );
         }
@@ -349,8 +346,8 @@ fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
         assert!(reference.receiver_tap.count() > 100, "{mode}");
         assert!(reference.payload_sink.count() > 5, "{mode}");
         assert!(reference.fanned.get() > 1_000, "{mode}");
-        for (i, rx) in reference.receivers.iter().enumerate() {
-            assert!(rx.count() > 100, "{mode}: receiver {} starved", i + 1);
-        }
+        // Every emitter flow kept ticking: 100 pps over 1.5 s each.
+        let emitted = reference.sent.borrow().len();
+        assert!(emitted > 100 * (FLOWS - 1), "{mode}: {emitted} emissions");
     }
 }

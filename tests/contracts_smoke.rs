@@ -24,10 +24,12 @@ use linkpad::sim::packet::{FlowId, Packet, PacketKind};
 use linkpad::sim::router::Router;
 use linkpad::sim::source::DistSource;
 use linkpad::sim::tap::{Tap, TapHandle};
-use linkpad::sim::trunk::Trunk;
+use linkpad::sim::trunk::{Emitter, Trunk};
 use linkpad::stats::dist::{ContinuousDist, Deterministic};
 use linkpad::stats::rng::Xoshiro256StarStar;
-use linkpad::workloads::cross::{cross_interval_law, cross_rate_for_utilization, SizeMix};
+use linkpad::workloads::cross::{
+    cross_interval_law, cross_rate_for_utilization, trimodal_mean_bytes, trimodal_size_law,
+};
 use linkpad::workloads::spec::PayloadModel;
 use rand_core::RngCore;
 use std::cell::{Cell, RefCell};
@@ -152,7 +154,6 @@ impl Node for DropCross {
 /// their dispatches.
 fn eager_lab(seed: u64, rate: f64, hops: &[HopSpec], until: SimTime) -> (Sim, TapHandle, Tally) {
     let d = CalibratedDefaults::paper();
-    let mix = SizeMix::InternetTrimodal;
     let propagation = SimDuration::from_secs_f64(0.5e-3);
     let dispatches = Tally::default();
     let mut b = SimBuilder::new(MasterSeed::new(seed));
@@ -184,13 +185,14 @@ fn eager_lab(seed: u64, rate: f64, hops: &[HopSpec], until: SimTime) -> (Sim, Ta
             padded_next,
             dispatches: Rc::clone(&dispatches),
         }));
-        let cross_rate = cross_rate_for_utilization(hop.utilization, d.link_bps, mix.mean_bytes())
-            .expect("valid utilization");
+        let cross_rate =
+            cross_rate_for_utilization(hop.utilization, d.link_bps, trimodal_mean_bytes())
+                .expect("valid utilization");
         b.add_node(Box::new(EagerCross {
             router,
             rng: MasterSeed::new(seed).stream(router.index() as u64),
             interval: cross_interval_law(cross_rate, hop.bursty).expect("valid rate"),
-            size: Box::new(mix.law().expect("valid mix")),
+            size: Box::new(trimodal_size_law().expect("valid mix")),
             until,
             dispatches: Rc::clone(&dispatches),
         }));
@@ -287,7 +289,7 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
         if use_cohort {
             let law = Box::new(LawSchedule::new(cit().into_law()));
             let (_, cohort) = FlowCohort::new(&[SimDuration::ZERO; FLOWS], 500, law);
-            b.add_node(Box::new(trunk.with_cohort(cohort)));
+            b.add_node(Box::new(trunk.with_emitter(cohort)));
         } else {
             let trunk = b.add_node(Box::new(trunk));
             for k in 0..FLOWS {

@@ -3,9 +3,20 @@
 use linkpad::prelude::*;
 use linkpad::stats::moments::{sample_mean, sample_variance};
 use linkpad::testbed::LiveRunReport;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Held by each test here for its whole capture: the harness runs tests
+/// on parallel threads, and the other test's timer threads on the same
+/// cores are noise in this one's timing.
+fn real_time_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the next capture is still valid.
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn live_cit_round_trip() {
+    let _real_time = real_time_lock();
     let report = run_live(LiveConfig {
         tau: 0.002,
         sigma_t: 0.0,
@@ -28,6 +39,7 @@ fn live_cit_round_trip() {
 
 #[test]
 fn live_vit_intervals_follow_the_designed_law() {
+    let _real_time = real_time_lock();
     // The designed law is checked exactly on the gateway's seeded
     // deadlines. The realized timing is checked against CIT captures
     // interleaved with the VIT ones, ten alternating pairs of 50 frames
