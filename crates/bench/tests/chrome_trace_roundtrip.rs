@@ -85,12 +85,16 @@ fn chrome_trace_json_round_trips_through_the_mini_parser() {
     assert_eq!(events.len(), metadata.len() + instants.len());
 
     // Every instant event carries the provenance args the exporter
-    // promises: seq always, parent only for non-root events.
+    // promises, and nothing else: seq always, parent only for non-root
+    // events.
     let mut with_parent = 0usize;
     for e in &instants {
         let args = e.get("args").expect("instant has args");
         assert!(args.get("seq").and_then(Json::as_f64).is_some());
-        assert!(args.get("batch").and_then(Json::as_f64).is_some());
+        let Json::Obj(fields) = args else {
+            panic!("args is an object")
+        };
+        assert!(fields.iter().all(|(k, _)| k == "seq" || k == "parent"));
         assert!(e.get("tid").and_then(Json::as_f64).is_some());
         assert!(e.get("ts").is_some());
         if args.get("parent").is_some() {

@@ -32,13 +32,13 @@ use linkpad_stats::normal::Normal;
 use linkpad_stats::StatsError;
 use rand_core::RngCore;
 
-/// Parameters of the gateway timer-disturbance model.
+/// Parameters of the gateway timer-disturbance model. They are private,
+/// so every model holds values [`GatewayJitterModel::new`] accepts, and
+/// a tick scales unit-law draws by them with nothing left to validate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayJitterModel {
-    /// Baseline OS jitter standard deviation, seconds (σ_base).
-    pub base_sigma: f64,
-    /// Mean of the per-payload-arrival interrupt-blocking delay, seconds.
-    pub blocking_mean: f64,
+    base_sigma: f64,
+    blocking_mean: f64,
 }
 
 impl GatewayJitterModel {
@@ -76,6 +76,17 @@ impl GatewayJitterModel {
         }
     }
 
+    /// Baseline OS jitter standard deviation, seconds (σ_base).
+    pub fn base_sigma(&self) -> f64 {
+        self.base_sigma
+    }
+
+    /// Mean of the per-payload-arrival interrupt-blocking delay, seconds
+    /// (µ_blk).
+    pub fn blocking_mean(&self) -> f64 {
+        self.blocking_mean
+    }
+
     /// Sample the tick delay given how many payload packets arrived at
     /// the NIC during the current timer period.
     ///
@@ -83,18 +94,16 @@ impl GatewayJitterModel {
     /// the gateway adds it to a constant interrupt-pipeline offset that
     /// keeps physical send times causal.
     pub fn sample_tick_delay(&self, payload_arrivals: u32, rng: &mut dyn RngCore) -> f64 {
+        // Scaled standard draws: σ·N(0, 1) and µ·Exp(1) are, bit for
+        // bit, what `Normal::new(0.0, σ)` and `Exponential::new(µ)` draw.
         let mut delay = if self.base_sigma > 0.0 {
-            // Constructed infallibly: base_sigma validated > 0.
-            Normal::new(0.0, self.base_sigma)
-                .expect("validated sigma")
-                .sample(rng)
+            self.base_sigma * Normal::standard().sample(rng)
         } else {
             0.0
         };
-        if self.blocking_mean > 0.0 && payload_arrivals > 0 {
-            let blk = Exponential::new(self.blocking_mean).expect("validated mean");
+        if self.blocking_mean > 0.0 {
             for _ in 0..payload_arrivals {
-                delay += blk.sample(rng);
+                delay += self.blocking_mean * Exponential::standard().sample(rng);
             }
         }
         delay
@@ -148,6 +157,24 @@ mod tests {
         assert!(GatewayJitterModel::new(0.0, 0.0).is_err());
         assert!(GatewayJitterModel::new(0.0, 1e-6).is_ok());
         assert!(GatewayJitterModel::new(1e-6, 0.0).is_ok());
+    }
+
+    #[test]
+    fn tick_draws_equal_the_parameterised_samplers_bit_for_bit() {
+        let m = GatewayJitterModel::calibrated();
+        assert_eq!((m.base_sigma(), m.blocking_mean()), (6e-6, 6e-6));
+        let base = Normal::new(0.0, 6e-6).unwrap();
+        let blocking = Exponential::new(6e-6).unwrap();
+        let mut rng = MasterSeed::new(5).stream(0);
+        let mut reference = rng.clone();
+        for arrivals in (0..4).cycle().take(20_000) {
+            let mut want = base.sample(&mut reference);
+            for _ in 0..arrivals {
+                want += blocking.sample(&mut reference);
+            }
+            let got = m.sample_tick_delay(arrivals, &mut rng);
+            assert_eq!(got.to_bits(), want.to_bits(), "{arrivals} arrivals");
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@ pub const INVENTORY_PATH: &str = "crates/lint/UNSAFE_INVENTORY.md";
 pub const RUN_PATH_FILES: &[&str] = &[
     "crates/core/src/clock.rs",
     "crates/core/src/gateway.rs",
+    "crates/core/src/jitter.rs",
+    "crates/core/src/schedule.rs",
     "crates/sim/src/cohort.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/equeue.rs",

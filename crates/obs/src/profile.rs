@@ -1,11 +1,10 @@
 //! Engine self-profiling: what the event loop and its event store are
 //! actually doing, recorded deterministically in sim time.
 //!
-//! The profile answers with evidence how large same-instant delivery
-//! batches really get, how deep the pending set runs over sim time, how
-//! many events the store took, and how the event mix splits between
-//! timers and deliveries. All of it is integers keyed to the
-//! simulation clock, so two runs of the same `(spec, seed)` produce
+//! The profile answers with evidence how deep the pending set runs over
+//! sim time, how many events the store took, and how the event mix
+//! splits between timers and deliveries. All of it is integers keyed to
+//! the simulation clock, so two runs of the same `(spec, seed)` produce
 //! bit-identical profiles — asserted by the `reset_determinism` family.
 //!
 //! The engine owns an `Option<Box<EngineProfile>>` and records into it
@@ -23,8 +22,7 @@ const SAMPLE_EVERY: u64 = 1024;
 /// regardless of run length while keeping full-run coverage.
 const SERIES_CAP: usize = 4096;
 
-/// A log₂-bucketed histogram of `u64` samples: the batch-size
-/// distribution of a [`ProfileReport`], and the per-window count
+/// A log₂-bucketed histogram of `u64` samples: the per-window count
 /// distribution of a sharded run's manifest.
 ///
 /// Bucket 0 counts zeros; bucket `k ≥ 1` counts values in
@@ -190,8 +188,6 @@ impl StoreCounters {
 pub struct EngineProfile {
     timer_events: u64,
     deliver_events: u64,
-    deliver_batches: u64,
-    batch_sizes: Histogram,
     depth: Vec<DepthSample>,
     depth_stride: u64,
     depth_peak: u64,
@@ -207,8 +203,6 @@ impl EngineProfile {
         Self {
             timer_events: 0,
             deliver_events: 0,
-            deliver_batches: 0,
-            batch_sizes: Histogram::new(),
             depth: Vec::new(),
             depth_stride: 1,
             depth_peak: 0,
@@ -223,19 +217,16 @@ impl EngineProfile {
         *self = EngineProfile::new(store_base);
     }
 
-    /// Fold one dispatched event (or same-instant batch) in. `consumed`
-    /// is the number of events the dispatch retired — 1 for timers, the
-    /// batch length for deliveries. Returns `true` when a pending-depth
-    /// sample is due (every 1024th dispatch, at a stride that doubles
-    /// each time the series decimates).
+    /// Fold one dispatched event in: a timer firing or a delivery.
+    /// Returns `true` when a pending-depth sample is due (every 1024th
+    /// dispatch, at a stride that doubles each time the series
+    /// decimates).
     #[must_use]
-    pub fn record_dispatch(&mut self, is_timer: bool, consumed: u64) -> bool {
+    pub fn record_dispatch(&mut self, is_timer: bool) -> bool {
         if is_timer {
             self.timer_events += 1;
         } else {
-            self.deliver_events += consumed;
-            self.deliver_batches += 1;
-            self.batch_sizes.record(consumed);
+            self.deliver_events += 1;
         }
         self.since_sample += 1;
         if self.since_sample >= SAMPLE_EVERY * self.depth_stride {
@@ -275,8 +266,7 @@ impl EngineProfile {
         ProfileReport {
             timer_events: self.timer_events,
             deliver_events: self.deliver_events,
-            deliver_batches: self.deliver_batches,
-            batch_sizes: self.batch_sizes.clone(),
+            deliver_batches: self.deliver_events,
             depth: self.depth.clone(),
             depth_sample_stride: SAMPLE_EVERY * self.depth_stride,
             depth_peak: self.depth_peak,
@@ -292,12 +282,11 @@ impl EngineProfile {
 pub struct ProfileReport {
     /// Timer events dispatched.
     pub timer_events: u64,
-    /// Delivery events dispatched (sum over batches).
+    /// Delivery events dispatched.
     pub deliver_events: u64,
-    /// Same-instant delivery batches dispatched.
+    /// Always `deliver_events`: every delivery is its own dispatch. It
+    /// stays because the benchmark (`linkbench/`) reads it.
     pub deliver_batches: u64,
-    /// Distribution of same-instant batch sizes.
-    pub batch_sizes: Histogram,
     /// Pending-depth time series (sim-time-stamped, uniform stride).
     pub depth: Vec<DepthSample>,
     /// Dispatches between consecutive depth samples.
@@ -314,15 +303,6 @@ impl ProfileReport {
         self.timer_events + self.deliver_events
     }
 
-    /// Mean same-instant delivery batch size (1.0 when no batches).
-    pub fn mean_batch(&self) -> f64 {
-        if self.deliver_batches == 0 {
-            1.0
-        } else {
-            self.deliver_events as f64 / self.deliver_batches as f64
-        }
-    }
-
     /// Render as a JSON object. The depth series is emitted as parallel
     /// arrays (compact, trivially plottable).
     pub fn to_json(&self) -> String {
@@ -332,14 +312,11 @@ impl ProfileReport {
         };
         format!(
             "{{\"timer_events\":{},\"deliver_events\":{},\"deliver_batches\":{},\
-             \"mean_batch\":{},\"batch_sizes\":{},\"depth_peak\":{},\
-             \"depth_sample_stride\":{},\"depth\":{{\"sim_nanos\":{},\"pending\":{}}},\
-             \"store\":{}}}",
+             \"depth_peak\":{},\"depth_sample_stride\":{},\
+             \"depth\":{{\"sim_nanos\":{},\"pending\":{}}},\"store\":{}}}",
             self.timer_events,
             self.deliver_events,
             self.deliver_batches,
-            crate::json::num(self.mean_batch()),
-            self.batch_sizes.to_json(),
             self.depth_peak,
             self.depth_sample_stride,
             col(|s| s.sim_nanos),
@@ -373,18 +350,16 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_recording_splits_timers_and_batches() {
+    fn dispatch_recording_splits_timers_and_deliveries() {
         let mut p = EngineProfile::new(StoreCounters::default());
-        let _ = p.record_dispatch(true, 1);
-        let _ = p.record_dispatch(false, 3);
-        let _ = p.record_dispatch(false, 1);
+        let _ = p.record_dispatch(true);
+        let _ = p.record_dispatch(false);
+        let _ = p.record_dispatch(false);
         let r = p.report(StoreCounters::default());
         assert_eq!(r.timer_events, 1);
-        assert_eq!(r.deliver_events, 4);
-        assert_eq!(r.deliver_batches, 2);
-        assert_eq!(r.events(), 5);
-        assert_eq!(r.mean_batch(), 2.0);
-        assert_eq!(r.batch_sizes.max(), 3);
+        assert_eq!(r.deliver_events, 2);
+        assert_eq!(r.deliver_batches, r.deliver_events);
+        assert_eq!(r.events(), 3);
     }
 
     #[test]
@@ -392,7 +367,7 @@ mod tests {
         let mut p = EngineProfile::new(StoreCounters::default());
         let mut due = 0;
         for _ in 0..(SAMPLE_EVERY * 3) {
-            if p.record_dispatch(true, 1) {
+            if p.record_dispatch(true) {
                 due += 1;
                 p.sample_depth(0, 1);
             }
@@ -440,7 +415,7 @@ mod tests {
     #[test]
     fn reset_profile_matches_a_fresh_one() {
         let mut p = EngineProfile::new(StoreCounters::default());
-        let _ = p.record_dispatch(false, 7);
+        let _ = p.record_dispatch(false);
         p.sample_depth(5, 9);
         let base = StoreCounters {
             push_near: 4,
@@ -453,13 +428,14 @@ mod tests {
     #[test]
     fn report_json_contains_the_headline_fields() {
         let mut p = EngineProfile::new(StoreCounters::default());
-        let _ = p.record_dispatch(false, 2);
+        let _ = p.record_dispatch(false);
+        let _ = p.record_dispatch(false);
         p.sample_depth(7, 3);
         let j = p.report(StoreCounters::default()).to_json();
         for needle in [
             "\"timer_events\":0",
             "\"deliver_events\":2",
-            "\"deliver_batches\":1",
+            "\"deliver_batches\":2",
             "\"depth\":{\"sim_nanos\":[7],\"pending\":[3]}",
             "\"store\":{\"push_near\":0",
         ] {

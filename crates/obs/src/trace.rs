@@ -2,19 +2,19 @@
 //! scheduler provenance, plus timeline/flamegraph exporters.
 //!
 //! Where [`crate::profile`] answers *how many* (dispatch counters,
-//! batch-size histograms, queue depth), this module answers *why*: every
-//! traced dispatch records which earlier event scheduled it (the
-//! **parent event id**, threaded through the engine's scheduler), so a
-//! trace is a causal forest over the run — timer chains, delivery
-//! cascades, same-instant batches — rather than a flat event count.
+//! queue depth), this module answers *why*: every traced dispatch
+//! records which earlier event scheduled it (the **parent event id**,
+//! threaded through the engine's scheduler), so a trace is a causal
+//! forest over the run — timer chains, delivery cascades — rather than
+//! a flat event count.
 //!
 //! The recorder obeys the same determinism contract as the rest of the
 //! deterministic side of this crate:
 //!
 //! * record content is sim-time only — sequence numbers, simulated
-//!   nanoseconds, node ids, batch sizes. No wall clock exists in this
-//!   module (`DET_WALLCLOCK` enforces it), so a trace is a pure function
-//!   of `(spec, seed)` and replays bit-for-bit across `reset(seed)` and
+//!   nanoseconds, node ids. No wall clock exists in this module
+//!   (`DET_WALLCLOCK` enforces it), so a trace is a pure function of
+//!   `(spec, seed)` and replays bit-for-bit across `reset(seed)` and
 //!   fresh builds.
 //! * memory is bounded by construction: records live in a decimating
 //!   ring ([`TRACE_CAP`]) that halves itself and doubles its sampling
@@ -44,7 +44,7 @@ pub const TRACE_CAP: usize = 16_384;
 pub enum TraceEventKind {
     /// A timer firing on its node.
     Timer,
-    /// A packet delivery (possibly a same-instant batch).
+    /// A packet delivery.
     Deliver,
 }
 
@@ -64,8 +64,7 @@ pub struct TraceRecord {
     /// The event's global scheduling sequence number (unique per run).
     pub seq: u64,
     /// Sequence number of the event whose handler scheduled this one,
-    /// or [`NO_PARENT`]. A batched delivery's children attribute to the
-    /// batch head.
+    /// or [`NO_PARENT`].
     pub parent: u64,
     /// Simulated time of the dispatch, nanoseconds.
     pub sim_nanos: u64,
@@ -73,22 +72,17 @@ pub struct TraceRecord {
     pub node: u32,
     /// Timer or delivery.
     pub kind: TraceEventKind,
-    /// Events consumed by this dispatch (>1 for same-instant delivery
-    /// batches; the batched events do not get records of their own).
-    pub batch: u32,
 }
 
 /// Opt-in causal trace recorder, held by the engine as
 /// `Option<Box<TraceRecorder>>` so the disabled case costs one pointer
 /// of state and one predictable branch per run call.
 ///
-/// The engine drives it with three calls per dispatch: [`birth`]
-/// (provenance of every event scheduled while tracing), [`absorb`]
-/// (retire a batched event consumed without its own record), and
+/// The engine drives it with two calls per dispatch: [`birth`]
+/// (provenance of every event scheduled while tracing) and
 /// [`dispatched`] (emit the record).
 ///
 /// [`birth`]: TraceRecorder::birth
-/// [`absorb`]: TraceRecorder::absorb
 /// [`dispatched`]: TraceRecorder::dispatched
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecorder {
@@ -142,23 +136,9 @@ impl TraceRecorder {
         self.parents.insert(child, parent);
     }
 
-    /// Retire a batched event consumed without a record of its own (a
-    /// same-instant delivery folded into the batch head's dispatch).
-    /// Keeps the provenance map bounded by the pending population.
-    pub fn absorb(&mut self, seq: u64) {
-        self.parents.remove(&seq);
-    }
-
     /// Fold one dispatch into the trace: resolve and retire the event's
     /// provenance, and append a record when the sampling stride is due.
-    pub fn dispatched(
-        &mut self,
-        seq: u64,
-        sim_nanos: u64,
-        node: u32,
-        kind: TraceEventKind,
-        batch: u32,
-    ) {
+    pub fn dispatched(&mut self, seq: u64, sim_nanos: u64, node: u32, kind: TraceEventKind) {
         let parent = self.parents.remove(&seq).unwrap_or(NO_PARENT);
         let index = self.dispatched;
         self.dispatched += 1;
@@ -171,7 +151,6 @@ impl TraceRecorder {
             sim_nanos,
             node,
             kind,
-            batch,
         });
         if self.records.len() >= TRACE_CAP {
             // Keep every other record (indices 0, 2, 4, … — multiples
@@ -236,8 +215,8 @@ impl TraceReport {
     /// node id, named `node<id> <label>` via `thread_name` metadata),
     /// each dispatch an instant event (`ph: "i"`, thread scope) whose
     /// `ts` is the simulated time in microseconds (fractional — sim
-    /// nanoseconds / 1000) and whose `args` carry the sequence number,
-    /// parent id (omitted for roots), and batch size. The output uses
+    /// nanoseconds / 1000) and whose `args` carry the sequence number
+    /// and parent id (omitted for roots). The output uses
     /// only the JSON subset `linkpad-bench`'s mini parser accepts, and a
     /// round-trip test there holds this exporter to it.
     pub fn chrome_trace_json(&self) -> String {
@@ -278,7 +257,7 @@ impl TraceReport {
             if r.parent != NO_PARENT {
                 out.push_str(&format!(",\"parent\":{}", r.parent));
             }
-            out.push_str(&format!(",\"batch\":{}}}}}", r.batch));
+            out.push_str("}}");
         }
         out.push_str("]}");
         out
@@ -286,11 +265,11 @@ impl TraceReport {
 
     /// Render the causal chains as collapsed stacks (`frame;frame;…
     /// weight` lines, the flamegraph-tool input format): each record
-    /// contributes its parent chain as the "stack", weighted by its
-    /// batch size. Chains whose ancestors were decimated out of the
-    /// ring start at a `[truncated]` root; chains deeper than 32
-    /// frames fold into `[deep]`. Identical stacks aggregate;
-    /// lines are emitted in lexicographic order (deterministic).
+    /// contributes its parent chain as the "stack", with weight 1.
+    /// Chains whose ancestors were decimated out of the ring start at a
+    /// `[truncated]` root; chains deeper than 32 frames fold into
+    /// `[deep]`. Identical stacks aggregate; lines are emitted in
+    /// lexicographic order (deterministic).
     pub fn collapsed_stacks(&self) -> String {
         let by_seq: BTreeMap<u64, &TraceRecord> = self.records.iter().map(|r| (r.seq, r)).collect();
         let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
@@ -318,7 +297,7 @@ impl TraceReport {
                 };
             }
             frames.reverse();
-            *stacks.entry(frames.join(";")).or_insert(0) += u64::from(r.batch);
+            *stacks.entry(frames.join(";")).or_insert(0) += 1;
         }
         let mut out = String::new();
         for (stack, weight) in stacks {
@@ -343,24 +322,24 @@ mod tests {
     fn provenance_resolves_and_retires() {
         let mut t = recorder();
         t.birth(5, NO_PARENT);
-        t.dispatched(5, 100, 0, TraceEventKind::Timer, 1);
-        // The timer's handler scheduled 6 and 7; 7 rides in 6's batch.
+        t.dispatched(5, 100, 0, TraceEventKind::Timer);
+        // The timer's handler scheduled 6 and 7.
         t.birth(6, 5);
         t.birth(7, 5);
-        t.absorb(7);
-        t.dispatched(6, 100, 1, TraceEventKind::Deliver, 2);
+        t.dispatched(6, 100, 1, TraceEventKind::Deliver);
+        t.dispatched(7, 100, 1, TraceEventKind::Deliver);
         let report = t.report();
-        assert_eq!(report.records.len(), 2);
+        assert_eq!(report.records.len(), 3);
         assert_eq!(report.records[0].parent, NO_PARENT);
         assert_eq!(report.records[1].parent, 5);
-        assert_eq!(report.records[1].batch, 2);
+        assert_eq!(report.records[2].parent, 5);
         assert!(t.parents.is_empty(), "all provenance retired");
     }
 
     #[test]
     fn unknown_birth_reads_as_root() {
         let mut t = recorder();
-        t.dispatched(9, 50, 0, TraceEventKind::Timer, 1);
+        t.dispatched(9, 50, 0, TraceEventKind::Timer);
         assert_eq!(t.report().records[0].parent, NO_PARENT);
     }
 
@@ -368,7 +347,7 @@ mod tests {
     fn ring_decimates_and_doubles_stride() {
         let mut t = recorder();
         for seq in 0..(2 * TRACE_CAP as u64) {
-            t.dispatched(seq, seq, 0, TraceEventKind::Timer, 1);
+            t.dispatched(seq, seq, 0, TraceEventKind::Timer);
         }
         let report = t.report();
         assert!(report.records.len() <= TRACE_CAP);
@@ -387,7 +366,7 @@ mod tests {
     fn reset_keeps_labels_and_clears_state() {
         let mut t = recorder();
         t.birth(1, NO_PARENT);
-        t.dispatched(1, 10, 0, TraceEventKind::Timer, 1);
+        t.dispatched(1, 10, 0, TraceEventKind::Timer);
         t.reset();
         let report = t.report();
         assert!(report.records.is_empty());
@@ -399,17 +378,16 @@ mod tests {
     #[test]
     fn chrome_trace_has_tracks_and_provenance_args() {
         let mut t = recorder();
-        t.dispatched(0, 1_500, 0, TraceEventKind::Timer, 1);
+        t.dispatched(0, 1_500, 0, TraceEventKind::Timer);
         t.birth(1, 0);
-        t.dispatched(1, 2_500, 1, TraceEventKind::Deliver, 3);
+        t.dispatched(1, 2_500, 1, TraceEventKind::Deliver);
         let json = t.report().chrome_trace_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"name\":\"thread_name\""));
         assert!(json.contains("\"name\":\"node0 ticker\""));
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"ts\":2.500"));
-        assert!(json.contains("\"parent\":0"));
-        assert!(json.contains("\"batch\":3"));
+        assert!(json.contains("\"args\":{\"seq\":1,\"parent\":0}"));
         // Roots omit the parent key entirely.
         assert!(!json.contains("\"parent\":18446744073709551615"));
     }
@@ -417,11 +395,11 @@ mod tests {
     #[test]
     fn collapsed_stacks_walk_chains_and_aggregate() {
         let mut t = recorder();
-        t.dispatched(0, 0, 0, TraceEventKind::Timer, 1);
+        t.dispatched(0, 0, 0, TraceEventKind::Timer);
         t.birth(1, 0);
-        t.dispatched(1, 10, 1, TraceEventKind::Deliver, 1);
+        t.dispatched(1, 10, 1, TraceEventKind::Deliver);
         t.birth(2, 0);
-        t.dispatched(2, 20, 1, TraceEventKind::Deliver, 1);
+        t.dispatched(2, 20, 1, TraceEventKind::Deliver);
         let out = t.report().collapsed_stacks();
         assert!(out.contains("ticker:timer 1\n"), "{out}");
         assert!(out.contains("ticker:timer;sink:deliver 2\n"), "{out}");
@@ -431,7 +409,7 @@ mod tests {
     fn decimated_ancestors_truncate_the_chain() {
         let mut t = recorder();
         t.birth(1, 999); // parent never recorded
-        t.dispatched(1, 10, 1, TraceEventKind::Deliver, 1);
+        t.dispatched(1, 10, 1, TraceEventKind::Deliver);
         let out = t.report().collapsed_stacks();
         assert_eq!(out, "[truncated];sink:deliver 1\n");
     }

@@ -2,10 +2,10 @@
 //! go?* (ROADMAP open item 4 — the dispatch bound.)
 //!
 //! [`AttributionSampler`] splits each sampled dispatch into the three
-//! phases of the engine's hot loop — **store** (event-queue pop plus
-//! same-instant batch collection), **context** ([`Context`] build via
-//! the split-borrow), and **dispatch** (the boxed `dyn Node` handler
-//! call) — and accumulates nanoseconds per phase *per node type*, so a
+//! phases of the engine's hot loop — **store** (the event-queue pop),
+//! **context** ([`Context`] build via the split-borrow), and
+//! **dispatch** (the boxed `dyn Node` handler call) — and accumulates
+//! nanoseconds per phase *per node type*, so a
 //! profile says "gateway handlers cost X, the store under router load
 //! costs Y" rather than one blended number. Node *type* means the
 //! [`Node::label`] with any trailing `-<digits>` instance suffix
@@ -130,7 +130,7 @@ impl AttributionSampler {
         1 + ((u128::from(self.stride.next_u64()) * u128::from(span)) >> 64) as u64
     }
 
-    /// Phase boundary: pop + same-instant batch collection finished.
+    /// Phase boundary: the pop finished.
     fn lap_store(&mut self) {
         if !self.sampling {
             return;
@@ -221,7 +221,7 @@ pub struct AttributionRow {
     pub label: String,
     /// Sampled dispatches attributed to this label.
     pub samples: u64,
-    /// Wall nanoseconds in the event store (pop + batch collection).
+    /// Wall nanoseconds in the event store (the pop).
     pub store_ns: u64,
     /// Wall nanoseconds building the dispatch [`Context`].
     ///

@@ -1,16 +1,19 @@
 //! Flow cohorts: K padded flows superposed in one generator.
 //!
-//! The aggregate scenario family models every padded flow as its own
-//! sender gateway and payload source — faithful, but two boxed nodes
-//! and one armed timer per flow, which walls the family at ~10⁴ flows.
-//! What a padding gateway puts on the wire is only its emission instants and
-//! wire sizes: flow k with start phase φₖ fires its j-th tick at
-//! `φₖ + T₁ + … + Tⱼ`, each transmission shifted by an independent
-//! per-tick disturbance δ that does not feed back into the clock, and
-//! nothing else about the flow (payload content, queue state) is
-//! visible. CIT is the σ_T = 0 member of that timer family (`Tᵢ = τ`, so
-//! the instants are the exact comb `φₖ + j·τ`); VIT laws and adaptive
-//! padding draw their intervals.
+//! The aggregate scenario family's per-flow mode models every padded
+//! flow as its own sender gateway and payload source: one
+//! `GatewayEmitter` (`linkpad-core`) per flow, which the
+//! [`Trunk`](crate::trunk::Trunk) pulls with no node and no timer, but
+//! which still keeps its own payload law, clock state and RNG streams
+//! and takes its own entry in the trunk's fire heap. A cohort keeps K
+//! flows in one generator on one stream. What a padding gateway puts on
+//! the wire is only its emission instants and wire sizes: flow k with
+//! start phase φₖ fires its j-th tick at `φₖ + T₁ + … + Tⱼ`, each
+//! transmission shifted by an independent per-tick disturbance δ that
+//! does not feed back into the clock, and nothing else about the flow
+//! (payload content, queue state) is visible. CIT is the σ_T = 0 member
+//! of that timer family (`Tᵢ = τ`, so the instants are the exact comb
+//! `φₖ + j·τ`); VIT laws and adaptive padding draw their intervals.
 //!
 //! [`FlowCohort`] generates the superposition of K such clocks, driven
 //! by a [`MemberSchedule`] (an interval *law* shared iid across members,

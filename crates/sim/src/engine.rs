@@ -9,9 +9,8 @@
 //! The event store is one binary heap ([`crate::equeue`]). It stays
 //! small: open-loop traffic that many flows put on a shared link is
 //! drawn where it is served, by the lab router and the aggregate trunk,
-//! and never waits in the store. Consecutive deliveries to the same node
-//! at the same instant are dispatched as one [`Node::on_packets`] batch,
-//! amortizing the virtual call per packet to a virtual call per burst.
+//! and never waits in the store. Every popped event is one dispatch: a
+//! delivery goes to [`Node::on_packet`], a timer to [`Node::on_timer`].
 //!
 //! There is one event loop, generic over the [`LoopHooks`] attached to
 //! it. A plain run is its `()` instance; the watchdog, the engine
@@ -124,7 +123,6 @@ impl SimBuilder {
                 nodes,
                 rngs,
                 queue: EventQueue::with_capacity(cap),
-                deliver_buf: Vec::with_capacity(16),
                 now: SimTime::ZERO,
                 seq: 0,
                 next_packet_id: 0,
@@ -158,8 +156,6 @@ struct Core {
     nodes: Vec<Box<dyn Node>>,
     rngs: Vec<Xoshiro256StarStar>,
     queue: EventQueue,
-    /// Reused batch buffer for same-instant deliveries to one node.
-    deliver_buf: Vec<Packet>,
     now: SimTime,
     seq: u64,
     next_packet_id: u64,
@@ -207,7 +203,6 @@ impl Sim {
     pub fn reset(&mut self, seed: MasterSeed) {
         let core = &mut self.core;
         core.queue.clear();
-        core.deliver_buf.clear();
         for (i, rng) in core.rngs.iter_mut().enumerate() {
             *rng = seed.stream(i as u64);
         }
@@ -231,12 +226,12 @@ impl Sim {
         }
     }
 
-    /// Enable engine self-profiling: same-instant batch sizes, the
-    /// timer/delivery event mix, a sim-time-stamped pending-depth
-    /// series, and event-store pushes over the profiled span. Profiles
-    /// are a pure function of `(spec, seed)` — bit-identical across
-    /// reruns and resets. Enabling on an already profiled sim restarts
-    /// the profile from now.
+    /// Enable engine self-profiling: the timer/delivery event mix, a
+    /// sim-time-stamped pending-depth series, and event-store pushes
+    /// over the profiled span. Profiles are a pure function of
+    /// `(spec, seed)` — bit-identical across reruns and resets.
+    /// Enabling on an already profiled sim restarts the profile from
+    /// now.
     pub fn enable_profiling(&mut self) {
         let base = store_counters(self.core.seq);
         match &mut self.instruments.profile {
@@ -261,11 +256,11 @@ impl Sim {
     }
 
     /// Enable causal tracing: every dispatch records `(seq, parent seq,
-    /// sim time, node, kind, batch size)` into a bounded decimating
-    /// ring, where the **parent** is the event whose handler scheduled
-    /// this one. Traces are a pure function of `(spec, seed)`, like
-    /// profiles. Enabling on an already traced sim restarts the trace
-    /// from now; events scheduled before tracing was enabled are roots.
+    /// sim time, node, kind)` into a bounded decimating ring, where the
+    /// **parent** is the event whose handler scheduled this one. Traces
+    /// are a pure function of `(spec, seed)`, like profiles. Enabling on
+    /// an already traced sim restarts the trace from now; events
+    /// scheduled before tracing was enabled are roots.
     pub fn enable_tracing(&mut self) {
         match &mut self.instruments.trace {
             Some(t) => t.reset(),
@@ -349,9 +344,9 @@ impl Sim {
     }
 
     /// [`Sim::run_until`] with per-node-type wall-time attribution: the
-    /// sampler splits each sampled dispatch into event-store work (pop +
-    /// batch collection), [`Context`] build and the node handler, and
-    /// credits the phase times to the target node's type. The sampler is
+    /// sampler splits each sampled dispatch into event-store work (the
+    /// pop), [`Context`] build and the node handler, and credits the
+    /// phase times to the target node's type. The sampler is
     /// write-only, so the simulated results are bit-identical to a plain
     /// run; an armed watchdog, profile or trace applies as on any run.
     pub fn run_until_attributed(
@@ -368,11 +363,10 @@ impl Sim {
         self.run_until(until)
     }
 
-    /// Process the next dispatch — one timer firing, or one same-instant
-    /// delivery batch to one node — through the same loop and
-    /// instruments as [`Sim::run_until`]. Returns `false` when nothing
-    /// was dispatched: the event store is empty (or a tripped watchdog
-    /// holds the sim).
+    /// Process the next event — one timer firing or one delivery —
+    /// through the same loop and instruments as [`Sim::run_until`].
+    /// Returns `false` when nothing was dispatched: the event store is
+    /// empty (or a tripped watchdog holds the sim).
     pub fn step(&mut self) -> bool {
         let one = self.core.events_processed + 1;
         self.run_until_with(SimTime::MAX, &mut StopAt(one)).events > 0
@@ -394,7 +388,8 @@ impl Core {
                 break false;
             };
             self.now = entry.time;
-            events += self.dispatch(entry, hooks);
+            self.dispatch(entry, hooks);
+            events += 1;
         };
         // Advance the clock to the bound even if the store drained early,
         // so consecutive run_until calls observe monotone time. A stopped
@@ -423,59 +418,31 @@ impl Core {
         }
     }
 
-    /// Dispatch one popped event, batching any immediately following
-    /// deliveries for the same `(time, target)`. Returns the number of
-    /// events consumed. Inlined into the loop: handing the popped event
-    /// to an out-of-line call costs a 64-byte copy per dispatch.
+    /// Dispatch one popped event to its node. Inlined into the loop:
+    /// handing the popped event to an out-of-line call costs a 64-byte
+    /// copy per dispatch.
     #[inline(always)]
-    fn dispatch<H: LoopHooks>(&mut self, entry: Event, hooks: &mut H) -> u64 {
+    fn dispatch<H: LoopHooks>(&mut self, entry: Event, hooks: &mut H) {
         let target = entry.target;
         debug_assert!(target < self.nodes.len(), "event for unknown node");
         let is_timer = matches!(entry.kind, EventKind::Timer(_));
-        let first_child;
-        let consumed = match entry.kind {
-            EventKind::Timer(tag) => {
-                hooks.after_pop();
-                first_child = self.seq;
-                let (node, mut ctx) = self.split_at(target);
-                hooks.before_handler();
-                node.on_timer(tag, &mut ctx);
-                1
-            }
-            EventKind::Deliver(pkt) => {
-                // Collect the run of same-instant deliveries to this node
-                // *before* dispatching: anything the handlers schedule
-                // gets a later seq and therefore sorts after this run, so
-                // batching cannot reorder the original event sequence.
-                let mut batch = std::mem::take(&mut self.deliver_buf);
-                batch.clear();
-                batch.push(pkt);
-                while let Some((seq, next)) = self.queue.pop_deliver_if(entry.time, target) {
-                    hooks.batched(seq);
-                    batch.push(next);
-                }
-                hooks.after_pop();
-                let consumed = batch.len() as u64;
-                first_child = self.seq;
-                let (node, mut ctx) = self.split_at(target);
-                hooks.before_handler();
-                node.on_packets(&mut batch, &mut ctx);
-                batch.clear();
-                self.deliver_buf = batch;
-                consumed
-            }
-        };
+        hooks.after_pop();
+        let first_child = self.seq;
+        let (node, mut ctx) = self.split_at(target);
+        hooks.before_handler();
+        match entry.kind {
+            EventKind::Timer(tag) => node.on_timer(tag, &mut ctx),
+            EventKind::Deliver(pkt) => node.on_packet(pkt, &mut ctx),
+        }
         hooks.after_handler(&Dispatch {
             seq: entry.seq,
             time: entry.time,
             target: NodeId(target),
             is_timer,
-            consumed,
             children: first_child..self.seq,
             pending: self.queue.len(),
             nodes: &self.nodes,
         });
-        consumed
     }
 
     fn ensure_started(&mut self) {
@@ -614,6 +581,32 @@ mod tests {
         }
     }
 
+    /// Sends three deliveries to `dst` for the same instant (10 ns) and
+    /// a straggler after them (20 ns), all from `on_start`.
+    struct TripleSend {
+        dst: NodeId,
+    }
+    impl Node for TripleSend {
+        fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            for _ in 0..3 {
+                let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
+                ctx.send_after(SimDuration::from_nanos(10), self.dst, p);
+            }
+            let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
+            ctx.send_after(SimDuration::from_nanos(20), self.dst, p);
+        }
+    }
+
+    /// A recorder fed by a [`TripleSend`].
+    fn burst() -> (Log, Sim) {
+        let mut b = SimBuilder::new(MasterSeed::new(9));
+        let (log, rec) = logger();
+        let dst = b.add_node(rec);
+        b.add_node(Box::new(TripleSend { dst }));
+        (log, b.build().unwrap())
+    }
+
     fn logger() -> (Log, Box<Recorder>) {
         let log = Rc::new(RefCell::new(Vec::new()));
         (log.clone(), Box::new(Recorder { log }))
@@ -746,6 +739,29 @@ mod tests {
         assert!(sim.step());
         assert!(!sim.step(), "event store must drain");
         assert_eq!(sim.events_processed(), 4);
+    }
+
+    #[test]
+    fn step_dispatches_one_of_a_same_instant_burst() {
+        let (log, mut sim) = burst();
+        assert!(sim.step());
+        assert_eq!(*log.borrow(), vec![(10, "pkt 0".to_string())]);
+        assert_eq!(sim.events_processed(), 1);
+        assert_eq!(sim.pending_events(), 3, "the burst's other two wait");
+        while sim.step() {}
+        assert_eq!(sim.events_processed(), 4);
+    }
+
+    #[test]
+    fn watchdog_event_budget_stops_inside_a_same_instant_burst() {
+        let (log, mut sim) = burst();
+        sim.set_watchdog(Some(2), None);
+        let stats = sim.run_until(SimTime::from_nanos(100));
+        assert!(sim.watchdog_tripped());
+        assert_eq!(stats.events, 2, "exactly the budget");
+        assert_eq!(log.borrow().len(), 2);
+        assert_eq!(sim.now(), SimTime::from_nanos(10));
+        assert_eq!(sim.pending_events(), 2);
     }
 
     #[test]
@@ -1029,38 +1045,42 @@ mod tests {
     }
 
     #[test]
-    fn tracing_batches_attribute_to_the_head_and_count_every_event() {
-        // Same topology as the batching test: 3 same-instant deliveries
-        // plus a straggler — the batch must appear as one record of
-        // batch 3 whose absorbed tails left no provenance leak.
-        struct TripleSend {
-            dst: NodeId,
-        }
-        impl Node for TripleSend {
-            fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                for _ in 0..3 {
-                    let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
-                    ctx.send_after(SimDuration::from_nanos(10), self.dst, p);
-                }
-                let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
-                ctx.send_after(SimDuration::from_nanos(20), self.dst, p);
-            }
-        }
+    fn tracing_records_every_same_instant_delivery_with_its_own_parent() {
+        // The burst goes through a tap that forwards each packet to the
+        // recorder at once: every delivery is one record, and each
+        // forwarded packet's parent is the delivery that sent it.
         let mut b = SimBuilder::new(MasterSeed::new(32));
-        let (_, rec) = logger();
-        let dst = b.add_node(rec);
+        let (log, rec) = logger();
+        let sink = b.add_node(rec);
+        let (_, tap) = crate::tap::Tap::new(None, Some(sink));
+        let dst = b.add_node(Box::new(tap));
         b.add_node(Box::new(TripleSend { dst }));
         let mut sim = b.build().unwrap().with_tracing();
         let stats = sim.run_until(SimTime::from_nanos(100));
-        assert_eq!(stats.events, 4);
+        assert_eq!(stats.events, 8);
+        assert_eq!(log.borrow().len(), 4);
         let report = sim.trace_report().expect("enabled");
-        let batches: Vec<u32> = report.records.iter().map(|r| r.batch).collect();
-        assert_eq!(batches, vec![3, 1], "burst batched, straggler alone");
-        assert!(report
+        assert_eq!(report.dispatched, 8);
+        let records: Vec<(u64, u64, u32)> = report
             .records
             .iter()
-            .all(|r| r.parent == linkpad_obs::NO_PARENT));
+            .map(|r| (r.seq, r.parent, r.node))
+            .collect();
+        let root = linkpad_obs::NO_PARENT;
+        assert_eq!(
+            records,
+            vec![
+                (0, root, 1),
+                (1, root, 1),
+                (2, root, 1),
+                (4, 0, 0),
+                (5, 1, 0),
+                (6, 2, 0),
+                (3, root, 1),
+                (7, 3, 0),
+            ],
+            "seq order within each instant, one parent per forward"
+        );
     }
 
     #[test]
@@ -1151,8 +1171,8 @@ mod tests {
         let profile = sim.profile_report().expect("profile recorded");
         assert_eq!(profile.events(), stats.events);
         let trace = sim.trace_report().expect("trace recorded");
-        let traced: u64 = trace.records.iter().map(|r| u64::from(r.batch)).sum();
-        assert_eq!(traced, stats.events, "trace covers every event");
+        assert_eq!(trace.dispatched, stats.events, "one record per event");
+        assert_eq!(trace.records.len() as u64, stats.events);
 
         // ...and with an attribution sampler on top: the same run, the
         // same reports, bounded by the same watchdog.
@@ -1190,7 +1210,7 @@ mod tests {
             }
             fn after_handler(&mut self, d: &Dispatch<'_>) {
                 assert_eq!(d.node().label(), "node");
-                self.events += d.consumed;
+                self.events += 1;
                 self.children += d.children.end - d.children.start;
             }
         }
@@ -1308,47 +1328,22 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_deliveries_are_batched_into_one_call() {
-        /// Counts on_packets invocations and packets per invocation.
-        struct BatchProbe {
-            calls: Rc<RefCell<Vec<usize>>>,
-        }
-        impl Node for BatchProbe {
-            fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {
-                unreachable!("on_packets override consumes the batch");
-            }
-            fn on_packets(&mut self, packets: &mut Vec<Packet>, _ctx: &mut Context<'_>) {
-                self.calls.borrow_mut().push(packets.len());
-                packets.clear();
+    fn same_instant_deliveries_are_dispatched_one_by_one() {
+        /// Logs each dispatch's sequence number.
+        struct Seqs(Vec<u64>);
+        impl LoopHooks for Seqs {
+            fn after_handler(&mut self, d: &Dispatch<'_>) {
+                self.0.push(d.seq);
             }
         }
-        struct TripleSend {
-            dst: NodeId,
-        }
-        impl Node for TripleSend {
-            fn on_packet(&mut self, _p: Packet, _ctx: &mut Context<'_>) {}
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                for _ in 0..3 {
-                    let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
-                    ctx.send_after(SimDuration::from_nanos(10), self.dst, p);
-                }
-                let p = ctx.spawn_packet(FlowId::PADDED, PacketKind::Dummy, 1);
-                ctx.send_after(SimDuration::from_nanos(20), self.dst, p);
-            }
-        }
-        let calls = Rc::new(RefCell::new(Vec::new()));
-        let mut b = SimBuilder::new(MasterSeed::new(9));
-        let dst = b.add_node(Box::new(BatchProbe {
-            calls: calls.clone(),
-        }));
-        b.add_node(Box::new(TripleSend { dst }));
-        let mut sim = b.build().unwrap();
-        let stats = sim.run_until(SimTime::from_nanos(100));
-        assert_eq!(stats.events, 4, "all four deliveries counted");
-        assert_eq!(
-            *calls.borrow(),
-            vec![3, 1],
-            "burst batched, straggler alone"
-        );
+        let (log, mut sim) = burst();
+        let mut seqs = Seqs(Vec::new());
+        let stats = sim.run_until_with(SimTime::from_nanos(100), &mut seqs);
+        assert_eq!(stats.events, 4);
+        assert_eq!(seqs.0, vec![0, 1, 2, 3], "one dispatch per delivery");
+        let want: Vec<(u64, String)> = [(10, 0), (10, 1), (10, 2), (20, 3)]
+            .map(|(t, id)| (t, format!("pkt {id}")))
+            .into();
+        assert_eq!(*log.borrow(), want, "one on_packet call each, in seq order");
     }
 }

@@ -131,31 +131,11 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<Event> {
         self.heap.pop()
     }
-
-    /// Pop the next event only if it is a `Deliver` at exactly `time`
-    /// targeting `target` (the engine's same-instant batching probe),
-    /// returning its sequence number and packet.
-    #[inline]
-    pub fn pop_deliver_if(&mut self, time: SimTime, target: usize) -> Option<(u64, Packet)> {
-        let top = self.heap.peek_mut()?;
-        if top.time != time || top.target != target || !matches!(top.kind, EventKind::Deliver(_)) {
-            return None;
-        }
-        match PeekMut::pop(top) {
-            Event {
-                seq,
-                kind: EventKind::Deliver(packet),
-                ..
-            } => Some((seq, packet)),
-            Event { .. } => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, PacketKind};
 
     fn timer_at(q: &mut EventQueue, t: u64, seq: u64, target: usize, tag: u64) {
         q.push(SimTime::from_nanos(t), seq, target, EventKind::Timer(tag));
@@ -183,30 +163,6 @@ mod tests {
         let e = q.pop_at_or_before(SimTime::from_nanos(41)).unwrap();
         assert_eq!((e.time.as_nanos(), e.seq), (41, 8));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn deliver_batch_probe_matches_only_same_time_and_target() {
-        let mut q = EventQueue::new();
-        let pkt = |id| Packet::new(id, FlowId::PADDED, PacketKind::Dummy, 1, SimTime::ZERO);
-        q.push(SimTime::from_nanos(5), 0, 1, EventKind::Deliver(pkt(0)));
-        q.push(SimTime::from_nanos(5), 1, 1, EventKind::Deliver(pkt(1)));
-        q.push(SimTime::from_nanos(5), 2, 2, EventKind::Deliver(pkt(2)));
-        q.push(SimTime::from_nanos(5), 3, 1, EventKind::Timer(0));
-
-        let first = q.pop().unwrap();
-        assert!(matches!(first.kind, EventKind::Deliver(p) if p.id == 0));
-        // Same time + target + kind → batched.
-        assert_eq!(
-            q.pop_deliver_if(first.time, 1).map(|(seq, p)| (seq, p.id)),
-            Some((1, 1))
-        );
-        // Next is a Deliver for a *different* target.
-        assert!(q.pop_deliver_if(first.time, 1).is_none());
-        assert_eq!(q.pop().unwrap().target, 2);
-        // Then a Timer for target 1 — not batchable.
-        assert!(q.pop_deliver_if(first.time, 1).is_none());
-        assert!(matches!(q.pop().unwrap().kind, EventKind::Timer(0)));
     }
 
     #[test]

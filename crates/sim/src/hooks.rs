@@ -34,13 +34,11 @@ use std::time::{Duration, Instant};
 /// 2. [`before_pop`](LoopHooks::before_pop) — the store is about to be
 ///    asked for the next due event (also called for the final probe
 ///    that finds none);
-/// 3. [`batched`](LoopHooks::batched) — once per same-instant delivery
-///    folded into the popped head's batch;
-/// 4. [`after_pop`](LoopHooks::after_pop) — the store's part of the
-///    dispatch is done (head popped, batch collected);
-/// 5. [`before_handler`](LoopHooks::before_handler) — the handler's
+/// 3. [`after_pop`](LoopHooks::after_pop) — the store's part of the
+///    dispatch is done (the event is popped);
+/// 4. [`before_handler`](LoopHooks::before_handler) — the handler's
 ///    [`Context`](crate::engine::Context) is built;
-/// 6. [`after_handler`](LoopHooks::after_handler) — the node handler
+/// 5. [`after_handler`](LoopHooks::after_handler) — the node handler
 ///    returned.
 pub trait LoopHooks {
     /// Checked at the top of every iteration with the sim's total
@@ -54,13 +52,7 @@ pub trait LoopHooks {
     /// The store is about to be asked for the next due event.
     fn before_pop(&mut self) {}
 
-    /// The same-instant delivery with sequence number `seq` was folded
-    /// into the current dispatch's batch; it gets no dispatch of its own.
-    fn batched(&mut self, seq: u64) {
-        let _ = seq;
-    }
-
-    /// The head event is popped and its same-instant batch collected.
+    /// The event is popped.
     fn after_pop(&mut self) {}
 
     /// The handler's context is built; the node handler runs next.
@@ -74,17 +66,14 @@ pub trait LoopHooks {
 
 /// One finished dispatch, as [`LoopHooks::after_handler`] sees it.
 pub struct Dispatch<'a> {
-    /// Sequence number of the dispatched event (a batch's head).
+    /// Sequence number of the dispatched event.
     pub seq: u64,
     /// Simulated time of the dispatch.
     pub time: SimTime,
     /// The node that handled it.
     pub target: NodeId,
-    /// A timer firing (`true`) or a delivery batch.
+    /// A timer firing (`true`) or a delivery.
     pub is_timer: bool,
-    /// Events the dispatch consumed: 1 for a timer, the batch length
-    /// for deliveries.
-    pub consumed: u64,
     /// Sequence numbers of the events the handler scheduled. The
     /// engine's sequence counter is global and monotone, so a handler's
     /// children are exactly the range it advanced the counter over.
@@ -110,9 +99,6 @@ impl<H: LoopHooks + ?Sized> LoopHooks for &mut H {
     fn before_pop(&mut self) {
         (**self).before_pop();
     }
-    fn batched(&mut self, seq: u64) {
-        (**self).batched(seq);
-    }
     fn after_pop(&mut self) {
         (**self).after_pop();
     }
@@ -133,10 +119,6 @@ impl<A: LoopHooks, B: LoopHooks> LoopHooks for (A, B) {
     fn before_pop(&mut self) {
         self.0.before_pop();
         self.1.before_pop();
-    }
-    fn batched(&mut self, seq: u64) {
-        self.0.batched(seq);
-        self.1.batched(seq);
     }
     fn after_pop(&mut self) {
         self.0.after_pop();
@@ -200,34 +182,22 @@ impl LoopHooks for Watchdog {
 /// Folds each dispatch into the profile, sampling pending depth when due.
 impl LoopHooks for EngineProfile {
     fn after_handler(&mut self, d: &Dispatch<'_>) {
-        if self.record_dispatch(d.is_timer, d.consumed) {
+        if self.record_dispatch(d.is_timer) {
             self.sample_depth(d.time.as_nanos(), d.pending as u64);
         }
     }
 }
 
-/// Records each dispatch with its provenance: a batched delivery retires
-/// its pending provenance entry (its children attribute to the batch
-/// head), and every event the handler scheduled is born with the
-/// dispatched event as its parent.
+/// Records each dispatch with its provenance: every event the handler
+/// scheduled is born with the dispatched event as its parent.
 impl LoopHooks for CausalTrace {
-    fn batched(&mut self, seq: u64) {
-        self.absorb(seq);
-    }
-
     fn after_handler(&mut self, d: &Dispatch<'_>) {
         let kind = if d.is_timer {
             TraceEventKind::Timer
         } else {
             TraceEventKind::Deliver
         };
-        self.dispatched(
-            d.seq,
-            d.time.as_nanos(),
-            d.target.index() as u32,
-            kind,
-            d.consumed as u32,
-        );
+        self.dispatched(d.seq, d.time.as_nanos(), d.target.index() as u32, kind);
         for child in d.children.clone() {
             self.birth(child, d.seq);
         }
@@ -255,11 +225,6 @@ impl LoopHooks for Instruments {
         self.watchdog
             .as_mut()
             .is_some_and(|w| w.should_stop(events))
-    }
-    fn batched(&mut self, seq: u64) {
-        if let Some(t) = &mut self.trace {
-            t.batched(seq);
-        }
     }
     fn after_handler(&mut self, d: &Dispatch<'_>) {
         if let Some(p) = &mut self.profile {

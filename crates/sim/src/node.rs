@@ -28,18 +28,6 @@ pub trait Node {
     /// A packet has arrived at this node.
     fn on_packet(&mut self, packet: Packet, ctx: &mut Context<'_>);
 
-    /// A batch of packets has arrived at this node at the same instant
-    /// (the engine coalesces consecutive same-timestamp deliveries to
-    /// amortize virtual dispatch). The default forwards to
-    /// [`Node::on_packet`] in order; high-throughput nodes may override
-    /// to process the burst in one pass. Implementations must consume
-    /// (drain) the vector — the engine reuses the buffer.
-    fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
-        for packet in packets.drain(..) {
-            self.on_packet(packet, ctx);
-        }
-    }
-
     /// A timer previously scheduled by this node (via
     /// [`Context::schedule_timer`]) has fired. `tag` echoes the value
     /// given at scheduling so a node can multiplex timers.

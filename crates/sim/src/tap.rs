@@ -188,30 +188,6 @@ impl Node for Tap {
         }
     }
 
-    fn on_packets(&mut self, packets: &mut Vec<Packet>, ctx: &mut Context<'_>) {
-        // Burst path: one state borrow for the whole batch.
-        {
-            let mut st = self.state.borrow_mut();
-            for packet in packets.iter() {
-                if self.filter.is_none_or(|f| packet.flow == f) {
-                    st.timestamps.push(ctx.now());
-                    match packet.kind {
-                        PacketKind::Payload => st.payload += 1,
-                        PacketKind::Dummy => st.dummy += 1,
-                        PacketKind::Cross => {}
-                    }
-                }
-            }
-        }
-        if let Some(next) = self.next {
-            for packet in packets.drain(..) {
-                ctx.send_now(next, packet);
-            }
-        } else {
-            packets.clear();
-        }
-    }
-
     fn reset(&mut self) {
         self.state.borrow_mut().clear();
     }

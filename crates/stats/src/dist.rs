@@ -139,6 +139,11 @@ impl Exponential {
         Ok(Self { mean })
     }
 
+    /// The unit-mean exponential `Exp(1)`.
+    pub fn standard() -> Self {
+        Self { mean: 1.0 }
+    }
+
     /// Exponential with rate `rate > 0` events per unit time.
     pub fn with_rate(rate: f64) -> Result<Self> {
         ensure_positive("exponential rate", rate)?;

@@ -433,8 +433,8 @@ pub(crate) fn build_aggregate(
         // sub-unit-rate regime; see DESIGN.md).
         Some(k) => {
             let jitter = CohortJitter {
-                base_sigma: d.jitter.base_sigma,
-                blocking_mean: d.jitter.blocking_mean,
+                base_sigma: d.jitter.base_sigma(),
+                blocking_mean: d.jitter.blocking_mean(),
                 arrival_prob: (builder.payload().rate() * tau).clamp(0.0, 1.0),
             };
             let mut group: Vec<SimDuration> = Vec::with_capacity(k);

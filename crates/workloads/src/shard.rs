@@ -1,9 +1,11 @@
 //! Sharded aggregate execution: one trunk scenario, many worker sub-sims.
 //!
 //! The second wall between the aggregate family and 10⁶ flows (after
-//! per-flow node state, which [`linkpad_sim::cohort`] removes) is the
-//! **one event-loop thread per scenario**: a single `Sim` serializes
-//! every gateway tick and trunk arrival through one queue. The flows of
+//! per-flow state, which [`linkpad_sim::cohort`] removes) is the **one
+//! thread per scenario**: a single `Sim`'s trunk serves every flow's
+//! arrivals in turn. No gateway tick or trunk arrival is an engine
+//! event (the trunk pulls its senders as emitters), so what the thread
+//! serializes is the trunk's service. The flows of
 //! an aggregate are statistically independent — each draws from its own
 //! RNG streams and, under CIT, its wire output is a phase-offset comb —
 //! so the population can be **partitioned**: [`ShardedAggregate`] splits
@@ -258,7 +260,7 @@ impl ShardedAggregate {
 
     /// Enable engine self-profiling in every shard sim: each
     /// [`ShardReport`] (and manifest) then carries a
-    /// [`ProfileReport`] — batch-size distribution, pending-depth
+    /// [`ProfileReport`] — the timer/delivery mix, pending-depth
     /// series, event-store op counters. Profiles are deterministic per
     /// shard.
     pub fn with_profiling(mut self) -> Self {

@@ -121,8 +121,8 @@ fn jittered_cohort_matches_gateway_fanin_in_distribution() {
     let from_cohort = cohort_arrivals(
         &phases,
         Some(CohortJitter {
-            base_sigma: jitter.base_sigma,
-            blocking_mean: jitter.blocking_mean,
+            base_sigma: jitter.base_sigma(),
+            blocking_mean: jitter.blocking_mean(),
             arrival_prob: 0.0, // no payload on either side
         }),
         4.0,

@@ -196,8 +196,8 @@ fn reference(cohorts: bool) -> Reference {
     let mut trunk_stream = MasterSeed::new(SEED).stream(trunk.index() as u64);
     if cohorts {
         let jitter = CohortJitter {
-            base_sigma: d.jitter.base_sigma,
-            blocking_mean: d.jitter.blocking_mean,
+            base_sigma: d.jitter.base_sigma(),
+            blocking_mean: d.jitter.blocking_mean(),
             arrival_prob: builder.payload().rate() * tau,
         };
         // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / K.

@@ -405,8 +405,8 @@ fn per_event_trunk(builder: &ScenarioBuilder) -> (Sim, ObserverHandle, Sent) {
         Box::new(Deterministic::new(d.packet_size as f64).expect("size")),
     )));
     let jitter = CohortJitter {
-        base_sigma: d.jitter.base_sigma,
-        blocking_mean: d.jitter.blocking_mean,
+        base_sigma: d.jitter.base_sigma(),
+        blocking_mean: d.jitter.blocking_mean(),
         arrival_prob: builder.payload().rate() * d.tau,
     };
     // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / k.
@@ -457,7 +457,7 @@ fn a_trunk_folding_its_observer_equals_a_plain_trunk_feeding_one() {
     // synchronized packets of different sizes tie at the trunk, with
     // each other and with the target.
     let mut still = CalibratedDefaults::paper();
-    still.jitter = GatewayJitterModel::new(0.0, still.jitter.blocking_mean).expect("valid model");
+    still.jitter = GatewayJitterModel::new(0.0, still.jitter.blocking_mean()).expect("valid model");
     let variable = PayloadModel::Uniform { lo: 300, hi: 900 };
     for (what, builder) in [
         ("synchronized", base.clone()),
