@@ -10,9 +10,10 @@
 //! split over worker sub-sims, per-shard trunk window series merged by
 //! summing `WindowStats` — and asserts the **rate-law flow-count
 //! estimate stays within ±10 %** at every N (gate), with event-count,
-//! wall-clock, peak pending-event and peak process-memory columns
-//! recording what the scale costs (the event count is deterministic;
-//! the wall clock of a sub-second run is one noisy reading).
+//! trunk-arrival, wall-clock and peak process-memory columns recording
+//! what the scale costs (the event and arrival counts are deterministic;
+//! the wall clock of a sub-second run is one noisy reading). The trunks
+//! serve their cohorts without events, so the arrivals are the work.
 //!
 //! A second table re-runs the 10⁴-flow point with **independent uniform
 //! clock phases** (the desynchronized-clock countermeasure from the
@@ -105,8 +106,8 @@ fn main() {
             "n_hat",
             "err_pct",
             "events",
+            "arrivals",
             "wall_secs",
-            "peak_pending",
             "peak_rss_mb",
         ],
     );
@@ -145,20 +146,20 @@ fn main() {
             .expect("estimator over steady-state windows");
         let err_pct = est.relative_error(n) * 100.0;
         eprintln!(
-            "N = {n}: n_hat = {:.1} ({err_pct:.3}%), {} events, {:.1} s wall, \
-             peak pending {}",
+            "N = {n}: n_hat = {:.1} ({err_pct:.3}%), {} events, {} trunk arrivals, \
+             {:.1} s wall",
             est.n_hat,
             run.events(),
+            run.arrivals(),
             run.wall_secs,
-            run.pending_peak(),
         );
         table.row(vec![
             n.to_string(),
             format!("{:.1}", est.n_hat),
             format!("{err_pct:.3}"),
             run.events().to_string(),
+            run.arrivals().to_string(),
             format!("{:.2}", run.wall_secs),
-            run.pending_peak().to_string(),
             format!("{:.0}", peak_rss_mb()),
         ]);
         assert!(

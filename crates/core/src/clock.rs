@@ -345,7 +345,7 @@ mod tests {
         let (handle, emitter) = GatewayEmitter::new(clock, (case.payload)());
         let (observer, trunk) = trunk();
         let mut b = SimBuilder::new(MasterSeed::new(SEED));
-        b.add_node(Box::new(trunk.with_emitter(OnNodeStreams(emitter))));
+        b.add_node(Box::new(trunk.with_emitters([OnNodeStreams(emitter)])));
         (b.build().unwrap(), observer, handle)
     }
 

@@ -4,16 +4,16 @@
 //! flow as its own sender gateway and payload source: one
 //! `GatewayEmitter` (`linkpad-core`) per flow, which the
 //! [`Trunk`](crate::trunk::Trunk) pulls with no node and no timer, but
-//! which still keeps its own payload law, clock state and RNG streams
-//! and takes its own entry in the trunk's fire heap. A cohort keeps K
-//! flows in one generator on one stream. What a padding gateway puts on
-//! the wire is only its emission instants and wire sizes: flow k with
-//! start phase φₖ fires its j-th tick at `φₖ + T₁ + … + Tⱼ`, each
-//! transmission shifted by an independent per-tick disturbance δ that
-//! does not feed back into the clock, and nothing else about the flow
-//! (payload content, queue state) is visible. CIT is the σ_T = 0 member
-//! of that timer family (`Tᵢ = τ`, so the instants are the exact comb
-//! `φₖ + j·τ`); VIT laws and adaptive padding draw their intervals.
+//! which still keeps its own payload law, clock state and RNG streams.
+//! A cohort keeps K flows in one emitter on one stream. What a padding
+//! gateway puts on the wire is only its emission instants and wire
+//! sizes: flow k with start phase φₖ fires its j-th tick at
+//! `φₖ + T₁ + … + Tⱼ`, each transmission shifted by an independent
+//! per-tick disturbance δ that does not feed back into the clock, and
+//! nothing else about the flow (payload content, queue state) is
+//! visible. CIT is the σ_T = 0 member of that timer family (`Tᵢ = τ`,
+//! so the instants are the exact comb `φₖ + j·τ`); VIT laws and
+//! adaptive padding draw their intervals.
 //!
 //! [`FlowCohort`] generates the superposition of K such clocks, driven
 //! by a [`MemberSchedule`] (an interval *law* shared iid across members,
@@ -21,22 +21,17 @@
 //! node and arms no timer: it is an [`Emitter`], which the
 //! [`Trunk`](crate::trunk::Trunk) that carries its traffic owns and
 //! draws on demand ([`Emitter::fire`]), so a cohort packet is never an
-//! event. The
-//! cohort keeps a small binary heap of **runs** `(time, first_member,
-//! run_len)`: the contiguous members `first_member..first_member +
-//! run_len` all fire next at `time`. Each fired member emits one packet,
-//! drawing jitter δ, then wire size, then its next interval, in that
-//! order (the `SenderGateway` order). A fired run stays one entry while
-//! its members draw the first member's next interval; the members after
-//! the first mismatch go back as singletons. A synchronized CIT cohort
-//! is therefore one entry for its whole run, costing one heap operation
-//! per instant; desynchronized phases cost one `O(log K)` operation per
-//! emission.
+//! event. The cohort keeps its members' next fire instants as runs of
+//! members that fire together (the same schedule a trunk keeps over its
+//! emitters): a synchronized CIT cohort is one run, costing one heap
+//! operation per instant, and desynchronized phases cost one `O(log K)`
+//! operation per emission. Each fired member emits one packet, drawing
+//! jitter δ, then wire size, then its next interval, in that order (the
+//! `SenderGateway` order).
 //!
-//! Determinism: runs are disjoint contiguous member ranges fired in
-//! `(time, first_member)` order, so members fire in `(time, member)`
-//! order and every draw comes off the cohort's single RNG stream in that
-//! order; the trunk hands the cohort that stream at start
+//! Determinism: members fire in `(time, member)` order however they
+//! split into runs, and every draw comes off the cohort's single RNG
+//! stream in that order; the trunk hands the cohort that stream at start
 //! ([`Emitter::start`]), so runs replay bit-identically under
 //! `reset(seed)`. With a `Deterministic` law, no jitter and no size law
 //! the cohort makes **zero RNG draws**, and its emission times are
@@ -58,6 +53,7 @@
 //! arrival probability `p = rate·τ`, behind the same 6σ causality
 //! offset.
 
+use crate::runs::Runs;
 use crate::time::{SimDuration, SimTime};
 use crate::trunk::{Emitter, EmitterHandle};
 use linkpad_stats::dist::{ContinuousDist, Exponential};
@@ -65,20 +61,19 @@ use linkpad_stats::normal::Normal;
 use linkpad_stats::rng::Xoshiro256StarStar;
 use linkpad_stats::StatsError;
 use rand_core::RngCore;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Per-member interval source of a cohort: `member` is the within-cohort
 /// index (position in the sorted phase vector). Called once per member
-/// (in member order) at start to seed the heap, then once per emission
-/// in the deterministic `(time, member)` fire order.
+/// (in member order) at start, then once per emission in the
+/// deterministic `(time, member)` fire order.
 pub trait MemberSchedule: std::fmt::Debug {
     /// Draw member `member`'s next inter-emission interval, seconds.
     /// Must be positive (the cohort floors to 1 ns defensively).
     fn next_interval_secs(&mut self, member: u32, rng: &mut dyn RngCore) -> f64;
 
     /// Return any machine state to its initial value (the next
-    /// [`Emitter::start`] re-seeds the heap from a fresh RNG stream).
+    /// [`Emitter::start`] reschedules every member from a fresh RNG
+    /// stream).
     fn reset(&mut self);
 }
 
@@ -182,7 +177,7 @@ impl JitterSamplers {
 }
 
 /// The superposed emission process of K padded flows, generated from
-/// one next-fire heap of member runs (see the module docs).
+/// runs of members that fire together (see the module docs).
 #[derive(Debug)]
 pub struct FlowCohort {
     packet_size: u32,
@@ -194,13 +189,8 @@ pub struct FlowCohort {
     /// Member `m`'s clock start offset (sorted ascending; the member
     /// index is the position in this vector).
     phases: Vec<SimDuration>,
-    /// `(next nominal fire time, first member, run length)` —
-    /// `Reverse` turns the std max-heap into a min-heap firing in
-    /// `(time, first member)` order.
-    heap: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
-    /// Members a firing run sheds, `(next fire, member)`: pushed back
-    /// as singletons once the run's own entry is back in place.
-    shed: Vec<(SimTime, u32)>,
+    /// Every member's next nominal fire instant.
+    runs: Runs,
     /// The stream every draw comes from, handed over by `start`.
     rng: Xoshiro256StarStar,
     emitted: EmitterHandle,
@@ -228,8 +218,7 @@ impl FlowCohort {
                 size_law: None,
                 jitter: None,
                 sched: schedule,
-                heap: BinaryHeap::with_capacity(phases.len()),
-                shed: Vec::new(),
+                runs: Runs::default(),
                 phases,
                 rng: Xoshiro256StarStar::from_u64(0),
                 emitted,
@@ -264,31 +253,23 @@ impl Emitter for FlowCohort {
     /// and consecutive equal first fire times merge into runs.
     fn start(&mut self, rng: Xoshiro256StarStar) {
         self.rng = rng;
-        self.heap.clear();
-        let mut run: Option<(SimTime, u32, u32)> = None;
-        for m in 0..self.phases.len() as u32 {
-            let t = SimTime::ZERO
-                + self.phases[m as usize]
-                + next_interval(&mut *self.sched, m, &mut self.rng);
-            match &mut run {
-                Some((at, _, len)) if *at == t => *len += 1,
-                _ => {
-                    if let Some(done) = run.replace((t, m, 1)) {
-                        self.heap.push(Reverse(done));
-                    }
-                }
-            }
-        }
-        if let Some(done) = run {
-            self.heap.push(Reverse(done));
-        }
+        let Self {
+            phases,
+            sched,
+            rng,
+            runs,
+            ..
+        } = self;
+        runs.start(phases.iter().enumerate().map(|(m, &phase)| {
+            Some(SimTime::ZERO + phase + next_interval(&mut **sched, m as u32, rng))
+        }));
     }
 
     /// When the next member fires, or `None` for an empty or unstarted
     /// cohort.
     #[inline]
     fn next_fire(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&Reverse((t, _, _))| t)
+        self.runs.next_fire()
     }
 
     /// Fire every member due at [`Emitter::next_fire`], in member
@@ -296,56 +277,29 @@ impl Emitter for FlowCohort {
     /// (the fire instant shifted by the member's jitter δ) and wire
     /// size, then draws its next interval.
     fn fire(&mut self, mut emit: impl FnMut(SimTime, u32)) {
-        let Some(now) = self.next_fire() else {
-            return;
-        };
         let Self {
             packet_size,
             size_law,
             jitter,
             sched,
-            heap,
-            shed,
+            runs,
             rng,
             emitted,
             ..
         } = self;
         let mut fired = 0u64;
-        loop {
-            let Some(mut top) = heap.peek_mut() else {
-                break;
+        runs.fire(|t, m| {
+            // One emission: jitter δ, then wire size, then the member's
+            // next interval.
+            let delay = jitter.as_ref().map(|j| j.sample_send_delay(rng));
+            let size = match size_law {
+                Some(law) => law.sample(rng).floor().max(1.0) as u32,
+                None => *packet_size,
             };
-            let Reverse((t, first, len)) = *top;
-            if t > now {
-                break;
-            }
-            // The run keeps its first `kept` members while they draw the
-            // first member's interval; later members go back alone.
-            let (mut step, mut kept) = (SimDuration::ZERO, 0);
-            for m in first..first + len {
-                // One emission: jitter δ, then wire size, then the
-                // member's next interval.
-                let delay = jitter.as_ref().map(|j| j.sample_send_delay(rng));
-                let size = match size_law {
-                    Some(law) => law.sample(rng).floor().max(1.0) as u32,
-                    None => *packet_size,
-                };
-                emit(delay.map_or(t, |d| t + SimDuration::from_secs_f64(d)), size);
-                let d = next_interval(&mut **sched, m, rng);
-                if kept == m - first && (kept == 0 || d == step) {
-                    step = d;
-                    kept += 1;
-                } else {
-                    shed.push((t + d, m));
-                }
-            }
-            *top = Reverse((t + step, first, kept));
-            drop(top);
-            for (at, m) in shed.drain(..) {
-                heap.push(Reverse((at, m, 1)));
-            }
-            fired += u64::from(len);
-        }
+            emit(delay.map_or(t, |d| t + SimDuration::from_secs_f64(d)), size);
+            fired += 1;
+            Some(t + next_interval(&mut **sched, m, rng))
+        });
         emitted.add(fired);
     }
 
@@ -353,7 +307,7 @@ impl Emitter for FlowCohort {
     /// machines and counters reset. [`Emitter::start`] must follow
     /// before the cohort fires again.
     fn reset(&mut self) {
-        self.heap.clear();
+        self.runs.clear();
         self.sched.reset();
         self.emitted.clear();
     }
@@ -395,14 +349,14 @@ mod tests {
     /// Starts `cohort` on stream `seed` and fires it through `until`,
     /// returning every `(arrival, size)` it emitted there (arrivals of
     /// fires at or before `until` that land after it included) and the
-    /// largest heap it held.
+    /// most runs it held.
     fn drain(cohort: &mut FlowCohort, seed: u64, until: SimTime) -> (Vec<(SimTime, u32)>, usize) {
         cohort.start(MasterSeed::new(seed).stream(0));
         let mut out = Vec::new();
-        let mut peak = cohort.heap.len();
+        let mut peak = cohort.runs.len();
         while cohort.next_fire().is_some_and(|t| t <= until) {
             cohort.fire(|at, size| out.push((at, size)));
-            peak = peak.max(cohort.heap.len());
+            peak = peak.max(cohort.runs.len());
         }
         (out, peak)
     }
@@ -439,7 +393,7 @@ mod tests {
         let (handle, mut cohort) = FlowCohort::new(&[SimDuration::ZERO; 64], 500, cit());
         let (out, peak) = drain(&mut cohort, 2, SimTime::from_secs_f64(0.05));
         // 5 periods × 64 flows, all at exact multiples of τ, from one
-        // heap entry for the whole run.
+        // run of every member.
         assert_eq!(peak, 1, "64 coincident members, one run");
         assert_eq!(handle.emitted(), 5 * 64);
         assert_eq!(out.len(), 5 * 64);

@@ -20,10 +20,10 @@
 //!   router serves its cross traffic without any.
 //! * **Trunks** ([`trunk::Trunk`]) are an aggregate's shared link: the
 //!   same egress, serving the aggregate's non-target senders as
-//!   [`trunk::Emitter`]s without events,
-//!   deciding every arrival at an optional fault gate, and folding its
-//!   far-end observer in place, so its packets in flight are not events
-//!   either.
+//!   [`trunk::Emitter`]s without events (emitters that fire together
+//!   as one run, each fire instant's arrivals sorted once), deciding
+//!   every arrival at an optional fault gate, and folding its far-end
+//!   observer in place, so its packets in flight are not events either.
 //! * **Taps** ([`tap::Tap`]) are passive timestamp recorders — the
 //!   "Agilent J6841A network analyzer" the paper's adversary uses. A
 //!   tap with no next hop is the capture-only endpoint of a path.
@@ -38,9 +38,9 @@
 //!   trade-offs can be measured under imperfect links and partial
 //!   observation.
 //! * **Flow cohorts** ([`cohort::FlowCohort`]) generate K padded
-//!   flows' combined arrival process from one next-fire heap of member
-//!   runs, an emitter the trunk draws on demand, with no event at all —
-//!   what takes aggregate scenarios from ~10⁴ to 10⁶ concurrent flows.
+//!   flows' combined arrival process as one emitter on one RNG stream,
+//!   which the trunk draws on demand with no event at all — what takes
+//!   aggregate scenarios from ~10⁴ to 10⁶ concurrent flows.
 //! * **Sources** ([`source::DistSource`]) emit traffic with pluggable
 //!   inter-arrival and packet-size laws from `linkpad-stats`.
 //! * **Parallel sweeps** ([`parallel::parallel_map`]) fan independent
@@ -68,6 +68,7 @@ pub mod observer;
 pub mod packet;
 pub mod parallel;
 pub mod router;
+mod runs;
 pub mod source;
 pub mod tap;
 pub mod time;

@@ -9,21 +9,27 @@
 //! from an emitter, takes one step: the gate decides its fate, a
 //! survivor joins the egress queue, and the far end folds it.
 //!
-//! * **Emitter traffic** ([`Trunk::with_emitter`]): the trunk owns the
+//! * **Emitter traffic** ([`Trunk::with_emitters`]): the trunk owns the
 //!   aggregate's non-target senders as [`Emitter`]s (per-flow gateways
 //!   or [`FlowCohort`]s) and draws their emissions on demand, so none of
 //!   their packets is an event. Emitter traffic is open-loop, so the
 //!   backlog a packet meets depends only on the arrivals before it: when
 //!   a packet arrives at `now`, the trunk first serves every emitter
 //!   arrival at or before `now`, then the packet, and an emitter arrival
-//!   at exactly `now` is served first. Fires come in `(emission instant,
-//!   emitter, member)` order, each fire's arrival is shifted by its
-//!   jitter δ ≥ 0, and the shifted arrivals wait in a small heap keyed
-//!   by `(arrival instant, draw sequence)` until the trunk serves them:
-//!   every arrival at or before the next fire instant is final. The trunk
-//!   also serves emitter arrivals at or before the horizon when a run
-//!   segment ends ([`Node::on_horizon`]), so a trunk that no engine
-//!   packet reaches still carries its emitters.
+//!   at exactly `now` is served first. The trunk keeps its emitters'
+//!   next fire instants as runs of emitters that fire together, so a
+//!   synchronized population costs one heap operation per instant. It
+//!   fires every emitter due at the next fire instant at once, in
+//!   `(emitter, member)` order, and each arrival is its fire instant
+//!   shifted by its jitter δ ≥ 0. The trunk sorts that batch once by
+//!   `(arrival instant, draw order)` and merges it behind the arrivals
+//!   not yet served, which were drawn earlier and so go first on a tie.
+//!   Arrivals are therefore served in `(arrival instant, fire instant,
+//!   emitter, member)` order, and every arrival at or before the next
+//!   fire instant is final. The trunk also serves emitter arrivals at or
+//!   before the horizon when a run segment ends ([`Node::on_horizon`]),
+//!   so a trunk that no engine packet reaches still carries its
+//!   emitters.
 //! * **The gate** ([`Trunk::with_gate`]) decides every arrival's fate,
 //!   emitter traffic and engine-delivered packets alike, in service order
 //!   before it joins the queue.
@@ -56,12 +62,12 @@ use crate::node::{Node, NodeId};
 use crate::observer::WindowedObserver;
 use crate::packet::Packet;
 use crate::router::Wire;
+use crate::runs::Runs;
 use crate::time::{SimDuration, SimTime};
 use linkpad_stats::rng::Xoshiro256StarStar;
 use rand_core::RngCore;
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// An open-loop traffic generator a [`Trunk`] pulls on demand: its
@@ -79,7 +85,7 @@ pub trait Emitter {
 
     /// Fire everything due at [`Emitter::next_fire`], handing `emit`
     /// each emission's arrival instant (never before the fire instant)
-    /// and wire size, in draw order.
+    /// and wire size, in draw order. The next fire comes strictly later.
     fn fire(&mut self, emit: impl FnMut(SimTime, u32));
 
     /// Return to the as-built state: nothing scheduled, counters reset.
@@ -131,27 +137,37 @@ impl EmitterHandle {
 #[derive(Debug)]
 struct Feed<E> {
     emitters: Vec<E>,
-    /// `(next fire instant, emitter index)` of every started, non-empty
-    /// emitter: the merge that fires emitters in `(instant, emitter)`
-    /// order.
-    fires: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// Fired arrivals not yet served, `(instant, draw sequence, size)`.
-    arrivals: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// Arrivals drawn since start: the next one's draw sequence.
-    drawn: u64,
+    /// When each started emitter fires next, as runs of emitters.
+    fires: Runs,
+    /// Fired arrivals `(instant, size)` in service order, from `served`
+    /// on not yet served.
+    arrivals: Vec<(SimTime, u32)>,
+    served: usize,
+    /// One fire instant's arrivals `(instant, draw index, size)` while
+    /// they are sorted; empty otherwise.
+    batch: Vec<(SimTime, u32, u32)>,
 }
 
 impl<E: Emitter> Feed<E> {
+    fn new() -> Self {
+        Self {
+            emitters: Vec::new(),
+            fires: Runs::default(),
+            arrivals: Vec::new(),
+            served: 0,
+            batch: Vec::new(),
+        }
+    }
+
     /// Start every emitter on a stream of its own, seeded by one draw of
     /// `rng` per emitter in emitter order. The feed is as built: fresh,
     /// or reset since its last run.
     fn start(&mut self, rng: &mut Xoshiro256StarStar) {
-        for (i, emitter) in self.emitters.iter_mut().enumerate() {
+        for emitter in &mut self.emitters {
             emitter.start(Xoshiro256StarStar::from_u64(rng.next_u64()));
-            if let Some(t) = emitter.next_fire() {
-                self.fires.push(Reverse((t, i as u32)));
-            }
         }
+        self.fires
+            .start(self.emitters.iter().map(Emitter::next_fire));
     }
 
     /// The next emitter arrival at or before `bound` in service order,
@@ -159,12 +175,12 @@ impl<E: Emitter> Feed<E> {
     #[inline]
     fn next_through(&mut self, bound: SimTime) -> Option<(SimTime, u32)> {
         loop {
-            let next_fire = self.fires.peek().map(|f| f.0 .0);
-            if let Some(&Reverse((at, _, size))) = self.arrivals.peek() {
+            let next_fire = self.fires.next_fire();
+            if let Some(&(at, size)) = self.arrivals.get(self.served) {
                 // A later fire arrives at or after its fire instant, and
-                // ties go by draw sequence, so this arrival is next.
+                // goes behind this arrival on a tie, so this one is next.
                 if at <= bound && next_fire.is_none_or(|f| at <= f) {
-                    self.arrivals.pop();
+                    self.served += 1;
                     return Some((at, size));
                 }
             }
@@ -175,21 +191,50 @@ impl<E: Emitter> Feed<E> {
         }
     }
 
-    /// Fire the emitter that fires next, queueing its arrivals.
+    /// Fire every emitter due at the next fire instant, and queue the
+    /// batch of their arrivals in service order.
+    #[inline]
     fn fire_next(&mut self) {
-        let Some(mut next) = self.fires.peek_mut() else {
-            return;
-        };
-        let emitter = &mut self.emitters[next.0 .1 as usize];
-        let (arrivals, drawn) = (&mut self.arrivals, &mut self.drawn);
-        emitter.fire(|at, size| {
-            arrivals.push(Reverse((at, *drawn, size)));
-            *drawn += 1;
+        let Self {
+            emitters,
+            fires,
+            arrivals,
+            served,
+            batch,
+        } = self;
+        fires.fire(|_, e| {
+            let emitter = &mut emitters[e as usize];
+            emitter.fire(|at, size| {
+                let drawn = batch.len() as u32;
+                batch.push((at, drawn, size));
+            });
+            emitter.next_fire()
         });
-        // A started emitter always fires again.
-        if let Some(t) = emitter.next_fire() {
-            next.0 .0 = t;
+        // The draw index makes every key distinct, so the unstable sort
+        // keeps draw order on ties and needs no scratch buffer.
+        batch.sort_unstable();
+        // Drop the served arrivals only when the batch would not fit
+        // beside them: under uniform phases a fire instant adds one
+        // arrival behind dozens unserved, which must not move each time.
+        if arrivals.len() + batch.len() > arrivals.capacity() {
+            arrivals.drain(..*served);
+            *served = 0;
         }
+        // Merge from the back: an unserved arrival goes behind a batch
+        // arrival only if it is strictly later, since it was drawn first.
+        let mut unserved = arrivals.len();
+        arrivals.resize(unserved + batch.len(), (SimTime::ZERO, 0));
+        let mut end = arrivals.len();
+        for &(at, _, size) in batch.iter().rev() {
+            while unserved > *served && arrivals[unserved - 1].0 > at {
+                unserved -= 1;
+                end -= 1;
+                arrivals[end] = arrivals[unserved];
+            }
+            end -= 1;
+            arrivals[end] = (at, size);
+        }
+        batch.clear();
     }
 
     fn reset(&mut self) {
@@ -198,7 +243,7 @@ impl<E: Emitter> Feed<E> {
         }
         self.fires.clear();
         self.arrivals.clear();
-        self.drawn = 0;
+        self.served = 0;
     }
 }
 
@@ -239,22 +284,17 @@ impl<E: Emitter> Trunk<E> {
             observer,
             pending: VecDeque::new(),
             target,
-            feed: Feed {
-                emitters: Vec::new(),
-                fires: BinaryHeap::new(),
-                arrivals: BinaryHeap::new(),
-                drawn: 0,
-            },
+            feed: Feed::new(),
             gate: None,
         }
     }
 
-    /// Builder-style emitter traffic: `emitter`'s emissions are served
-    /// on the egress, recorded at the far end, and end there. At start
-    /// the trunk hands each emitter, in the order they were added, a
-    /// stream seeded by one draw of its own stream (after the gate's).
-    pub fn with_emitter(mut self, emitter: E) -> Self {
-        self.feed.emitters.push(emitter);
+    /// Builder-style emitter traffic: the `emitters`' emissions are
+    /// served on the egress, recorded at the far end, and end there. At
+    /// start the trunk hands each emitter, in the order they were added,
+    /// a stream seeded by one draw of its own stream (after the gate's).
+    pub fn with_emitters(mut self, emitters: impl IntoIterator<Item = E>) -> Self {
+        self.feed.emitters.extend(emitters);
         self
     }
 
@@ -286,7 +326,8 @@ impl<E: Emitter> Trunk<E> {
 
     /// Serve every emitter arrival at or before `bound`, in order. Never
     /// inlined: its two callers share one copy of the loop, into which
-    /// the feed's `next_through` and `fire_next` inline.
+    /// the feed's `next_through` and `fire_next` inline, and with them
+    /// the emitters' `fire`.
     #[inline(never)]
     fn serve_emitters(&mut self, bound: SimTime) {
         while let Some((at, size)) = self.feed.next_through(bound) {
@@ -354,6 +395,119 @@ mod tests {
         let (_, observer) = WindowedObserver::new(SimDuration::from_millis_f64(1.0));
         let trunk: Trunk = Trunk::new(observer, None, 1e9, SimDuration::ZERO);
         assert_eq!(trunk.label(), "trunk");
+    }
+
+    // ------------------------------------------ the feed's service order --
+
+    /// An emitter that fires a fixed script, `(fire, arrivals)` in ns,
+    /// and then stops.
+    #[derive(Debug)]
+    struct Scripted {
+        fires: Vec<(u64, Vec<(u64, u32)>)>,
+        next: Option<usize>,
+    }
+
+    impl Emitter for Scripted {
+        fn start(&mut self, _rng: Xoshiro256StarStar) {
+            self.next = Some(0);
+        }
+        fn next_fire(&self) -> Option<SimTime> {
+            let fire = self.next.and_then(|i| self.fires.get(i))?;
+            Some(SimTime::from_nanos(fire.0))
+        }
+        fn fire(&mut self, mut emit: impl FnMut(SimTime, u32)) {
+            let Some(i) = self.next.filter(|&i| i < self.fires.len()) else {
+                return;
+            };
+            for &(at, size) in &self.fires[i].1 {
+                emit(SimTime::from_nanos(at), size);
+            }
+            self.next = Some(i + 1);
+        }
+        fn reset(&mut self) {
+            self.next = None;
+        }
+    }
+
+    /// Emitter `e` fires at each `(fire, arrivals)` of `scripts[e]`.
+    /// Every draw gets a size of its own, so a served size names its
+    /// draw. Returns the emitters and `(arrival, size)` of every draw
+    /// sorted by `(arrival, fire, emitter, emit order)`.
+    #[allow(clippy::type_complexity)]
+    fn scripted(scripts: &[&[(u64, &[u64])]]) -> (Vec<Scripted>, Vec<(SimTime, u32)>) {
+        let (mut emitters, mut draws) = (Vec::new(), Vec::new());
+        for (e, script) in scripts.iter().enumerate() {
+            let fires = script
+                .iter()
+                .map(|&(fire, arrivals)| {
+                    let arrivals = arrivals.iter().enumerate().map(|(k, &at)| {
+                        let size = draws.len() as u32 + 1;
+                        draws.push(((at, fire, e, k), size));
+                        (at, size)
+                    });
+                    (fire, arrivals.collect())
+                })
+                .collect();
+            emitters.push(Scripted { fires, next: None });
+        }
+        draws.sort_unstable();
+        let order = draws
+            .into_iter()
+            .map(|((at, ..), size)| (SimTime::from_nanos(at), size))
+            .collect();
+        (emitters, order)
+    }
+
+    #[test]
+    fn the_feed_serves_arrivals_by_instant_then_draw_order() {
+        let (emitters, reference) = scripted(&[
+            // 0: its 25 is unserved when 1's later fire ties it; its 70
+            // is overtaken by 3's batch and tied by it.
+            &[(10, &[25]), (40, &[70])],
+            // 1: ties inside one batch, with 2 and with itself.
+            &[(20, &[25]), (30, &[32, 30])],
+            // 2: an arrival exactly at 4's fire instant.
+            &[(30, &[30, 32]), (60, &[80])],
+            &[(50, &[55, 70, 60])],
+            // 4: fires at 80, then ties the shed 6 and the run 9–10.
+            &[(80, &[80]), (120, &[120])],
+            // 5–8: one run at 100 that splits: 5 and 8 fire next at
+            // 110 (8 shed alone), 6 at 120, and 7 leaves.
+            &[(100, &[100]), (110, &[110])],
+            &[(100, &[100, 101]), (120, &[120])],
+            &[(100, &[100])],
+            &[(100, &[101]), (110, &[110, 111])],
+            // 9–10: one run at 120 from the start.
+            &[(120, &[121, 120])],
+            &[(120, &[120])],
+            // 11: never fires.
+            &[],
+        ]);
+        let mut feed = Feed {
+            emitters,
+            ..Feed::new()
+        };
+        let mut rng = Xoshiro256StarStar::from_u64(1);
+        for pass in ["fresh", "after a reset"] {
+            feed.start(&mut rng);
+            let mut served = Vec::new();
+            for bound in (0..=130).map(SimTime::from_nanos).chain([SimTime::MAX]) {
+                while let Some(arrival) = feed.next_through(bound) {
+                    assert!(arrival.0 <= bound, "{pass}: served past {bound:?}");
+                    served.push(arrival);
+                }
+                // Exactly the arrivals at or before the bound are served.
+                let due = reference.iter().filter(|a| a.0 <= bound).count();
+                assert_eq!(served[..], reference[..due], "{pass}: through {bound:?}");
+            }
+            assert_eq!(
+                feed.fires.next_fire(),
+                None,
+                "{pass}: every emitter stopped"
+            );
+            assert_eq!(feed.next_through(SimTime::MAX), None, "{pass}");
+            feed.reset();
+        }
     }
 
     // ---------------------------------------------- observed far end --
@@ -726,9 +880,7 @@ mod tests {
         let mut trunk =
             Trunk::new(node.with_gaps(gaps), Some(sink_id), 16e6, propagation).with_gate(lossy);
         let sent = if lazy {
-            for cohort in trunk_cohorts() {
-                trunk = trunk.with_emitter(cohort);
-            }
+            trunk = trunk.with_emitters(trunk_cohorts());
             None
         } else {
             // The lazy trunk's cohort streams: one draw each of its own

@@ -27,7 +27,7 @@
 //! unchanged.
 //!
 //! No other flow is a node. Each is an emitter the trunk owns and draws
-//! on demand ([`Trunk::with_emitter`]): in per-flow mode one
+//! on demand ([`Trunk::with_emitters`]): in per-flow mode one
 //! [`GatewayEmitter`] per flow (a sender gateway plus its payload
 //! source, with the node's exact tick draws), in cohort mode
 //! [`FlowCohort`]s of up to K flows. Either way no non-target packet is
@@ -149,10 +149,11 @@ pub struct AggregateSpec {
     pub switching: Option<SwitchingSpec>,
     /// When set, flows other than the instrumented target are simulated
     /// as [`FlowCohort`]s of up to this many flows each, instead of one
-    /// [`GatewayEmitter`] per flow: one next-fire heap entry per run of
-    /// coincident members instead of one per flow, which is what takes
-    /// the family from ~10⁴ to 10⁶ flows. Every schedule with cohort
-    /// support runs there (see
+    /// [`GatewayEmitter`] per flow: one emitter and one RNG stream per
+    /// K flows instead of per flow, which is what takes the family from
+    /// ~10⁴ to 10⁶ flows. (Either way the trunk fires coincident
+    /// emitters, and a cohort its coincident members, as one run.)
+    /// Every schedule with cohort support runs there (see
     /// [`ScheduleSpec::cohort_support`](crate::spec::ScheduleSpec::cohort_support)
     /// and `linkpad_sim::cohort`). Like every non-target flow, cohort
     /// traffic ends at the trunk once recorded.
@@ -508,12 +509,10 @@ struct FarEnd {
 impl FarEnd {
     /// Install the trunk serving `emitters` at `id`.
     fn install<E: Emitter + 'static>(self, b: &mut SimBuilder, id: NodeId, emitters: Vec<E>) {
-        let mut trunk = Trunk::new(self.observer, self.target, self.bps, self.propagation);
+        let mut trunk = Trunk::new(self.observer, self.target, self.bps, self.propagation)
+            .with_emitters(emitters);
         if let Some(gate) = self.gate {
             trunk = trunk.with_gate(gate);
-        }
-        for emitter in emitters {
-            trunk = trunk.with_emitter(emitter);
         }
         b.install(id, Box::new(trunk));
     }

@@ -164,7 +164,7 @@ fn observer_view_of_cohort_matches_gateway_fanin() {
         if use_cohort {
             let sd: Vec<SimDuration> = phases.iter().map(|&p| SimDuration::from_nanos(p)).collect();
             let (_, cohort) = FlowCohort::new(&sd, 500, cit());
-            b.add_node(Box::new(trunk.with_emitter(cohort)));
+            b.add_node(Box::new(trunk.with_emitters([cohort])));
         } else {
             let trunk_id = b.add_node(Box::new(trunk));
             for (k, &phase) in phases.iter().enumerate() {

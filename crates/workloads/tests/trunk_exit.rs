@@ -5,11 +5,11 @@
 //! engine delivery to a plain trunk router, which delivers every packet
 //! to a capture-only observer and to a demux that passes the target on
 //! and absorbs the rest — and checks in both aggregate modes (per-flow
-//! gateway emitters and cohorts), after each of 2 140 run slices whose
-//! bounds sweep the tick cycle (many of them while packets are in
-//! propagation), that the trunk view and the target flow's receive side
-//! are bit-identical to it, at exactly the dispatches the reference's
-//! extra events add.
+//! gateway emitters and cohorts), under synchronized and uniform clock
+//! phases, after each of 2 140 run slices whose bounds sweep the tick
+//! cycle (many of them while packets are in propagation), that the
+//! trunk view and the target flow's receive side are bit-identical to
+//! it, at exactly the dispatches the reference's extra events add.
 
 use linkpad_core::clock::{GatewayEmitter, PaddingClock};
 use linkpad_core::gateway::{ReceiverGateway, SenderGateway};
@@ -33,7 +33,6 @@ use std::rc::Rc;
 const SEED: u64 = 83;
 const FLOWS: usize = 9;
 const COHORT: usize = 3;
-const PHASES: PhaseSpec = PhaseSpec::Uniform { seed: 5 };
 /// A 10 Mb/s trunk, so the flows' packets queue behind each other.
 const TRUNK_BPS: f64 = 10e6;
 const TRUNK_PROPAGATION: f64 = 1e-3;
@@ -46,11 +45,11 @@ const SLICE_NS: u64 = 700_100;
 /// The reference's emitter traffic on the wire.
 const EMITTER_FLOW: FlowId = FlowId(u32::MAX);
 
-fn builder(cohorts: bool) -> ScenarioBuilder {
+fn builder(cohorts: bool, phases: PhaseSpec) -> ScenarioBuilder {
     let b = ScenarioBuilder::aggregate(SEED, FLOWS)
         .with_payload_rate(10.0)
         .with_trunk(TRUNK_BPS, TRUNK_PROPAGATION)
-        .with_phases(PHASES)
+        .with_phases(phases)
         .with_trunk_observer(WINDOW);
     if cohorts {
         b.with_cohorts(COHORT)
@@ -150,7 +149,7 @@ struct Reference {
     sent: Rc<RefCell<Vec<SimTime>>>,
 }
 
-/// `builder(cohorts).build()` with the per-event wiring: the aggregate
+/// `builder(cohorts, phases).build()` with the per-event wiring: the aggregate
 /// builder's node list, order and labels (node `i` draws RNG stream
 /// `i`), with a plain router in the trunk's slot delivering to a
 /// fan-out, and the emitter feeders, demux, fan-out and observer
@@ -158,8 +157,8 @@ struct Reference {
 /// changes stream. Emitter `g`'s feeder draws from the stream the
 /// builder's trunk hands it: seeded by draw `g` of the trunk's own
 /// stream.
-fn reference(cohorts: bool) -> Reference {
-    let builder = builder(cohorts);
+fn reference(cohorts: bool, phases: PhaseSpec) -> Reference {
+    let builder = builder(cohorts, phases);
     let d = builder.defaults;
     let tau = d.tau;
     let period = builder.schedule().mean_interval(tau);
@@ -178,7 +177,7 @@ fn reference(cohorts: bool) -> Reference {
     // The target: its gateway and payload source.
     let schedule = builder.schedule().to_schedule(tau).expect("schedule");
     let (_, gw1) = SenderGateway::new(stap, schedule, d.jitter, d.packet_size);
-    let phase = PHASES.phase_secs(0, 0, FLOWS, period);
+    let phase = phases.phase_secs(0, 0, FLOWS, period);
     let gw1 = gw1
         .with_discipline(builder.discipline())
         .with_start_phase(SimDuration::from_secs_f64(phase))
@@ -203,24 +202,24 @@ fn reference(cohorts: bool) -> Reference {
         // Flow f ≥ 1 is member f − 1 of cohort (f − 1) / K.
         let members: Vec<usize> = (1..FLOWS).collect();
         for flows in members.chunks(COHORT) {
-            let phases: Vec<SimDuration> = flows
+            let members: Vec<SimDuration> = flows
                 .iter()
                 .map(|&f| {
-                    let secs = PHASES.phase_secs(f, (f - 1) % COHORT, COHORT, period);
+                    let secs = phases.phase_secs(f, (f - 1) % COHORT, COHORT, period);
                     SimDuration::from_secs_f64(secs)
                 })
                 .collect();
             let sched = builder
                 .schedule()
-                .member_schedule(tau, phases.len() as u32)
+                .member_schedule(tau, members.len() as u32)
                 .expect("member schedule");
-            let (_, cohort) = FlowCohort::new(&phases, d.packet_size, sched);
+            let (_, cohort) = FlowCohort::new(&members, d.packet_size, sched);
             let cohort = cohort.with_jitter(jitter).expect("jitter");
             feeder(&mut b, trunk, cohort, &mut trunk_stream, &sent);
         }
     } else {
         for f in 1..FLOWS {
-            let phase = PHASES.phase_secs(f, f, FLOWS, period);
+            let phase = phases.phase_secs(f, f, FLOWS, period);
             let schedule = builder.schedule().to_schedule(tau).expect("schedule");
             let clock = PaddingClock::new(schedule, d.jitter, d.packet_size)
                 .with_discipline(builder.discipline())
@@ -279,10 +278,17 @@ fn series_bits(windows: &[WindowStats]) -> Vec<u64> {
 
 #[test]
 fn a_trunk_folding_its_observer_equals_the_per_event_wiring() {
-    for cohorts in [false, true] {
+    // Synchronized phases make every emitter fire at one instant, so the
+    // trunk fires them as one run; uniform phases fire them one by one.
+    let layouts = [
+        ("synchronized", PhaseSpec::Synchronized),
+        ("uniform", PhaseSpec::Uniform { seed: 5 }),
+    ];
+    for ((layout, phases), cohorts) in layouts.into_iter().flat_map(|l| [(l, false), (l, true)]) {
         let mode = if cohorts { "cohort" } else { "per-flow" };
-        let mut built = builder(cohorts).build().expect("builds");
-        let mut reference = reference(cohorts);
+        let mode = format!("{layout} {mode}");
+        let mut built = builder(cohorts, phases).build().expect("builds");
+        let mut reference = reference(cohorts, phases);
         // Emitter feeders, demux, fan-out and observer.
         let feeders = if cohorts {
             (FLOWS - 1).div_ceil(COHORT)

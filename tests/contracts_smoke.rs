@@ -289,7 +289,7 @@ fn synchronized_cohort_equals_gateways_through_a_router() {
         if use_cohort {
             let law = Box::new(LawSchedule::new(cit().into_law()));
             let (_, cohort) = FlowCohort::new(&[SimDuration::ZERO; FLOWS], 500, law);
-            b.add_node(Box::new(trunk.with_emitter(cohort)));
+            b.add_node(Box::new(trunk.with_emitters([cohort])));
         } else {
             let trunk = b.add_node(Box::new(trunk));
             for k in 0..FLOWS {
